@@ -222,8 +222,9 @@ type rewinder interface{ Rewind() }
 
 // engineLoopBench measures sim.Run's steady-state reference loop by
 // replaying pre-captured in-memory traces, so workload generation cost
-// is excluded and the metric isolates the simulation core. refs/s is
-// the headline number BENCH_baseline.json tracks across PRs.
+// is excluded and the metric isolates the simulation core. It is a
+// quick local check; `bash benchmark/run.sh` is the performance
+// harness that tracks throughput across changes.
 func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string) {
 	b.Helper()
 	cfg := redhip.SmokeConfig()

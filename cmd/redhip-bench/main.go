@@ -44,27 +44,12 @@ func main() {
 		traceBudget     = flag.Uint64("trace-budget", 0, "trace store RAM budget in bytes (default: tracestore.DefaultBudgetBytes); tiny values force every stream through the disk tier")
 		traceDiskBudget = flag.Uint64("trace-disk-budget", 0, "disk tier budget in bytes (default: tracestore.DefaultDiskBudgetBytes); needs -trace-dir")
 
-		baseline   = flag.String("bench-baseline", "", "measure per-scheme simulation throughput at the pinned smoke geometry, write it to this JSON file and exit")
-		compare    = flag.Bool("bench-compare", false, "compare two benchmark JSON files (old new; BENCH_baseline.json or BENCH_sweep.json, schema sniffed) and exit nonzero on a refs/sec regression beyond -bench-tolerance")
-		tolerance  = flag.Float64("bench-tolerance", 0.10, "allowed fractional refs/sec drop per scheme for -bench-compare")
-		sweepBench = flag.String("sweep-bench", "", "measure multi-scheme sweep throughput with and without the materialise-once trace cache, write the comparison to this JSON file and exit")
-		showVer    = flag.Bool("version", false, "print build version and exit")
+		showVer = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
 
 	if *showVer {
 		fmt.Println(version.String())
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-bench-compare needs exactly two benchmark files, got %d args", flag.NArg()))
-		}
-		if err := compareBench(flag.Arg(0), flag.Arg(1), *tolerance); err != nil {
-			fatal(err)
-		}
-		fmt.Println("no regression")
 		return
 	}
 
@@ -104,21 +89,6 @@ func main() {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "pprof server on http://%s/debug/pprof/\n", *pprofAddr)
-	}
-
-	if *baseline != "" {
-		if err := writeBaseline(*baseline); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *baseline)
-		return
-	}
-	if *sweepBench != "" {
-		if err := writeSweepBench(*sweepBench); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *sweepBench)
-		return
 	}
 
 	cfg, err := configFor(*geometry)

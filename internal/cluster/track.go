@@ -38,7 +38,7 @@ type routedJob struct {
 	cancelRequested bool               //redhip:guardedby mu
 	submitted       time.Time          //redhip:guardedby mu
 	finished        time.Time          //redhip:guardedby mu
-	log             eventLog           //redhip:guardedby mu
+	log             serve.EventLog     //redhip:guardedby mu
 }
 
 // routedData is the payload of the router-authored "routed" event.
@@ -137,13 +137,13 @@ func (j *routedJob) mirror(epoch int, ev serve.Event) {
 		return
 	}
 	j.lastMirrored = ev.ID
-	j.log.appendRawLocked(ev.Type, ev.Data, false)
+	j.log.AppendRawLocked(ev.Type, ev.Data, false)
 }
 
 // appendEvent publishes a router-authored non-terminal event.
 func (j *routedJob) appendEvent(typ string, payload any) {
 	j.mu.Lock()
-	j.log.appendLocked(typ, payload, false)
+	j.log.AppendLocked(typ, payload, false)
 	j.mu.Unlock()
 }
 
@@ -151,7 +151,7 @@ func (j *routedJob) appendEvent(typ string, payload any) {
 func (j *routedJob) noteRehome(from, reason string) {
 	j.mu.Lock()
 	j.rehomes++
-	j.log.appendLocked("rehomed", rehomedData{From: from, Reason: reason}, false)
+	j.log.AppendLocked("rehomed", rehomedData{From: from, Reason: reason}, false)
 	j.mu.Unlock()
 }
 
@@ -182,10 +182,10 @@ func (j *routedJob) attach() {
 func (j *routedJob) subscribe() (replay []serve.Event, live <-chan serve.Event, unsub func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay, ch := j.log.subscribeLocked(j.state.Terminal())
+	replay, ch := j.log.SubscribeLocked(j.state.Terminal())
 	return replay, ch, func() {
 		j.mu.Lock()
-		j.log.unsubscribeLocked(ch)
+		j.log.UnsubscribeLocked(ch)
 		j.mu.Unlock()
 	}
 }
@@ -249,7 +249,7 @@ func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string,
 		j.streamCancel()
 		j.streamCancel = nil
 	}
-	j.log.appendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
+	j.log.AppendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
 	j.mu.Unlock()
 	if state != serve.StateDone {
 		rt.jobs.releaseKey(j)
@@ -302,7 +302,7 @@ func (t *jobTable) resolve(key string, spec serve.Spec, now time.Time) (*routedJ
 		submissions: 1,
 		submitted:   now,
 	}
-	j.log.appendLocked("queued", terminalData{State: serve.StateQueued}, false)
+	j.log.AppendLocked("queued", terminalData{State: serve.StateQueued}, false)
 	t.byID[j.ID] = j
 	t.byKey[key] = j
 	t.order = append(t.order, j)

@@ -11,15 +11,15 @@ import (
 	"redhip/internal/sim"
 )
 
-// faultOptions pins the per-scheme pool path (DisableSinglePass): one
-// injection-point evaluation per run, the granularity these contracts
-// are written against. The single-pass path evaluates the point once
-// per pass and fails every pending scheme together — covered by the
-// SinglePass variants below.
+// faultOptions is a one-worker runner with the given injector. The
+// figure job pool (run/resultFor) evaluates the injection point once
+// per job, the granularity the first three contracts are written
+// against; SchemeSweep evaluates it once per pass and fails every
+// pending scheme together — covered by the SinglePass variants below.
 func faultOptions(in *faultinject.Injector) Options {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = 1_000
-	return Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}, Parallelism: 1, Fault: in, DisableSinglePass: true}
+	return Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}, Parallelism: 1, Fault: in}
 }
 
 // TestInjectedRunError: an Options.Fault error rule fails exactly the
@@ -32,17 +32,19 @@ func TestInjectedRunError(t *testing.T) {
 		Err:   "transient run failure",
 	})
 	r := mustRunner(t, faultOptions(in))
-	if _, err := r.SchemeSweep("mcf", sim.Schemes()); !faultinject.IsInjected(err) {
-		t.Fatalf("SchemeSweep error = %v, want the injected failure", err)
+	if err := r.run(poolJobs(r.opts.Base, "mcf", sim.Schemes())); !faultinject.IsInjected(err) {
+		t.Fatalf("pool error = %v, want the injected failure", err)
+	}
+	if n := r.CacheSize(); n != len(sim.Schemes())-1 {
+		t.Fatalf("pool memoised %d results, want every run but the failed one (%d)", n, len(sim.Schemes())-1)
 	}
 	// Rule exhausted: a fresh runner (fresh memo cache) succeeds.
 	r2 := mustRunner(t, faultOptions(in))
-	res, err := r2.SchemeSweep("mcf", sim.Schemes())
-	if err != nil {
-		t.Fatalf("post-exhaustion sweep: %v", err)
+	if err := r2.run(poolJobs(r2.opts.Base, "mcf", sim.Schemes())); err != nil {
+		t.Fatalf("post-exhaustion pool: %v", err)
 	}
-	if len(res) != len(sim.Schemes()) {
-		t.Fatalf("post-exhaustion sweep returned %d results", len(res))
+	if n := r2.CacheSize(); n != len(sim.Schemes()) {
+		t.Fatalf("post-exhaustion pool memoised %d results", n)
 	}
 }
 
@@ -56,10 +58,10 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 		Panic: "injected run panic",
 	})
 	r := mustRunner(t, faultOptions(in))
-	_, err := r.SchemeSweep("mcf", sim.Schemes())
+	err := r.run(poolJobs(r.opts.Base, "mcf", sim.Schemes()))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("SchemeSweep error = %v (%T), want *PanicError", err, err)
+		t.Fatalf("pool error = %v (%T), want *PanicError", err, err)
 	}
 	if !strings.Contains(pe.Error(), "injected run panic") {
 		t.Fatalf("PanicError = %q, want injected message", pe.Error())
@@ -69,7 +71,8 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 	}
 	// The runner survived the panic: the un-poisoned schemes are still
 	// runnable on the same instance.
-	if _, err := r.SchemeSweep("mcf", []sim.Scheme{sim.Schemes()[len(sim.Schemes())-1]}); err != nil {
+	last := poolJobs(r.opts.Base, "mcf", sim.Schemes()[len(sim.Schemes())-1:])[0]
+	if _, err := r.resultFor(last); err != nil {
 		t.Fatalf("runner unusable after recovered panic: %v", err)
 	}
 }
@@ -90,8 +93,8 @@ func TestOnRunSeesInjectedFailure(t *testing.T) {
 		}
 	}
 	r := mustRunner(t, opts)
-	if _, err := r.SchemeSweep("mcf", sim.Schemes()); err == nil {
-		t.Fatalf("sweep with injected failure succeeded")
+	if err := r.run(poolJobs(r.opts.Base, "mcf", sim.Schemes())); err == nil {
+		t.Fatalf("pool batch with injected failure succeeded")
 	}
 	if failed != 1 {
 		t.Fatalf("OnRun observed %d failures, want 1", failed)
@@ -109,7 +112,6 @@ func TestInjectedPassPanicSinglePass(t *testing.T) {
 		Panic: "injected pass panic",
 	})
 	opts := faultOptions(in)
-	opts.DisableSinglePass = false
 	var failed int
 	opts.OnRun = func(u RunUpdate) {
 		if u.Err != nil {
@@ -145,9 +147,7 @@ func TestInjectedPassErrorSinglePassFiresOncePerPass(t *testing.T) {
 		Times: 1,
 		Err:   "transient pass failure",
 	})
-	opts := faultOptions(in)
-	opts.DisableSinglePass = false
-	r := mustRunner(t, opts)
+	r := mustRunner(t, faultOptions(in))
 	if _, err := r.SchemeSweep("mcf", sim.Schemes()); !faultinject.IsInjected(err) {
 		t.Fatalf("SchemeSweep error = %v, want the injected failure", err)
 	}

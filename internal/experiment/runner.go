@@ -57,22 +57,17 @@ type Options struct {
 	// treat the Result as read-only.
 	OnRun func(RunUpdate)
 	// Context, when non-nil, cancels in-flight work: once it is done,
-	// workers stop picking up pending jobs and run methods return the
-	// context's error. Individual simulations are not interrupted
-	// mid-run — cancellation takes effect between runs.
+	// workers stop picking up pending jobs, a running pass stops at its
+	// next round barrier (sim.MultiOptions.Interrupt), and run methods
+	// return the context's error.
 	Context context.Context
-	// DisableTraceCache turns off the materialise-once trace store, so
-	// every run regenerates its reference stream from scratch (the
-	// pre-cache behaviour; the sweep benchmark measures against it).
-	DisableTraceCache bool
 	// TraceCacheBytes bounds the trace store's resident records;
 	// defaults to tracestore.DefaultBudgetBytes.
 	TraceCacheBytes uint64
 	// TraceCache, when non-nil, is a caller-owned store shared with
 	// other runners (a session sweeping many figures keeps one store
 	// across runner instances so each stream materialises once per
-	// session, not once per runner). Mutually exclusive with
-	// DisableTraceCache; TraceCacheBytes is ignored.
+	// session, not once per runner). TraceCacheBytes is ignored.
 	TraceCache *tracestore.Store
 	// Fault, when non-nil and the build carries the faultinject tag,
 	// evaluates the "experiment.run" injection point before every
@@ -81,24 +76,20 @@ type Options struct {
 	// builds without the tag the field is inert.
 	Fault *faultinject.Injector
 	// IntraParallelism bounds the worker goroutines inside one
-	// single-pass multi-scheme simulation (sim.RunMulti back halves plus
-	// recalibration fan-out). Zero means "auto": divide GOMAXPROCS by
-	// the job-level Parallelism so the two layers combined never
-	// oversubscribe the machine (see intraWorkers). Negative values are
-	// a configuration error. Results are unaffected either way — the
+	// simulation pass (sim.RunMultiOpt back halves plus recalibration
+	// fan-out), whether a multi-scheme sweep or a one-scheme pool job.
+	// Zero means "auto": divide GOMAXPROCS by the job-level Parallelism
+	// so the two layers combined never oversubscribe the machine (see
+	// intraWorkers). Negative values are a configuration error. Results are unaffected either way — the
 	// knob trades goroutines for wall time only.
 	IntraParallelism int
-	// DisableSinglePass forces SchemeSweep onto the legacy path: one
-	// independent sim.Run per scheme through the job pool. The sweep
-	// benchmark's live/cold/warm arms measure against this path; real
-	// consumers leave it false and get the one-pass lockstep engine.
-	DisableSinglePass bool
 	// SnapshotCache, when non-nil, is a caller-owned warm-state snapshot
 	// store shared with other runners: jobs with a warmup window warm
 	// once per (geometry, workload, seed, warmup, scheme) lineage and
-	// branch their measure phases from the cached blob (sim.Warm /
-	// sim.RunFromSnapshot — bit-identical to cold runs by the golden
-	// contract). Mutually exclusive with SnapshotCacheBytes.
+	// branch their measure phases from the cached blob
+	// (sim.MultiOptions SnapshotSink/Snapshots — bit-identical to cold
+	// runs by the golden contract). Mutually exclusive with
+	// SnapshotCacheBytes.
 	SnapshotCache *simstate.Store
 	// SnapshotCacheBytes, when positive, enables a runner-owned snapshot
 	// store with this byte budget. Zero leaves snapshotting off: warm
@@ -116,19 +107,16 @@ func (o *Options) Validate() error {
 	if o.IntraParallelism < 0 {
 		return fmt.Errorf("experiment: IntraParallelism must be >= 0 (0 = auto), got %d", o.IntraParallelism)
 	}
-	if o.DisableTraceCache && o.TraceCache != nil {
-		return fmt.Errorf("experiment: DisableTraceCache and TraceCache are mutually exclusive")
-	}
 	if o.SnapshotCache != nil && o.SnapshotCacheBytes != 0 {
 		return fmt.Errorf("experiment: SnapshotCache and SnapshotCacheBytes are mutually exclusive")
 	}
 	return nil
 }
 
-// intraWorkers resolves the per-pass worker count for a single-pass
-// multi-scheme simulation so the two parallelism layers compose
-// without oversubscribing: jobWorkers pool goroutines may each drive a
-// pass of this many workers, and the product never exceeds procs
+// intraWorkers resolves the worker count of one simulation pass so
+// the two parallelism layers compose without oversubscribing:
+// jobWorkers pool goroutines may each drive a pass of this many
+// workers, and the product never exceeds procs
 // (GOMAXPROCS). requested = 0 means auto (procs / jobWorkers); an
 // explicit request is honoured up to the same cap. Floor 1: a machine
 // smaller than the job pool still makes progress, it just timeshares.
@@ -183,14 +171,12 @@ type RunUpdate struct {
 // Runner executes and memoises simulation runs.
 type Runner struct {
 	opts   Options
-	traces *tracestore.Store // nil when DisableTraceCache
-	snaps  *simstate.Store   // nil unless snapshot branching is enabled
+	traces *tracestore.Store
+	snaps  *simstate.Store // nil unless snapshot branching is enabled
 
-	mu       sync.Mutex
-	cache    map[jobKey]*sim.Result
-	errs     map[jobKey]error
-	genNanos int64 // summed Perf.GenerateNanos over executed runs
-	simNanos int64 // summed Perf.SimulateNanos over executed runs
+	mu    sync.Mutex
+	cache map[jobKey]*sim.Result
+	errs  map[jobKey]error
 }
 
 // NewRunner builds a runner, or fails on invalid options.
@@ -204,10 +190,8 @@ func NewRunner(opts Options) (*Runner, error) {
 		cache: make(map[jobKey]*sim.Result),
 		errs:  make(map[jobKey]error),
 	}
-	switch {
-	case opts.TraceCache != nil:
-		r.traces = opts.TraceCache
-	case !opts.DisableTraceCache:
+	r.traces = opts.TraceCache
+	if r.traces == nil {
 		r.traces = tracestore.New(opts.TraceCacheBytes)
 	}
 	switch {
@@ -255,25 +239,7 @@ func (r *Runner) resultFor(j job) (*sim.Result, error) {
 // semaphore, so a figure that wants hundreds of runs starts exactly as
 // many goroutines as can make progress.
 func (r *Runner) run(jobs []job) error {
-	// Deduplicate against the cache under the lock.
-	r.mu.Lock()
-	pending := make([]job, 0, len(jobs))
-	seen := make(map[jobKey]bool, len(jobs))
-	for _, j := range jobs {
-		k := j.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := r.cache[k]; ok {
-			continue
-		}
-		if _, ok := r.errs[k]; ok {
-			continue
-		}
-		pending = append(pending, j)
-	}
-	r.mu.Unlock()
+	pending := r.pending(jobs)
 	if len(pending) == 0 {
 		return r.firstError(jobs)
 	}
@@ -324,34 +290,87 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("experiment: run panicked: %v", e.Value)
 }
 
-// runOne executes a single job and records its outcome.
+// runOne executes a single pool job — a one-scheme pass — and records
+// its outcome.
 func (r *Runner) runOne(j job) {
-	res, err := r.executeIsolated(j)
+	results, err := r.executePass(j.workload, j.cfg, []sim.Scheme{j.cfg.Scheme})
+	_ = r.record(j.workload, []job{j}, results, err) // run reports a cancelled context itself
+}
+
+// pending returns the jobs not yet memoised (as a result or an error),
+// deduplicated, in input order.
+func (r *Runner) pending(jobs []job) []job {
 	r.mu.Lock()
-	if err != nil {
-		r.errs[j.key()] = err
-	} else {
-		r.cache[j.key()] = res
+	defer r.mu.Unlock()
+	out := make([]job, 0, len(jobs))
+	seen := make(map[jobKey]bool, len(jobs))
+	for _, j := range jobs {
+		k := j.key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if _, ok := r.cache[k]; ok {
+			continue
+		}
+		if _, ok := r.errs[k]; ok {
+			continue
+		}
+		out = append(out, j)
 	}
-	completed := len(r.cache) + len(r.errs)
-	r.mu.Unlock()
-	if r.opts.OnRun != nil {
-		r.opts.OnRun(RunUpdate{
-			Workload:  j.workload,
-			Scheme:    j.cfg.Scheme,
-			Inclusion: j.cfg.Inclusion,
-			Result:    res,
-			Err:       err,
-			Completed: completed,
-		})
+	return out
+}
+
+// record files one pass's per-scheme outcomes: memo cache entries,
+// then OnRun notifications and Progress lines in
+// jobs order. A pass-level failure (nil results) fails every job with
+// the same cause — unless the context is done, in which case nothing
+// is recorded (the jobs stay runnable) and the context's error is
+// returned.
+func (r *Runner) record(workloadName string, jobs []job, results []*sim.Result, err error) error {
+	if results == nil {
+		if cerr := r.opts.Context.Err(); cerr != nil {
+			return cerr
+		}
+		results = make([]*sim.Result, len(jobs))
 	}
-	if r.opts.Progress != nil {
-		if err != nil {
-			r.opts.Progress(fmt.Sprintf("%s/%s: ERROR %v", j.workload, j.cfg.Scheme, err))
+	for i, j := range jobs {
+		res := results[i]
+		var runErr error
+		if res != nil {
+			// Reports label rows by workload name; mix's first source is
+			// a SPEC benchmark, so fix the label up here.
+			res.Workload = workloadName
 		} else {
-			r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs)", j.workload, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
+			runErr = fmt.Errorf("%s/%s: %w", workloadName, j.cfg.Scheme, err)
+		}
+		r.mu.Lock()
+		if runErr != nil {
+			r.errs[j.key()] = runErr
+		} else {
+			r.cache[j.key()] = res
+		}
+		completed := len(r.cache) + len(r.errs)
+		r.mu.Unlock()
+		if r.opts.OnRun != nil {
+			r.opts.OnRun(RunUpdate{
+				Workload:  workloadName,
+				Scheme:    j.cfg.Scheme,
+				Inclusion: j.cfg.Inclusion,
+				Result:    res,
+				Err:       runErr,
+				Completed: completed,
+			})
+		}
+		if r.opts.Progress != nil {
+			if runErr != nil {
+				r.opts.Progress(fmt.Sprintf("%s/%s: ERROR %v", workloadName, j.cfg.Scheme, runErr))
+			} else {
+				r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs)", workloadName, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
+			}
 		}
 	}
+	return nil
 }
 
 // firstError returns the error of the first failed job, ordering
@@ -380,129 +399,30 @@ func (r *Runner) firstError(jobs []job) error {
 	return nil
 }
 
-// executeIsolated is execute behind the runner's panic isolation: a
-// panicking simulation (or injected fault) becomes a *PanicError
-// recorded like any other run failure, and the worker goroutine
-// survives to drain its channel. The faultinject seam sits inside the
-// recover scope so injected panics exercise exactly this path.
-func (r *Runner) executeIsolated(j job) (res *sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if faultinject.Enabled {
-		in := r.opts.Fault
-		if in == nil {
-			in = faultinject.Active()
-		}
-		if ferr := in.Point(faultinject.PointExperimentRun); ferr != nil {
-			return nil, ferr
-		}
-	}
-	return r.execute(j)
-}
-
-// buildSources constructs the per-core reference streams for one run:
-// fresh replay cursors over a materialised stream when the trace store
-// is enabled, live generators otherwise.
+// buildSources returns fresh per-core replay cursors over the
+// workload's materialised reference stream — generated once per
+// (workload, cores, scale, seed, refs) key and shared read-only across
+// every scheme and inclusion variant that needs it.
 func (r *Runner) buildSources(workloadName string, cfg sim.Config) ([]workload.Source, error) {
-	if r.traces != nil {
-		mat, err := r.traces.Get(tracestore.Key{
-			Workload:    workloadName,
-			Cores:       cfg.Cores,
-			Scale:       cfg.WorkloadScale,
-			Seed:        r.opts.Seed,
-			RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return mat.Sources(), nil
-	}
-	return workload.Sources(workloadName, cfg.Cores, cfg.WorkloadScale, r.opts.Seed)
-}
-
-// execute runs one simulation from scratch. With the trace store
-// enabled the reference stream comes from a materialised replay —
-// generated once per (workload, cores, scale, seed, refs) key and
-// shared read-only across every scheme and inclusion variant that needs
-// it; otherwise each run regenerates it live.
-func (r *Runner) execute(j job) (*sim.Result, error) {
-	srcs, err := r.buildSources(j.workload, j.cfg)
+	mat, err := r.traces.Get(tracestore.Key{
+		Workload:    workloadName,
+		Cores:       cfg.Cores,
+		Scale:       cfg.WorkloadScale,
+		Seed:        r.opts.Seed,
+		RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
+	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.runSolo(j, srcs)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", j.workload, j.cfg.Scheme, err)
-	}
-	r.mu.Lock()
-	r.genNanos += res.Perf.GenerateNanos
-	r.simNanos += res.Perf.SimulateNanos
-	r.mu.Unlock()
-	// Reports label rows by workload name; mix's first source is a SPEC
-	// benchmark, so fix the label up here.
-	res.Workload = j.workload
-	return res, nil
-}
-
-// runSolo executes one simulation, branching from a cached warm-state
-// snapshot when snapshot branching is enabled: a store hit skips the
-// warmup phase entirely; a miss warms once, publishes the blob, and
-// measures through the same restore path so both branches are pinned
-// bit-identical by the golden contract. Every unusable-snapshot
-// condition (sim.ErrSnapshot) degrades to a plain cold run.
-func (r *Runner) runSolo(j job, srcs []workload.Source) (*sim.Result, error) {
-	if r.snaps == nil || j.cfg.WarmupRefsPerCore == 0 {
-		return sim.Run(j.cfg, srcs)
-	}
-	// The warm key is derived from the first source's name — for mix
-	// workloads that is the leading SPEC component, matching what
-	// sim.Warm records in the blob's metadata.
-	key := simstate.Key(sim.WarmKey(j.cfg, srcs[0].Name(), r.opts.Seed))
-	blob, hit := r.snaps.Get(key)
-	if !hit {
-		warmed, werr := sim.Warm(j.cfg, srcs, r.opts.Seed)
-		if werr != nil {
-			if errors.Is(werr, sim.ErrSnapshot) {
-				// Sources that can't checkpoint (or a warmup-free config
-				// racing a store reconfiguration): run cold. Warm rejects
-				// these before consuming any records.
-				return sim.Run(j.cfg, srcs)
-			}
-			return nil, werr
-		}
-		r.snaps.Put(key, warmed)
-		blob = warmed
-	}
-	res, err := sim.RunFromSnapshot(j.cfg, blob, srcs, r.opts.Seed)
-	if err != nil {
-		if errors.Is(err, sim.ErrSnapshot) {
-			// A stale or foreign blob may have partially re-seated the
-			// source cursors before being rejected — rebuild them fresh
-			// for the cold fallback.
-			fresh, serr := r.buildSources(j.workload, j.cfg)
-			if serr != nil {
-				return nil, serr
-			}
-			return sim.Run(j.cfg, fresh)
-		}
-		return nil, err
-	}
-	r.snaps.RecordRestore(res.Perf.RestoreNanos)
-	return res, nil
+	return mat.Sources(), nil
 }
 
 // SchemeSweep simulates one workload under each scheme at the base
-// configuration, returning results in scheme order. By default all
-// schemes ride one single-pass lockstep simulation (sim.RunMulti): the
-// reference stream is decoded once and every scheme's back half
-// consumes it in the same pass, bit-identical to independent runs.
-// Options.DisableSinglePass reverts to one sim.Run per scheme through
-// the job pool — the shape the sweep benchmark's legacy arms measure.
-// Memoisation applies on both paths: already-cached schemes are
-// excluded from the pass and served from the cache.
+// configuration, returning results in scheme order. All schemes ride
+// one single-pass lockstep simulation (sim.RunMulti): the reference
+// stream is decoded once and every scheme's back half consumes it in
+// the same pass, bit-identical to independent runs. Already-cached
+// schemes are excluded from the pass and served from the memo cache.
 func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.Result, error) {
 	jobs := make([]job, len(schemes))
 	for i, sc := range schemes {
@@ -510,11 +430,7 @@ func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.
 		cfg.Scheme = sc
 		jobs[i] = job{workload: workloadName, cfg: cfg}
 	}
-	if r.opts.DisableSinglePass {
-		if err := r.run(jobs); err != nil {
-			return nil, err
-		}
-	} else if err := r.runMultiPass(workloadName, jobs); err != nil {
+	if err := r.runMultiPass(workloadName, jobs); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
@@ -527,94 +443,36 @@ func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.
 }
 
 // runMultiPass executes the not-yet-cached jobs of one scheme sweep as
-// a single sim.RunMulti pass and records per-scheme outcomes exactly
-// like the job pool would: memo cache entries, OnRun notifications in
-// scheme order, Progress lines, phase-time accumulation. Jobs must
-// differ only in Scheme (SchemeSweep guarantees this).
+// a single pass and records per-scheme outcomes exactly like the job
+// pool does. Jobs must differ only in Scheme (SchemeSweep guarantees
+// this).
 func (r *Runner) runMultiPass(workloadName string, jobs []job) error {
-	r.mu.Lock()
-	pending := make([]job, 0, len(jobs))
-	seen := make(map[jobKey]bool, len(jobs))
-	for _, j := range jobs {
-		k := j.key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := r.cache[k]; ok {
-			continue
-		}
-		if _, ok := r.errs[k]; ok {
-			continue
-		}
-		pending = append(pending, j)
-	}
-	r.mu.Unlock()
+	pending := r.pending(jobs)
 	if len(pending) == 0 {
 		return r.firstError(jobs)
 	}
 	if err := r.opts.Context.Err(); err != nil {
 		return err
 	}
-
 	schemes := make([]sim.Scheme, len(pending))
 	for i, j := range pending {
 		schemes[i] = j.cfg.Scheme
 	}
-	results, err := r.executeMultiIsolated(workloadName, pending[0].cfg, schemes)
-	if err != nil && results == nil {
-		// Pass-level failure (interrupt, source construction, panic):
-		// every pending slot fails with the same cause.
-		if r.opts.Context.Err() != nil {
-			return r.opts.Context.Err()
-		}
-		results = make([]*sim.Result, len(pending))
-	}
-	for i, j := range pending {
-		var res *sim.Result
-		var runErr error
-		if results[i] != nil {
-			res = results[i]
-			res.Workload = workloadName
-		} else {
-			runErr = fmt.Errorf("%s/%s: %w", workloadName, j.cfg.Scheme, err)
-		}
-		r.mu.Lock()
-		if runErr != nil {
-			r.errs[j.key()] = runErr
-		} else {
-			r.cache[j.key()] = res
-			r.genNanos += res.Perf.GenerateNanos
-			r.simNanos += res.Perf.SimulateNanos
-		}
-		completed := len(r.cache) + len(r.errs)
-		r.mu.Unlock()
-		if r.opts.OnRun != nil {
-			r.opts.OnRun(RunUpdate{
-				Workload:  workloadName,
-				Scheme:    j.cfg.Scheme,
-				Inclusion: j.cfg.Inclusion,
-				Result:    res,
-				Err:       runErr,
-				Completed: completed,
-			})
-		}
-		if r.opts.Progress != nil {
-			if runErr != nil {
-				r.opts.Progress(fmt.Sprintf("%s/%s: ERROR %v", workloadName, j.cfg.Scheme, runErr))
-			} else {
-				r.opts.Progress(fmt.Sprintf("%s/%s/%s done (%d refs, single-pass)", workloadName, j.cfg.Scheme, j.cfg.Inclusion, res.Refs))
-			}
-		}
+	results, err := r.executePass(workloadName, pending[0].cfg, schemes)
+	if err := r.record(workloadName, pending, results, err); err != nil {
+		return err
 	}
 	return r.firstError(jobs)
 }
 
-// executeMultiIsolated runs one multi-scheme pass behind the same
-// panic isolation and fault seam as per-scheme runs: the injection
-// point fires once per pass (it replaces N single runs), and a panic
-// fails the whole pass as a *PanicError.
-func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, schemes []sim.Scheme) (results []*sim.Result, err error) {
+// executePass runs one sim.RunMultiOpt pass over schemes — a pool job
+// is a pass of one — behind the runner's panic isolation and fault
+// seam: the injection point fires once per pass, and a panic (injected
+// or organic) fails the whole pass as a *PanicError instead of killing
+// the worker goroutine or, unrecovered, the process. The faultinject
+// seam sits inside the recover scope so injected panics exercise
+// exactly this path.
+func (r *Runner) executePass(workloadName string, base sim.Config, schemes []sim.Scheme) (results []*sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			results, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
@@ -646,7 +504,10 @@ func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, sche
 	// pass restores all engines at the boundary and skips the warmup
 	// walk; otherwise a cold pass runs with a sink that captures each
 	// scheme's warm state for future passes. sim.ErrSnapshot from the
-	// restored pass degrades to the cold path over fresh sources.
+	// restored pass degrades to the cold path over fresh sources. The
+	// warm key is derived from the first source's name — for mix
+	// workloads that is the leading SPEC component, matching what the
+	// pass records in the blob's metadata.
 	seed := r.opts.Seed
 	name := srcs[0].Name()
 	keys := make([]simstate.Key, len(schemes))
@@ -667,9 +528,7 @@ func (r *Runner) executeMultiIsolated(workloadName string, base sim.Config, sche
 		results, rerr := sim.RunMultiOpt(base, schemes, srcs, ropt)
 		if rerr == nil {
 			for _, res := range results {
-				if res != nil {
-					r.snaps.RecordRestore(res.Perf.RestoreNanos)
-				}
+				r.snaps.RecordRestore(res.Perf.RestoreNanos)
 			}
 			return results, nil
 		}
@@ -702,23 +561,9 @@ func (r *Runner) SnapshotStats() (st simstate.StoreStats, ok bool) {
 	return r.snaps.Stats(), true
 }
 
-// TraceCacheStats snapshots the trace store's counters; ok is false
-// when the store is disabled.
-func (r *Runner) TraceCacheStats() (st tracestore.Stats, ok bool) {
-	if r.traces == nil {
-		return tracestore.Stats{}, false
-	}
-	return r.traces.Stats(), true
-}
-
-// PhaseNanos returns cumulative wall time the runner's simulations
-// spent generating (or replaying) reference streams versus walking the
-// hierarchy. Worker parallelism overlaps runs, so the sum can exceed
-// elapsed wall time; the split is what matters.
-func (r *Runner) PhaseNanos() (generate, simulate int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.genNanos, r.simNanos
+// TraceCacheStats snapshots the trace store's counters.
+func (r *Runner) TraceCacheStats() tracestore.Stats {
+	return r.traces.Stats()
 }
 
 // CacheSize reports how many runs are memoised (for tests/diagnostics).

@@ -82,12 +82,20 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// poolJobs builds one figure-pool job per scheme at base.
+func poolJobs(base sim.Config, wl string, schemes []sim.Scheme) []job {
+	jobs := make([]job, len(schemes))
+	for i, sc := range schemes {
+		jobs[i] = job{workload: wl, cfg: base.WithScheme(sc)}
+	}
+	return jobs
+}
+
 // TestContextCancellationMidSweep: cancelling from the OnRun hook stops
-// the remaining runs of the same sweep. This is the per-scheme pool
-// path's contract (DisableSinglePass); the single-pass engine runs the
-// whole sweep as one simulation, so its cancellation granularity is
-// the pass round, covered by TestContextCancellationSinglePass and
-// sim's interrupt test.
+// the remaining jobs of the same figure-pool batch. Each pool job is a
+// one-scheme pass; the multi-scheme sweep runs as one pass, so its
+// cancellation granularity is the pass round, covered by
+// TestContextCancellationSinglePass and sim's interrupt test.
 func TestContextCancellationMidSweep(t *testing.T) {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = 2_000
@@ -96,25 +104,24 @@ func TestContextCancellationMidSweep(t *testing.T) {
 
 	var completed int
 	r := mustRunner(t, Options{
-		Base:              cfg,
-		Workloads:         []string{"mcf"},
-		Parallelism:       1,
-		Context:           ctx,
-		DisableSinglePass: true,
+		Base:        cfg,
+		Workloads:   []string{"mcf"},
+		Parallelism: 1,
+		Context:     ctx,
 		OnRun: func(u RunUpdate) {
 			completed = u.Completed
 			cancel() // stop after the first run
 		},
 	})
-	_, err := r.SchemeSweep("mcf", sim.Schemes())
+	err := r.run(poolJobs(cfg, "mcf", sim.Schemes()))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-sweep cancel = %v, want context.Canceled", err)
+		t.Fatalf("mid-batch cancel = %v, want context.Canceled", err)
 	}
 	if completed != 1 {
 		t.Fatalf("completed %d runs before cancel took effect, want 1", completed)
 	}
 	if n := r.CacheSize(); n >= len(sim.Schemes()) {
-		t.Fatalf("cancelled sweep still executed all %d runs", n)
+		t.Fatalf("cancelled batch still executed all %d runs", n)
 	}
 }
 

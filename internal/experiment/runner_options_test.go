@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redhip/internal/sim"
+	"redhip/internal/workload"
 )
 
 func TestOptionsRejectNegativeParallelism(t *testing.T) {
@@ -24,51 +25,42 @@ func TestOptionsZeroParallelismDefaults(t *testing.T) {
 	}
 }
 
-// A scheme sweep with the trace store enabled must generate the
-// workload stream exactly once and replay it for every other scheme —
-// and produce the same results the store-less runner does.
+// A scheme sweep must generate the workload stream exactly once and
+// replay it for every scheme — and produce the same results a direct
+// sim.Run over live generators does.
 func TestSchemeSweepSharesOneGeneration(t *testing.T) {
 	cfg := sim.Smoke()
 	cfg.RefsPerCore = 4_000
 	schemes := sim.Schemes()
 
 	cached := mustRunner(t, Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}})
-	live := mustRunner(t, Options{Base: cfg, Seed: 1, Workloads: []string{"mcf"}, DisableTraceCache: true})
-
 	got, err := cached.SchemeSweep("mcf", schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := live.SchemeSweep("mcf", schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, sc := range schemes {
-		if got[i].String() != want[i].String() {
+		srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(cfg.WithScheme(sc), srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].String() != want.String() {
 			t.Errorf("%s: replayed sweep diverged from live generation:\n  replay: %s\n  live:   %s",
-				sc, got[i], want[i])
+				sc, got[i], want)
 		}
 	}
 
-	st, ok := cached.TraceCacheStats()
-	if !ok {
-		t.Fatal("trace cache reported disabled on the default runner")
-	}
+	st := cached.TraceCacheStats()
 	if st.Misses != 1 {
 		t.Errorf("trace cache misses = %d, want 1 (one generation per key)", st.Misses)
 	}
 	// The single-pass engine pulls the materialised trace once for the
 	// whole sweep (every scheme shares the one front), so no replay
-	// hits — down from len(schemes)-1 on the per-scheme path.
+	// hits.
 	if st.Hits != 0 {
 		t.Errorf("trace cache hits = %d, want 0 (one Get per single-pass sweep)", st.Hits)
-	}
-	if _, ok := live.TraceCacheStats(); ok {
-		t.Error("TraceCacheStats ok = true on a DisableTraceCache runner")
-	}
-
-	gen, simN := cached.PhaseNanos()
-	if gen < 0 || simN <= 0 {
-		t.Errorf("PhaseNanos = (%d, %d), want non-negative generate and positive simulate", gen, simN)
 	}
 }

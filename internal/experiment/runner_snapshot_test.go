@@ -33,30 +33,48 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 	return string(b)
 }
 
+// poolSweep runs one figure-pool job per scheme (each a one-scheme
+// pass) and returns the results in scheme order.
+func poolSweep(r *Runner, wl string, schemes []sim.Scheme) ([]*sim.Result, error) {
+	jobs := poolJobs(r.opts.Base, wl, schemes)
+	if err := r.run(jobs); err != nil {
+		return nil, err
+	}
+	out := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := r.resultFor(j)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 // TestRunnerSnapshotBranchBitIdentical pins the runner-level contract:
 // enabling the snapshot store changes nothing about the results, on
-// both the single-pass lockstep path and the legacy per-scheme path.
+// both the single-pass sweep and the figure job pool's one-scheme
+// passes.
 func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	schemes := []sim.Scheme{sim.Base, sim.ReDHiP, sim.Oracle}
-	for _, legacy := range []bool{false, true} {
-		name := "single-pass"
-		if legacy {
-			name = "per-scheme"
-		}
-		t.Run(name, func(t *testing.T) {
-			plainOpts := snapshotOpts()
-			plainOpts.DisableSinglePass = legacy
-			plain := mustRunner(t, plainOpts)
-			want, err := plain.SchemeSweep("mcf", schemes)
+	for _, tc := range []struct {
+		name  string
+		sweep func(r *Runner, wl string, schemes []sim.Scheme) ([]*sim.Result, error)
+	}{
+		{"single-pass", (*Runner).SchemeSweep},
+		{"per-scheme", poolSweep},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := mustRunner(t, snapshotOpts())
+			want, err := tc.sweep(plain, "mcf", schemes)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			snapOpts := snapshotOpts()
-			snapOpts.DisableSinglePass = legacy
 			snapOpts.SnapshotCacheBytes = 64 << 20
 			snap := mustRunner(t, snapOpts)
-			got, err := snap.SchemeSweep("mcf", schemes)
+			got, err := tc.sweep(snap, "mcf", schemes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,10 +94,9 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 			// A second runner sharing the store must restore rather than
 			// re-warm, and still match bit-for-bit.
 			reuseOpts := snapshotOpts()
-			reuseOpts.DisableSinglePass = legacy
 			reuseOpts.SnapshotCache = snap.snaps
 			reuse := mustRunner(t, reuseOpts)
-			again, err := reuse.SchemeSweep("mcf", schemes)
+			again, err := tc.sweep(reuse, "mcf", schemes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,18 +116,18 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerSnapshotMeasureVariants pins the branching win: measure
-// windows of different lengths share one warm lineage (the key zeroes
-// RefsPerCore), so the second variant restores instead of re-warming.
+// TestRunnerSnapshotMeasureVariants pins the branching win on the
+// figure job pool: measure windows of different lengths share one warm
+// lineage (the key zeroes RefsPerCore), so the second variant restores
+// instead of re-warming.
 func TestRunnerSnapshotMeasureVariants(t *testing.T) {
 	store := simstate.NewStore(64 << 20)
 	run := func(refs uint64) *sim.Result {
 		opts := snapshotOpts()
 		opts.Base.RefsPerCore = refs
 		opts.SnapshotCache = store
-		opts.DisableSinglePass = true
 		r := mustRunner(t, opts)
-		res, err := r.SchemeSweep("mcf", []sim.Scheme{sim.ReDHiP})
+		res, err := poolSweep(r, "mcf", []sim.Scheme{sim.ReDHiP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +153,8 @@ func TestRunnerSnapshotMeasureVariants(t *testing.T) {
 	}{{8_000, short}, {12_000, long}} {
 		opts := snapshotOpts()
 		opts.Base.RefsPerCore = tc.refs
-		opts.DisableSinglePass = true
 		r := mustRunner(t, opts)
-		cold, err := r.SchemeSweep("mcf", []sim.Scheme{sim.ReDHiP})
+		cold, err := poolSweep(r, "mcf", []sim.Scheme{sim.ReDHiP})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ type Job struct {
 	// hand-off: the worker that pops the job consults it in start and
 	// abandons the run instead of executing a cancelled job.
 	cancelRequested bool     //redhip:guardedby mu
-	log             eventLog //redhip:guardedby mu
+	log             EventLog //redhip:guardedby mu
 }
 
 func newJob(id string, spec Spec, now time.Time) *Job {
@@ -134,10 +134,10 @@ func (j *Job) publish(typ string, payload any) {
 // publishLocked is publish with j.mu already held — terminal
 // transitions use it so the state change and its event land atomically
 // (a subscriber can never observe a terminal state whose event is
-// missing from the log). The mechanics live in eventLog, shared with
+// missing from the log). The mechanics live in EventLog, shared with
 // the sweep orchestrator.
 func (j *Job) publishLocked(typ string, payload any) {
-	j.log.appendLocked(typ, payload, j.state.terminal())
+	j.log.AppendLocked(typ, payload, j.state.terminal())
 }
 
 // subscribe returns the replayed event log and a live channel. The
@@ -146,10 +146,10 @@ func (j *Job) publishLocked(typ string, payload any) {
 func (j *Job) subscribe() (replay []Event, live <-chan Event, unsub func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay, ch := j.log.subscribeLocked(j.state.terminal())
+	replay, ch := j.log.SubscribeLocked(j.state.terminal())
 	return replay, ch, func() {
 		j.mu.Lock()
-		j.log.unsubscribeLocked(ch)
+		j.log.UnsubscribeLocked(ch)
 		j.mu.Unlock()
 	}
 }

@@ -17,7 +17,7 @@ import (
 // a parameter grid (internal/sweep) into child jobs and feeds them
 // through the exact admission door direct submissions use — dedup,
 // circuit breakers, memory shedding and the bounded queue all apply to
-// sweep fan-out. Per-sweep state, SSE progress (reusing eventLog) and
+// sweep fan-out. Per-sweep state, SSE progress (reusing EventLog) and
 // the aggregated paper-figure artifacts live here; the grid math and
 // the artifact tables stay in the pure internal/sweep package.
 
@@ -82,7 +82,7 @@ type sweepRun struct {
 	// orchestrator installs its cancel func after launch and honours a
 	// request that arrived first.
 	cancelRequested bool     //redhip:guardedby mu
-	log             eventLog //redhip:guardedby mu
+	log             EventLog //redhip:guardedby mu
 }
 
 func newSweepRun(id string, g sweep.Grid, children []sweep.Child, now time.Time) *sweepRun {
@@ -99,7 +99,7 @@ func newSweepRun(id string, g sweep.Grid, children []sweep.Child, now time.Time)
 		submitted:  now,
 	}
 	sw.mu.Lock()
-	sw.log.appendLocked("running", terminalData{State: StateRunning}, false)
+	sw.log.AppendLocked("running", terminalData{State: StateRunning}, false)
 	sw.mu.Unlock()
 	return sw
 }
@@ -135,7 +135,7 @@ func (sw *sweepRun) transitionLocked(idx int, st State, errMsg string, results [
 	if st == StateDone {
 		sw.results[idx] = results
 	}
-	sw.log.appendLocked("child", sweepChildEvent{
+	sw.log.AppendLocked("child", sweepChildEvent{
 		Index:   idx,
 		Job:     sw.childJob[idx],
 		State:   string(st),
@@ -196,7 +196,7 @@ func (sw *sweepRun) finish(state State, errMsg string, arts *sweep.Artifacts, no
 	sw.artifacts = arts
 	sw.finished = now
 	sw.cancel = nil
-	sw.log.appendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
+	sw.log.AppendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
 	return true
 }
 
@@ -242,10 +242,10 @@ func (sw *sweepRun) requestCancel() []string {
 func (sw *sweepRun) subscribe() (replay []Event, live <-chan Event, unsub func()) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	replay, ch := sw.log.subscribeLocked(sw.state.terminal())
+	replay, ch := sw.log.SubscribeLocked(sw.state.terminal())
 	return replay, ch, func() {
 		sw.mu.Lock()
-		sw.log.unsubscribeLocked(ch)
+		sw.log.UnsubscribeLocked(ch)
 		sw.mu.Unlock()
 	}
 }
@@ -341,9 +341,9 @@ func (sw *sweepRun) snapshot(withChildren bool) SweepStatus {
 // sweeps are never evicted.
 type sweepStore struct {
 	mu        sync.Mutex
-	nextID    uint64      //redhip:guardedby mu
+	nextID    uint64               //redhip:guardedby mu
 	byID      map[string]*sweepRun //redhip:guardedby mu
-	order     []*sweepRun //redhip:guardedby mu // insertion order, the eviction scan order
+	order     []*sweepRun          //redhip:guardedby mu // insertion order, the eviction scan order
 	maxSweeps int
 }
 

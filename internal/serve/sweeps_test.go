@@ -234,7 +234,7 @@ func TestSweepCancelFansOut(t *testing.T) {
 // fan-out: subscribers attaching at arbitrary points during a running
 // sweep must each observe the complete, gap-free event sequence from
 // ID 1 through the terminal event. Run with -race this also hammers
-// the eventLog's locking discipline from many goroutines.
+// the EventLog's locking discipline from many goroutines.
 func TestSweepSSEFanout(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
 	sub := ts.submitSweep(smokeGrid(), http.StatusAccepted)

@@ -21,12 +21,65 @@ func skipUnderAsserts(t *testing.T) {
 	}
 }
 
-// TestRunLoopAllocationFree pins the steady-state contract of the
-// simulation core: once the engine is built (scheduler heap, prefetch
-// filter and recalibration scratch buffers are all preallocated), the
-// reference loop performs zero heap allocations regardless of scheme.
-// Sources are in-memory trace replays so workload generation cannot
-// hide an engine allocation (or contribute one of its own).
+// rewind returns the front to block 0 for another pass over the same
+// (rewound) sources: live blocks retire — generated-mode slabs back to
+// the free list — and the exhaustion latch clears.
+func (f *traceFront) rewind() {
+	for c := range f.streams {
+		st := &f.streams[c]
+		f.retire(c, st.head)
+		st.retired, st.head, st.exhausted = 0, 0, false
+	}
+}
+
+// assertWindowAllocFree builds a one-slot engine over the replays (srcs
+// may wrap them) and pins the steady-state contract of the simulation
+// core: once the engine and front are built, replaying a measurement
+// window — the driver's generate phase alternating with runWindow —
+// performs zero heap allocations. AllocsPerRun warms up with one
+// untimed call, which absorbs lazy first-use growth (front slabs, ring
+// and free list); the measured windows must then allocate nothing.
+func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource) {
+	t.Helper()
+	front, e := newSoloEngine(t, cfg, srcs)
+	feeds := []*multiFeed{e.feed}
+	if n := testing.AllocsPerRun(3, func() {
+		e.beginWindow(cfg.RefsPerCore)
+		for {
+			front.advance(feeds)
+			if e.runWindow() {
+				break
+			}
+		}
+		for _, r := range replays {
+			r.Rewind()
+		}
+		front.rewind()
+		clear(e.feed.cur)
+	}); n != 0 {
+		t.Errorf("%s steady-state window allocated %.0f times per run, want 0", cfg.Scheme, n)
+	}
+}
+
+// captureReplays records cfg.RefsPerCore references per core of a
+// workload into in-memory trace replays.
+func captureReplays(t *testing.T, cfg Config, wl string) []*workload.TraceSource {
+	t.Helper()
+	gen, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays := make([]*workload.TraceSource, cfg.Cores)
+	for c := range replays {
+		replays[c] = workload.FromTrace(workload.Capture(gen[c], int(cfg.RefsPerCore)))
+	}
+	return replays
+}
+
+// TestRunLoopAllocationFree pins zero allocations per steady-state
+// window for every scheme, in the front's stable mode (zero-copy views
+// of in-memory trace replays, so workload generation can neither hide
+// an engine allocation nor contribute one of its own).
 func TestRunLoopAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	for _, scheme := range []Scheme{Base, ReDHiP, CBF, Oracle} {
@@ -34,39 +87,18 @@ func TestRunLoopAllocationFree(t *testing.T) {
 			cfg := Smoke()
 			cfg.Scheme = scheme
 			cfg.RefsPerCore = 20_000
-
-			gen, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
-			if err != nil {
-				t.Fatal(err)
+			replays := captureReplays(t, cfg, "mcf")
+			srcs := make([]workload.Source, len(replays))
+			for c, r := range replays {
+				srcs[c] = r
 			}
-			srcs := make([]workload.Source, cfg.Cores)
-			replays := make([]*workload.TraceSource, cfg.Cores)
-			for c := range srcs {
-				tr := workload.Capture(gen[c], int(cfg.RefsPerCore))
-				replays[c] = workload.FromTrace(tr)
-				srcs[c] = replays[c]
-			}
-			e, err := newEngine(cfg, srcs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// AllocsPerRun warms up with one untimed call, which absorbs
-			// any lazy first-use growth; the measured runs must then be
-			// allocation-free.
-			if n := testing.AllocsPerRun(3, func() {
-				for _, r := range replays {
-					r.Rewind()
-				}
-				e.loop(cfg.RefsPerCore)
-			}); n != 0 {
-				t.Errorf("%s steady-state loop allocated %.0f times per run, want 0", scheme, n)
-			}
+			assertWindowAllocFree(t, cfg, srcs, replays)
 		})
 	}
 }
 
-// batchOnlySource hides TraceSource's Window method, forcing the engine
-// onto the copying NextBatch refill path that live generators use.
+// batchOnlySource hides TraceSource's Window method, forcing the front
+// onto the copying NextBatch path that live generators use.
 type batchOnlySource struct{ ts *workload.TraceSource }
 
 func (b batchOnlySource) Name() string                     { return b.ts.Name() }
@@ -74,45 +106,28 @@ func (b batchOnlySource) CPI() float64                     { return b.ts.CPI() }
 func (b batchOnlySource) Next(rec *trace.Record) bool      { return b.ts.Next(rec) }
 func (b batchOnlySource) NextBatch(buf []trace.Record) int { return b.ts.NextBatch(buf) }
 
-// TestBatchRefillAllocationFree pins the copying refill path: once the
-// engine's per-core record buffers exist, draining a BatchSource through
-// NextBatch block refills performs zero heap allocations. The sources
-// deliberately do not expose Window, so this exercises exactly the code
-// path live generator sources take.
+// TestBatchRefillAllocationFree pins the front's generated mode: once
+// its slabs exist, bulk-generating blocks through NextBatch into
+// recycled slabs performs zero heap allocations per window. The
+// sources deliberately do not expose Window, so this exercises exactly
+// the path live generator sources take. The window spans several
+// driver rounds, so slabs retire and recycle mid-window.
 func TestBatchRefillAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	cfg := Smoke()
-	cfg.RefsPerCore = 20_000
-
-	gen, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
-	if err != nil {
-		t.Fatal(err)
+	cfg.RefsPerCore = 20 * batchRefs
+	replays := captureReplays(t, cfg, "mcf")
+	srcs := make([]workload.Source, len(replays))
+	for c, r := range replays {
+		srcs[c] = batchOnlySource{r}
 	}
-	srcs := make([]workload.Source, cfg.Cores)
-	replays := make([]*workload.TraceSource, cfg.Cores)
-	for c := range srcs {
-		tr := workload.Capture(gen[c], int(cfg.RefsPerCore))
-		replays[c] = workload.FromTrace(tr)
-		srcs[c] = batchOnlySource{replays[c]}
-	}
-	e, err := newEngine(cfg, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(3, func() {
-		for _, r := range replays {
-			r.Rewind()
-		}
-		e.loop(cfg.RefsPerCore)
-	}); n != 0 {
-		t.Errorf("batch refill loop allocated %.0f times per run, want 0", n)
-	}
+	assertWindowAllocFree(t, cfg, srcs, replays)
 }
 
 // TestMaterializedReplayAllocationFree pins the zero-copy replay path:
 // an engine fed from a trace-store Materialized entry (the scheme-sweep
-// configuration) runs its reference loop without heap allocations —
-// Window refills hand out slice views of the shared backing records.
+// configuration) runs its windows without heap allocations — blocks
+// are slice views of the shared backing records.
 func TestMaterializedReplayAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	cfg := Smoke()
@@ -134,16 +149,5 @@ func TestMaterializedReplayAllocationFree(t *testing.T) {
 	for i, s := range srcs {
 		replays[i] = s.(*workload.TraceSource)
 	}
-	e, err := newEngine(cfg, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(3, func() {
-		for _, r := range replays {
-			r.Rewind()
-		}
-		e.loop(cfg.RefsPerCore)
-	}); n != 0 {
-		t.Errorf("materialised replay loop allocated %.0f times per run, want 0", n)
-	}
+	assertWindowAllocFree(t, cfg, srcs, replays)
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"redhip/internal/cache"
 	"redhip/internal/core"
@@ -13,7 +11,6 @@ import (
 	"redhip/internal/predictor"
 	"redhip/internal/prefetch"
 	"redhip/internal/trace"
-	"redhip/internal/workload"
 )
 
 // predKind caches the dynamic type of the LLC predictor so the per-miss
@@ -33,11 +30,10 @@ const (
 // slots, the same bound the old map-based tracker capped itself at.
 const pfFilterBits = 20
 
-// batchRefs is the per-core record-buffer refill size. One refill
-// amortises source dispatch and timing over a few thousand references;
-// the backing buffer (cores * batchRefs records) is allocated once per
-// engine. 4K records x 24 bytes = 96 KiB per core — small enough to
-// stay cache-friendly, large enough that refill overhead vanishes.
+// batchRefs is the front's per-core block size. One block amortises
+// source dispatch and timing over a few thousand references: 4K
+// records x 24 bytes = 96 KiB per core — small enough to stay
+// cache-friendly, large enough that refill overhead vanishes.
 const batchRefs = 4096
 
 // engine holds the mutable state of one simulation run.
@@ -74,46 +70,37 @@ type engine struct {
 	dataDelay  [energy.NumLevels]float64 //redhip:transient config-derived delay table, rebuilt by build
 	memLatency float64                   //redhip:transient config-derived, rebuilt by build
 
-	clock []float64         //redhip:transient per-core cycle counts, reset at the warmup/measure boundary
-	cpi   []float64         //redhip:transient per-core CPI config, rebuilt by build
-	src   []workload.Source //redhip:transient deterministic sources, re-seeded per run by build
+	clock []float64 //redhip:transient per-core cycle counts, reset at the warmup/measure boundary
+	cpi   []float64 //redhip:transient per-core CPI config, copied from the front by newMultiEngine
 	// Batched reference pipeline: the loop consumes records from a
-	// per-core window (win[c][pos[c]]) and refills it in blocks of
-	// batchRefs through one of two per-core fast paths resolved at
-	// build time. wsrc (zero-copy: the window aliases the source's
-	// pre-materialised backing records) is preferred; bsrc bulk-
-	// generates into the engine-owned bufs. Either way, source
-	// dispatch and refill timing are paid once per block, not once per
-	// reference.
-	bsrc []workload.BatchSource  //redhip:transient refill fast-path view over src, re-resolved by build
-	wsrc []workload.WindowSource //redhip:transient refill fast-path view over src, re-resolved by build
-	bufs [][]trace.Record        //redhip:transient per-core refill buffers (nil for window sources), per-run scratch
-	win  [][]trace.Record        //redhip:transient current per-core record windows, per-run scratch
-	pos  []int                   //redhip:transient consumption cursor within win[c], per-run scratch
-	pf   []*prefetch.Prefetcher
+	// per-core window (win[c][pos[c]]) and refills it one front block
+	// (batchRefs records) at a time, so block dispatch is paid once per
+	// few thousand references, not once per reference.
+	win [][]trace.Record //redhip:transient current per-core record windows, per-run scratch
+	pos []int            //redhip:transient consumption cursor within win[c], per-run scratch
+	pf  []*prefetch.Prefetcher
 
-	// Scheduler state: heap is a binary min-heap of (clock, core id)
+	// Scheduler state: heap is a 4-ary min-heap of (clock, core id)
 	// entries; remaining counts references left per core. Both are
-	// allocated once in build so loop is allocation-free. Entries carry
-	// their own clock copy so heap comparisons stay inside one cache
-	// line instead of chasing e.clock through a second slice; heapDirty
-	// flags the one event (recalibration) that bumps every core's clock
-	// behind the heap's back.
+	// allocated once in build so runWindow is allocation-free. Entries
+	// carry their own clock copy so heap comparisons stay inside one
+	// cache line instead of chasing e.clock through a second slice;
+	// heapDirty flags the one event (recalibration) that bumps every
+	// core's clock behind the heap's back.
 	heap      []coreEnt //redhip:transient scheduler state, rebuilt at run start
 	remaining []uint64  //redhip:transient scheduler state, rebuilt at run start
 	heapDirty bool      //redhip:transient scheduler state, rebuilt at run start
 
-	// Multi-scheme back-half wiring (nil/zero for plain Run): feed
-	// replaces the direct source refill with block pulls from the shared
-	// traceFront, blocked flags a refill that found its next block not
-	// yet generated (runWindow suspends instead of popping the core),
-	// and phase/runErr/simNanos let the RunMulti driver resume the
-	// engine across rounds and collect its outcome. recalWorkers is the
+	// Driver wiring: feed pulls blocks from the shared traceFront,
+	// blocked flags a refill that found its next block not yet
+	// generated (runWindow suspends instead of popping the core), and
+	// phase/runErr/simNanos let the RunMulti driver resume the engine
+	// across rounds and collect its outcome. recalWorkers is the
 	// set-partitioned recalibration fan-out (1 = the sequential sweep).
-	feed         *multiFeed  //redhip:transient multi-scheme driver wiring, re-attached per run
-	blocked      bool        //redhip:transient multi-scheme driver wiring, re-attached per run
-	phase        enginePhase //redhip:transient multi-scheme driver wiring, re-attached per run
-	runErr       error       //redhip:transient multi-scheme driver wiring, re-attached per run
+	feed         *multiFeed  //redhip:transient driver wiring, re-attached per run
+	blocked      bool        //redhip:transient driver wiring, re-attached per run
+	phase        enginePhase //redhip:transient driver wiring, re-attached per run
+	runErr       error       //redhip:transient driver wiring, re-attached per run
 	simNanos     int64       //redhip:transient wall-time accounting, not simulated state
 	recalWorkers int         //redhip:transient parallelism config, set by the driver per run
 	// snapSink, when non-nil, fires exactly once at the warmup/measure
@@ -126,11 +113,6 @@ type engine struct {
 	meter            energy.Meter //redhip:transient measurement accumulator, reset at the warmup/measure boundary
 	res              *Result      //redhip:transient measurement output, reset at the warmup/measure boundary
 	missesSinceRecal uint64
-	// genNanos accumulates wall time spent inside source refills — the
-	// generate phase of the run, as opposed to the simulate phase that
-	// is everything else. Sampled once per batch, so the timing itself
-	// costs ~two clock reads per few thousand references.
-	genNanos int64 //redhip:transient wall-time accounting, not simulated state
 
 	// Adaptive predictor disable (Section IV): per-epoch monitoring.
 	adaptOn        bool   // predictor currently consulted
@@ -148,69 +130,6 @@ type engine struct {
 	pfMarks    int          // live marks, so markUseful can skip early
 	fnBlock    memaddr.Addr // first false negative seen, for the error
 	fnSeen     bool
-}
-
-// Run simulates the configured hierarchy over the per-core sources and
-// returns the collected result. sources must have exactly cfg.Cores
-// entries. Run is deterministic: the same config and sources produce
-// bit-identical results.
-func Run(cfg Config, sources []workload.Source) (*Result, error) {
-	start := time.Now() //redhip:allow wallclock -- Perf wall-time reporting, not simulated time
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	e, err := newEngine(cfg, sources)
-	if err != nil {
-		return nil, err
-	}
-	if e.cfg.WarmupRefsPerCore > 0 {
-		e.loop(e.cfg.WarmupRefsPerCore)
-		e.resetMeasurement()
-	}
-	e.loop(e.cfg.RefsPerCore)
-	if e.fnSeen {
-		return nil, fmt.Errorf("sim: predictor produced a false negative for block %v — conservativeness violated", e.fnBlock)
-	}
-	e.collect()
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	wall := time.Since(start) //redhip:allow wallclock -- Perf wall-time reporting
-	e.res.Perf = PerfStats{
-		WallNanos:     wall.Nanoseconds(),
-		GenerateNanos: e.genNanos,
-		SimulateNanos: wall.Nanoseconds() - e.genNanos,
-		AllocBytes:    memAfter.TotalAlloc - memBefore.TotalAlloc,
-		Mallocs:       memAfter.Mallocs - memBefore.Mallocs,
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		e.res.Perf.RefsPerSec = float64(e.res.Refs) / secs
-	}
-	return e.res, nil
-}
-
-// newEngine validates the configuration and builds a ready-to-run
-// engine. Split from Run so the allocation tests and profiling hooks
-// can drive the reference loop directly.
-func newEngine(cfg Config, sources []workload.Source) (*engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sources) != cfg.Cores {
-		return nil, fmt.Errorf("sim: %d sources for %d cores", len(sources), cfg.Cores)
-	}
-	e := &engine{
-		cfg: &cfg,
-		par: &cfg.Energy,
-		res: &Result{
-			Workload:  sources[0].Name(),
-			Scheme:    cfg.Scheme,
-			Inclusion: cfg.Inclusion,
-		},
-		src: sources,
-	}
-	if err := e.build(); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 func (e *engine) build() error {
@@ -235,9 +154,6 @@ func (e *engine) build() error {
 		}
 		if e.l3[c], err = cache.New(cfg.L3); err != nil {
 			return err
-		}
-		if e.src != nil {
-			e.cpi[c] = e.src[c].CPI()
 		}
 	}
 	var err error
@@ -320,23 +236,8 @@ func (e *engine) build() error {
 	e.memLatency = float64(cfg.MemoryLatencyCycles)
 	e.heap = make([]coreEnt, 0, cfg.Cores)
 	e.remaining = make([]uint64, cfg.Cores)
-	e.bsrc = make([]workload.BatchSource, cfg.Cores)
-	e.wsrc = make([]workload.WindowSource, cfg.Cores)
-	e.bufs = make([][]trace.Record, cfg.Cores)
 	e.win = make([][]trace.Record, cfg.Cores)
 	e.pos = make([]int, cfg.Cores)
-	var backing []trace.Record // shared refill arena, one slab for all buffered cores
-	for c, s := range e.src {
-		if ws, ok := s.(workload.WindowSource); ok {
-			e.wsrc[c] = ws // zero-copy replay; no engine-side buffer needed
-			continue
-		}
-		if backing == nil {
-			backing = make([]trace.Record, cfg.Cores*batchRefs)
-		}
-		e.bufs[c] = backing[c*batchRefs : (c+1)*batchRefs]
-		e.bsrc[c] = workload.AsBatch(s)
-	}
 
 	e.adaptOn = true
 	e.recalWorkers = 1 // sequential recalibration unless the multi driver grants spare workers
@@ -353,15 +254,6 @@ func (e *engine) build() error {
 	return nil
 }
 
-// loop runs one measurement window to completion: beginWindow arms the
-// per-core budgets and scheduler heap, runWindow drains them. Run and
-// the allocation tests drive this wrapper; the RunMulti driver calls
-// the two halves separately because its runWindow may suspend.
-func (e *engine) loop(refsPerCore uint64) {
-	e.beginWindow(refsPerCore)
-	e.runWindow()
-}
-
 // beginWindow arms a new window of refsPerCore references per core and
 // (re)builds the scheduler heap over the cores with work left.
 func (e *engine) beginWindow(refsPerCore uint64) {
@@ -374,17 +266,17 @@ func (e *engine) beginWindow(refsPerCore uint64) {
 // runWindow runs the deterministic min-time interleaving until the
 // armed window completes: the core with the smallest local clock
 // executes its next reference (ties break toward the lower core
-// index). Cores are scheduled through an indexed binary min-heap keyed
+// index). Cores are scheduled through an indexed 4-ary min-heap keyed
 // on (clock, core id) — a total order, so the heap selects exactly the
 // core the previous linear scan did, in O(log cores) per reference.
 // The loop performs no allocations: the heap and remaining counters
 // are built once per engine.
 //
-// It returns true when the window is complete. In multi-feed mode it
-// returns false when a refill found its next block not yet generated:
-// the heap and window state stay intact (the winning core has consumed
-// nothing), so a later call resumes at exactly the same scheduling
-// decision — suspension is invisible to the simulated interleaving.
+// It returns true when the window is complete, and false when a refill
+// found its next block not yet generated: the heap and window state
+// stay intact (the winning core has consumed nothing), so a later call
+// resumes at exactly the same scheduling decision — suspension is
+// invisible to the simulated interleaving.
 //
 //redhip:hotpath
 func (e *engine) runWindow() bool {
@@ -451,8 +343,8 @@ func (e *engine) runWindow() bool {
 	return true
 }
 
-// enginePhase is the multi-feed engine's position in the run lifecycle,
-// advanced by runChunk as windows complete.
+// enginePhase is the engine's position in the run lifecycle, advanced
+// by runChunk as windows complete.
 type enginePhase uint8
 
 const (
@@ -472,7 +364,7 @@ func (e *engine) start() {
 	e.phase = phaseMeasure
 }
 
-// runChunk advances a multi-feed engine as far as the generated blocks
+// runChunk advances the engine as far as the generated blocks
 // allow, crossing the warmup/measurement boundary when it falls inside
 // the chunk. It returns true when the run is complete (the result is
 // collected, or runErr records why it could not be); false means the
@@ -495,7 +387,7 @@ func (e *engine) runChunk() bool {
 				return false
 			}
 			if e.fnSeen {
-				e.runErr = fmt.Errorf("sim: predictor produced a false negative for block %v — conservativeness violated", e.fnBlock)
+				e.runErr = fmt.Errorf("sim: %s predictor produced a false negative for block %v — conservativeness violated", e.cfg.Scheme, e.fnBlock)
 			} else {
 				e.collect()
 			}
@@ -507,39 +399,23 @@ func (e *engine) runChunk() bool {
 	}
 }
 
-// refill replenishes core c's record window with up to batchRefs more
-// references (never more than the core still owes this measurement
-// window, so buffers drain exactly at warmup/measurement boundaries —
-// a refill never strands pre-generated records across windows).
-// Returns false when the source is exhausted. Wall time spent here is
-// the generate phase of the run and accumulates into genNanos.
+// refill replaces core c's record window with the next pre-generated
+// front block: up to batchRefs references, never more than the core
+// still owes this window (front blocks never straddle the
+// warmup/measurement boundary). Returns false when the stream is
+// exhausted, or — with blocked set — when the block is not generated
+// yet; a blocked pull leaves the window untouched so runWindow can
+// suspend and resume at this exact point.
 func (e *engine) refill(c int) bool {
 	want := e.remaining[c]
 	if want > batchRefs {
 		want = batchRefs
 	}
-	if e.feed != nil {
-		// Multi-scheme mode: pull the next pre-generated block from the
-		// shared front. A blocked pull leaves the window untouched so
-		// runWindow can suspend and resume at this exact point.
-		w, st := e.feed.next(c, want)
-		if st == feedBlocked {
-			e.blocked = true
-			return false
-		}
-		e.win[c], e.pos[c] = w, 0
-		return len(w) > 0
+	w, st := e.feed.next(c, want)
+	if st == feedBlocked {
+		e.blocked = true
+		return false
 	}
-	start := time.Now() //redhip:allow wallclock -- genNanos perf attribution only
-	var w []trace.Record
-	if ws := e.wsrc[c]; ws != nil {
-		w = ws.Window(int(want))
-	} else {
-		buf := e.bufs[c][:want]
-		n := e.bsrc[c].NextBatch(buf)
-		w = buf[:n]
-	}
-	e.genNanos += time.Since(start).Nanoseconds() //redhip:allow wallclock -- genNanos perf attribution only
 	e.win[c], e.pos[c] = w, 0
 	return len(w) > 0
 }

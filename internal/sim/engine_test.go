@@ -37,6 +37,11 @@ func TestRunValidatesInputs(t *testing.T) {
 	if _, err := Run(bad, srcs); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// Zero cores with no sources must fail validation before anything
+	// indexes sources[0].
+	if _, err := RunMulti(bad, Schemes(), nil); err == nil {
+		t.Fatal("zero-core RunMulti accepted")
+	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -307,15 +312,7 @@ func TestExclusiveLevelsDisjoint(t *testing.T) {
 	cfg := Smoke()
 	cfg.Scheme = Base
 	cfg.Inclusion = Exclusive
-	srcs, err := workload.Sources("astar", cfg.Cores, cfg.WorkloadScale, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := newEngine(cfg, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.loop(cfg.RefsPerCore)
+	e := runWhiteBox(t, cfg, "astar", 3)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c].ForEachBlock(func(b memaddr.Addr) {
 			if e.l2[c].Contains(b) || e.l3[c].Contains(b) || e.l4.Contains(b) {
@@ -340,15 +337,7 @@ func TestInclusionInvariantHolds(t *testing.T) {
 	// must be present in the shared L4.
 	cfg := Smoke()
 	cfg.Scheme = ReDHiP
-	srcs, err := workload.Sources("soplex", cfg.Cores, cfg.WorkloadScale, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := newEngine(cfg, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.loop(cfg.RefsPerCore)
+	e := runWhiteBox(t, cfg, "soplex", 5)
 	for c := 0; c < cfg.Cores; c++ {
 		for _, lvl := range []int{1, 2, 3} {
 			var ch interface {

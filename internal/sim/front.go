@@ -9,13 +9,12 @@ import (
 	"redhip/internal/workload"
 )
 
-// This file is the shared front half of the multi-scheme engine: one
-// trace decode/refill pipeline that feeds every per-scheme back half.
-// The front materialises each core's reference stream exactly once, in
-// batchRefs-sized blocks whose boundaries are the same boundaries the
-// single-scheme engine's refill would cut (blocks never straddle the
-// warmup/measurement boundary), so a back half consuming front blocks
-// sees byte-for-byte the windows a solo Run would have seen.
+// This file is the shared front half of the engine: one trace
+// decode/refill pipeline that feeds every per-scheme back half of a
+// pass (one back half for Run). The front materialises each core's
+// reference stream exactly once, in batchRefs-sized blocks that never
+// straddle the warmup/measurement boundary, so every back half sees
+// byte-for-byte the same windows whatever the pass width.
 //
 // Two storage modes, chosen per core at build time:
 //
@@ -113,9 +112,9 @@ func newTraceFront(cfg *Config, sources []workload.Source) (*traceFront, error) 
 
 // blockLen returns the record count of block idx: batchRefs except for
 // each window's final block, which holds the remainder so no block
-// straddles a warmup/measurement boundary. This is exactly the size a
-// solo engine's refill would request at the same point (refill caps at
-// the references the core still owes the window).
+// straddles a warmup/measurement boundary. This is exactly the size an
+// engine's refill requests at the same point (refill caps at the
+// references the core still owes the window).
 func (f *traceFront) blockLen(idx uint64) uint64 {
 	for _, l := range f.windows {
 		nb := (l + batchRefs - 1) / batchRefs
@@ -156,6 +155,17 @@ func (f *traceFront) extend(c int, upto uint64) {
 			}
 		}
 		st.push(blk)
+	}
+}
+
+// advance is the driver's generate phase: for every core it retires the
+// blocks all feeds have passed and generates frontLookahead blocks past
+// the furthest one.
+func (f *traceFront) advance(feeds []*multiFeed) {
+	for c := 0; c < f.cores; c++ {
+		minCur, maxCur := frontCursorBounds(feeds, c)
+		f.retire(c, minCur)
+		f.extend(c, maxCur+frontLookahead)
 	}
 }
 

@@ -26,37 +26,87 @@ func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool) (Config, string
 	return cfg, wl
 }
 
+// replaySources returns fresh replay cursors over wl's materialised
+// stream, sized for cfg's warmup plus measure windows. Warm-state
+// capture needs replays: a front reads ahead of its engines, so only a
+// source that can state its cursor at an un-simulated offset
+// (workload.OffsetStater) can label the blob.
+func replaySources(t *testing.T, store *tracestore.Store, cfg Config, wl string) []workload.Source {
+	t.Helper()
+	mat, err := store.Get(tracestore.Key{
+		Workload:    wl,
+		Cores:       cfg.Cores,
+		Scale:       cfg.WorkloadScale,
+		Seed:        1,
+		RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mat.Sources()
+}
+
+// captureSolo runs a one-slot pass with a SnapshotSink and returns its
+// result and the warm-state blob the sink received (nil if it never
+// fired).
+func captureSolo(t *testing.T, cfg Config, srcs []workload.Source) (*Result, []byte) {
+	t.Helper()
+	var blob []byte
+	res, err := RunMultiOpt(cfg, []Scheme{cfg.Scheme}, srcs, MultiOptions{
+		Parallelism:  1,
+		SnapshotSeed: 1,
+		SnapshotSink: func(_ Scheme, b []byte) { blob = b },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0], blob
+}
+
+// restoreSolo runs a one-slot pass restored from blob.
+func restoreSolo(cfg Config, blob []byte, srcs []workload.Source, seed uint64) (*Result, error) {
+	res, err := RunMultiOpt(cfg, []Scheme{cfg.Scheme}, srcs, MultiOptions{
+		Parallelism:  1,
+		Snapshots:    [][]byte{blob},
+		SnapshotSeed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // TestGoldenSnapshotBranch extends the golden determinism contract to
 // the warm-state snapshot layer: for every golden scheme x inclusion
-// case, Warm + RunFromSnapshot must reproduce the straight-through
-// warmup+measure run bit-for-bit — over live generated sources, which
-// exercises every component's cursor capture/restore.
+// case, a one-slot pass that captures its warm state and a one-slot
+// pass restored from that blob must both reproduce the straight-through
+// warmup+measure Run over live generated sources bit-for-bit.
 func TestGoldenSnapshotBranch(t *testing.T) {
+	store := tracestore.New(0)
 	for _, tc := range goldenCases {
 		name := fmt.Sprintf("%s/%s/prefetch=%v", tc.scheme, tc.incl, tc.prefetch)
 		t.Run(name, func(t *testing.T) {
 			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch)
-			srcsA, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
+			live, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			straight, err := Run(cfg, srcsA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcsB, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := Warm(cfg, srcsB, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			branched, err := RunFromSnapshot(cfg, blob, srcsB, 1)
+			straight, err := Run(cfg, live)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := goldenFingerprint(t, straight)
+			captured, blob := captureSolo(t, cfg, replaySources(t, store, cfg, wl))
+			if blob == nil {
+				t.Fatal("SnapshotSink never fired on a one-slot pass")
+			}
+			if got := goldenFingerprint(t, captured); got != want {
+				t.Errorf("capture pass fingerprint %s, want straight-through %s", got, want)
+			}
+			branched, err := restoreSolo(cfg, blob, replaySources(t, store, cfg, wl), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := goldenFingerprint(t, branched); got != want {
 				t.Errorf("snapshot->restore->measure fingerprint %s, want straight-through %s", got, want)
 			}
@@ -242,45 +292,39 @@ func TestGoldenSnapshotBranchDiskTier(t *testing.T) {
 // TestSnapshotRejections pins the ErrSnapshot classification: unusable
 // blobs must be recoverable (fall back to a cold run), never applied.
 func TestSnapshotRejections(t *testing.T) {
+	store := tracestore.New(0)
 	cfg, wl := snapCfg(ReDHiP, Inclusive, false)
-	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-	if err != nil {
-		t.Fatal(err)
+	_, blob := captureSolo(t, cfg, replaySources(t, store, cfg, wl))
+	if blob == nil {
+		t.Fatal("SnapshotSink never fired")
 	}
-	blob, err := Warm(cfg, srcs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() []workload.Source {
-		s, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	fresh := func() []workload.Source { return replaySources(t, store, cfg, wl) }
 
 	t.Run("corrupt blob", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[len(bad)/2] ^= 0x40
-		if _, err := RunFromSnapshot(cfg, bad, fresh(), 1); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreSolo(cfg, bad, fresh(), 1); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("corrupt blob error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("wrong scheme", func(t *testing.T) {
-		if _, err := RunFromSnapshot(cfg.WithScheme(Base), blob, fresh(), 1); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreSolo(cfg.WithScheme(Base), blob, fresh(), 1); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("wrong-scheme error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("wrong seed", func(t *testing.T) {
-		if _, err := RunFromSnapshot(cfg, blob, fresh(), 2); !errors.Is(err, ErrSnapshot) {
+		if _, err := restoreSolo(cfg, blob, fresh(), 2); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("wrong-seed error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("no warmup window", func(t *testing.T) {
 		cold := cfg
 		cold.WarmupRefsPerCore = 0
-		if _, err := Warm(cold, fresh(), 1); !errors.Is(err, ErrSnapshot) {
-			t.Errorf("warmup-free Warm error = %v, want ErrSnapshot", err)
+		if _, err := restoreSolo(cold, blob, replaySources(t, store, cold, wl), 1); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("warmup-free restore error = %v, want ErrSnapshot", err)
+		}
+		if _, b := captureSolo(t, cold, replaySources(t, store, cold, wl)); b != nil {
+			t.Error("SnapshotSink fired on a pass without a warmup window")
 		}
 	})
 	t.Run("measure length branches", func(t *testing.T) {
@@ -289,12 +333,15 @@ func TestSnapshotRejections(t *testing.T) {
 		// straight-through run.
 		long := cfg
 		long.RefsPerCore = 25_000
-		srcsA := fresh()
-		straight, err := Run(long, srcsA)
+		live, err := workload.Sources(wl, long.Cores, long.WorkloadScale, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		branched, err := RunFromSnapshot(long, blob, fresh(), 1)
+		straight, err := Run(long, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		branched, err := restoreSolo(long, blob, replaySources(t, store, long, wl), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

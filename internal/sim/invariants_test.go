@@ -11,23 +11,42 @@ import (
 	"redhip/internal/workload"
 )
 
-// buildAndLoop runs an engine to completion and returns it for
-// white-box inspection of the hierarchy state.
-func buildAndLoop(t *testing.T, cfg Config, wl string, seed uint64) *engine {
+// runWhiteBox runs one engine to completion through the same front and
+// feed a one-slot RunMultiOpt pass uses, and returns it for white-box
+// inspection of the hierarchy state.
+func runWhiteBox(t *testing.T, cfg Config, wl string, seed uint64) *engine {
 	t.Helper()
 	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg, srcs)
+	front, e := newSoloEngine(t, cfg, srcs)
+	e.start()
+	for {
+		front.advance([]*multiFeed{e.feed})
+		if e.runChunk() {
+			break
+		}
+	}
+	if e.runErr != nil {
+		t.Fatal(e.runErr)
+	}
+	return e
+}
+
+// newSoloEngine builds one back half and its private front over srcs,
+// exactly as RunMultiOpt builds a one-scheme pass.
+func newSoloEngine(t testing.TB, cfg Config, srcs []workload.Source) (*traceFront, *engine) {
+	t.Helper()
+	front, err := newTraceFront(&cfg, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.loop(cfg.RefsPerCore)
-	if e.fnSeen {
-		t.Fatalf("false negative for %v", e.fnBlock)
+	e, err := newMultiEngine(cfg, front)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return e
+	return front, e
 }
 
 func TestHybridInvariants(t *testing.T) {
@@ -35,7 +54,7 @@ func TestHybridInvariants(t *testing.T) {
 	cfg := Smoke()
 	cfg.Scheme = ReDHiP
 	cfg.Inclusion = Hybrid
-	e := buildAndLoop(t, cfg, "milc", 13)
+	e := runWhiteBox(t, cfg, "milc", 13)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c].ForEachBlock(func(b memaddr.Addr) {
 			if e.l2[c].Contains(b) || e.l3[c].Contains(b) {
@@ -66,7 +85,7 @@ func TestHybridInvariantsWithPrefetch(t *testing.T) {
 	cfg.Scheme = ReDHiP
 	cfg.Inclusion = Hybrid
 	cfg.EnablePrefetch = true
-	e := buildAndLoop(t, cfg, "lbm", 13)
+	e := runWhiteBox(t, cfg, "lbm", 13)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l2[c].ForEachBlock(func(b memaddr.Addr) {
 			if !e.l4.Contains(b) {
@@ -80,7 +99,7 @@ func TestInclusiveInvariantsWithPrefetch(t *testing.T) {
 	cfg := Smoke()
 	cfg.Scheme = ReDHiP
 	cfg.EnablePrefetch = true
-	e := buildAndLoop(t, cfg, "bwaves", 13)
+	e := runWhiteBox(t, cfg, "bwaves", 13)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c].ForEachBlock(func(b memaddr.Addr) {
 			if !e.l2[c].Contains(b) || !e.l3[c].Contains(b) || !e.l4.Contains(b) {
@@ -100,7 +119,7 @@ func TestExclusiveInvariantsWithPrefetch(t *testing.T) {
 	cfg.Scheme = ReDHiP
 	cfg.Inclusion = Exclusive
 	cfg.EnablePrefetch = true
-	e := buildAndLoop(t, cfg, "GemsFDTD", 13)
+	e := runWhiteBox(t, cfg, "GemsFDTD", 13)
 	for c := 0; c < cfg.Cores; c++ {
 		e.l1[c].ForEachBlock(func(b memaddr.Addr) {
 			if e.l2[c].Contains(b) || e.l3[c].Contains(b) || e.l4.Contains(b) {

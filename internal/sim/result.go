@@ -83,20 +83,23 @@ type Result struct {
 // so concurrent runs (the experiment runner's worker pool) pollute each
 // other's numbers — treat them as an upper bound there.
 type PerfStats struct {
-	// WallNanos is the wall-clock duration of sim.Run.
+	// WallNanos is the wall-clock duration of the run: entry to return
+	// for a one-scheme call (sim.Run), this scheme's share of the pass
+	// for a multi-scheme RunMulti.
 	WallNanos int64
-	// GenerateNanos is the slice of WallNanos spent refilling the
-	// per-core record windows from the workload sources (trace
-	// generation or replay); SimulateNanos is the remainder — the
-	// hierarchy walk itself. Generate + Simulate == Wall up to the
-	// engine-construction overhead folded into SimulateNanos.
+	// GenerateNanos is the slice of WallNanos spent generating the
+	// front's blocks from the workload sources (trace generation or
+	// replay; split evenly across a pass's schemes); SimulateNanos is
+	// the hierarchy walk itself. Restore + Generate + Simulate == Wall,
+	// with a solo run's construction overhead folded into SimulateNanos.
 	GenerateNanos int64
 	SimulateNanos int64
-	// RestoreNanos is the slice of WallNanos spent decoding and applying
-	// a warm-state snapshot (zero for cold runs). See sim.RunFromSnapshot.
+	// RestoreNanos is the slice of WallNanos spent applying a warm-state
+	// snapshot (zero for cold runs). See MultiOptions.Snapshots.
 	RestoreNanos int64
-	// RefsPerSec is Refs divided by wall time: the simulator's
-	// throughput headline tracked in BENCH_baseline.json.
+	// RefsPerSec is Refs divided by wall time: the per-run form of the
+	// throughput `bash benchmark/run.sh` reports per workload as
+	// sim_mrefs_per_s.
 	RefsPerSec float64
 	// AllocBytes and Mallocs are heap-allocation deltas over the run.
 	AllocBytes uint64

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
 
 	"redhip/internal/cache"
 	"redhip/internal/core"
@@ -17,14 +15,14 @@ import (
 	"redhip/internal/workload"
 )
 
-// This file is the warm-state snapshot/branch layer: Warm runs a
-// configuration's warmup window once and serialises the fully-warmed
-// engine (internal/simstate), and RunFromSnapshot re-seats a fresh
-// engine from that blob and runs only the measure window. The split is
-// exactly the warmup/measure boundary resetMeasurement defines, so a
-// restored measure phase is bit-identical to a straight-through
-// warmup+measure run — pinned by TestGoldenSnapshotBranch against the
-// sixteen golden fingerprints.
+// This file is the warm-state snapshot/branch layer: a RunMultiOpt pass
+// with a SnapshotSink serialises each fully-warmed engine
+// (internal/simstate) as it crosses the warmup/measure boundary, and a
+// pass given Snapshots re-seats fresh engines from those blobs and runs
+// only the measure window. The split is exactly the boundary
+// resetMeasurement defines, so a restored measure phase is
+// bit-identical to a straight-through warmup+measure run — pinned by
+// TestGoldenSnapshotBranch against the sixteen golden fingerprints.
 
 // ErrSnapshot marks a snapshot that cannot be used with the given
 // configuration and sources — wrong geometry lineage, corrupt blob,
@@ -94,108 +92,6 @@ func stateSources(sources []workload.Source) ([]workload.StateSource, error) {
 		out[i] = ss
 	}
 	return out, nil
-}
-
-// Warm simulates cfg's warmup window over the sources and returns the
-// warmed engine serialised as a simstate blob. The sources are left
-// positioned at the warmup/measure boundary; RunFromSnapshot re-seats
-// them (or fresh equivalents) from the blob, so the same sources can be
-// passed straight on. seed labels the blob for WarmKey validation and
-// must be the seed the sources were built with.
-func Warm(cfg Config, sources []workload.Source, seed uint64) ([]byte, error) {
-	if cfg.WarmupRefsPerCore == 0 {
-		return nil, fmt.Errorf("%w: configuration has no warmup window to snapshot", ErrSnapshot)
-	}
-	states, err := stateSources(sources)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngine(cfg, sources)
-	if err != nil {
-		return nil, err
-	}
-	e.loop(cfg.WarmupRefsPerCore)
-	e.resetMeasurement()
-	snap := e.captureSnapshot()
-	snap.Meta = warmMeta(&cfg, sources[0].Name(), seed)
-	snap.Sources = make([][]uint64, len(states))
-	for i, ss := range states {
-		snap.Sources[i] = ss.AppendState(nil)
-	}
-	return simstate.Encode(snap), nil
-}
-
-// RunFromSnapshot restores a warmed engine from blob and runs only the
-// measure window, returning a result bit-identical to Run(cfg, ...)
-// over cold sources. The sources must be fresh or re-seatable
-// equivalents of the ones Warm saw — their cursors are overwritten from
-// the blob before the measure window starts. Unusable blobs fail with
-// ErrSnapshot so callers can fall back to a cold run.
-func RunFromSnapshot(cfg Config, blob []byte, sources []workload.Source, seed uint64) (*Result, error) {
-	start := time.Now() //redhip:allow wallclock -- Perf wall-time reporting, not simulated time
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	snap, err := simstate.Decode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("sim: no sources")
-	}
-	if err := validateWarmMeta(&snap.Meta, &cfg, sources[0].Name(), seed); err != nil {
-		return nil, err
-	}
-	states, err := stateSources(sources)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngine(cfg, sources)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.restoreWarmState(snap, states); err != nil {
-		return nil, err
-	}
-	restoreNanos := time.Since(start).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
-	e.loop(cfg.RefsPerCore)
-	if e.fnSeen {
-		return nil, fmt.Errorf("sim: predictor produced a false negative for block %v — conservativeness violated", e.fnBlock)
-	}
-	e.collect()
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	wall := time.Since(start) //redhip:allow wallclock -- Perf wall-time reporting
-	e.res.Perf = PerfStats{
-		WallNanos:     wall.Nanoseconds(),
-		GenerateNanos: e.genNanos,
-		SimulateNanos: wall.Nanoseconds() - e.genNanos - restoreNanos,
-		RestoreNanos:  restoreNanos,
-		AllocBytes:    memAfter.TotalAlloc - memBefore.TotalAlloc,
-		Mallocs:       memAfter.Mallocs - memBefore.Mallocs,
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		e.res.Perf.RefsPerSec = float64(e.res.Refs) / secs
-	}
-	return e.res, nil
-}
-
-// restoreWarmState re-seats the source cursors and the engine from a
-// decoded snapshot. Failures wrap ErrSnapshot: a blob that passed its
-// checksum but disagrees with the engine's geometry is a caller-side
-// mismatch, recoverable by re-warming.
-func (e *engine) restoreWarmState(snap *simstate.Snapshot, states []workload.StateSource) error {
-	if len(snap.Sources) != len(states) {
-		return fmt.Errorf("%w: snapshot has %d source cursors, want %d", ErrSnapshot, len(snap.Sources), len(states))
-	}
-	for i, ss := range states {
-		if err := ss.RestoreState(snap.Sources[i]); err != nil {
-			return fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-	}
-	if err := e.restoreSnapshot(snap); err != nil {
-		return fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	return nil
 }
 
 // captureSnapshot serialises the engine's warm state. Call only at the
@@ -278,7 +174,7 @@ func (e *engine) captureSnapshot() *simstate.Snapshot {
 // decoded snapshot. The engine must match the snapshot's configuration
 // (validated upstream via Meta); residual mismatches — a blob whose
 // component inventory disagrees with the engine's — fail here without
-// wrapping, and restoreWarmState adds the ErrSnapshot classification.
+// wrapping, and RunMultiOpt adds the ErrSnapshot classification.
 func (e *engine) restoreSnapshot(s *simstate.Snapshot) error {
 	caches := make([]*cache.Cache, 0, 3*len(e.l1)+1)
 	caches = append(caches, e.l1...)
