@@ -42,7 +42,10 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// facts is the per-package collection phase output.
+// facts is the per-package collection phase output. Fields are keyed
+// by their declared var: a selection inside a method of a generic type,
+// or on an instantiation of one, resolves to an instantiated field var
+// whose Origin is the declaration (see fieldOf).
 type facts struct {
 	// guardedBy maps annotated struct fields to their mutex name.
 	guardedBy map[*types.Var]string
@@ -104,7 +107,7 @@ func collect(pass *analysis.Pass) *facts {
 						if !ok || s.Kind() != types.FieldVal {
 							return true
 						}
-						if v, ok := s.Obj().(*types.Var); ok {
+						if v := fieldOf(s); v != nil {
 							f.atomicFields[v] = true
 							f.atomicSites[sel] = true
 						}
@@ -116,6 +119,16 @@ func collect(pass *analysis.Pass) *facts {
 		})
 	}
 	return f
+}
+
+// fieldOf returns the declared field var a field selection resolves
+// to, or nil.
+func fieldOf(s *types.Selection) *types.Var {
+	v, ok := s.Obj().(*types.Var)
+	if !ok {
+		return nil
+	}
+	return v.Origin()
 }
 
 // isAtomicCall reports whether call invokes a sync/atomic function.
@@ -212,8 +225,8 @@ func checkFunc(pass *analysis.Pass, f *facts, decl *ast.FuncDecl) {
 		if !ok || s.Kind() != types.FieldVal {
 			return true
 		}
-		v, ok := s.Obj().(*types.Var)
-		if !ok {
+		v := fieldOf(s)
+		if v == nil {
 			return true
 		}
 		if mu, guarded := f.guardedBy[v]; guarded {
@@ -247,8 +260,8 @@ func checkGoClosure(pass *analysis.Pass, f *facts, decl *ast.FuncDecl, lit *ast.
 		if !ok || s.Kind() != types.FieldVal {
 			return true
 		}
-		v, ok := s.Obj().(*types.Var)
-		if !ok {
+		v := fieldOf(s)
+		if v == nil {
 			return true
 		}
 		if _, guarded := f.guardedBy[v]; guarded {

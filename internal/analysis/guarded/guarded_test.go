@@ -8,5 +8,5 @@ import (
 )
 
 func TestGuarded(t *testing.T) {
-	analysistest.Run(t, "testdata", guarded.Analyzer, "store")
+	analysistest.Run(t, "testdata", guarded.Analyzer, "store", "generic")
 }

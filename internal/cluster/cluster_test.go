@@ -136,7 +136,7 @@ func drillSpec(n int) serve.Spec {
 
 // submitRetry submits a spec to the router, retrying transient
 // rejections (a dying owner yields 502/503 until the ring catches up).
-func submitRetry(t *testing.T, routerURL string, spec serve.Spec) (submitResponse, string) {
+func submitRetry(t *testing.T, routerURL string, spec serve.Spec) (serve.SubmitResponse, string) {
 	t.Helper()
 	deadline := time.Now().Add(drillWait)
 	for time.Now().Before(deadline) {
@@ -149,7 +149,7 @@ func submitRetry(t *testing.T, routerURL string, spec serve.Spec) (submitRespons
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusAccepted {
-			var out submitResponse
+			var out serve.SubmitResponse
 			if err := json.Unmarshal(raw, &out); err != nil {
 				t.Fatalf("decode submit response: %v (%s)", err, raw)
 			}
@@ -162,7 +162,7 @@ func submitRetry(t *testing.T, routerURL string, spec serve.Spec) (submitRespons
 		t.Fatalf("submit = %d (%s)", resp.StatusCode, raw)
 	}
 	t.Fatal("submit never accepted")
-	return submitResponse{}, ""
+	return serve.SubmitResponse{}, ""
 }
 
 // waitDrillDone waits (drill-length deadline) for a routed job's done.
@@ -241,8 +241,8 @@ func TestFailoverDrill(t *testing.T) {
 	}
 	waveA, waveB, waveC := order[0:2], order[2:4], order[4:6]
 
-	jobs := make(map[int]submitResponse) // spec index -> routed job
-	mustRehome := make(map[int]bool)     // jobs whose first owner is taken down
+	jobs := make(map[int]serve.SubmitResponse) // spec index -> routed job
+	mustRehome := make(map[int]bool)           // jobs whose first owner is taken down
 
 	// --- wave A + kill drill ---------------------------------------------------
 	var victim *replica
@@ -361,7 +361,7 @@ func TestFailoverDrill(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("reference submit = %d (%s)", resp.StatusCode, raw)
 		}
-		var out submitResponse
+		var out serve.SubmitResponse
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("decode reference submit: %v", err)
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"redhip/internal/serve"
-	"redhip/internal/version"
 )
 
 // ProbeHeader marks router→replica health probes; replicas treat a
@@ -111,7 +110,7 @@ type Router struct {
 	opts      Options
 	client    *http.Client // no global timeout: SSE streams live long
 	members   *membership
-	jobs      *jobTable
+	jobs      *serve.Table[*routedJob]
 	metrics   *routerMetrics
 	mux       *http.ServeMux
 	baseCtx   context.Context
@@ -128,7 +127,7 @@ func New(opts Options) (*Router, error) {
 	rt := &Router{
 		opts:     opts,
 		client:   &http.Client{Transport: opts.Transport},
-		jobs:     newJobTable(opts.MaxJobs),
+		jobs:     serve.NewTable[*routedJob]("r-%08d", opts.MaxJobs),
 		metrics:  &routerMetrics{},
 		mux:      http.NewServeMux(),
 		baseCtx:  ctx,
@@ -171,29 +170,18 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("POST /v1/cluster/register", rt.handleRegister)
 	rt.mux.HandleFunc("GET /v1/cluster/status", rt.handleClusterStatus)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("GET /healthz", serve.HandleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
 }
 
 // --- submission ---------------------------------------------------------------
-
-// submitResponse mirrors serve's POST /v1/jobs body, so clients speak
-// one dialect whether they hit a replica or the router.
-type submitResponse struct {
-	ID      string      `json:"id"`
-	Key     string      `json:"key"`
-	State   serve.State `json:"state"`
-	Deduped bool        `json:"deduped"`
-	Status  string      `json:"status_url"`
-	Events  string      `json:"events_url"`
-}
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec serve.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
+		serve.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
 		return
 	}
 	// Normalise here with the same code the replica runs, so the key the
@@ -201,16 +189,26 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// spec is what gets forwarded (and re-forwarded on a re-home).
 	norm, err := spec.Normalized()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		serve.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := norm.CanonicalKey()
 
-	j, created, err := rt.jobs.resolve(key, norm, time.Now())
+	// The router's table refuses rather than grow past MaxJobs live
+	// jobs: its admit hook answers 429 when no resident job is terminal.
+	admit := func() error {
+		if rt.jobs.FullLocked() {
+			return fmt.Errorf("cluster: job table full (%d live jobs)", rt.opts.MaxJobs)
+		}
+		return nil
+	}
+	j, created, err := rt.jobs.Resolve(key, admit, func(id string) *routedJob {
+		return newRoutedJob(id, key, norm, time.Now())
+	})
 	if err != nil {
 		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		serve.HTTPError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
 	rt.metrics.inc(&rt.metrics.submitted)
@@ -225,7 +223,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
 		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no ready replicas")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
 		return
 	}
 	m := rt.members.get(owner)
@@ -236,7 +234,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
 		rt.metrics.inc(&rt.metrics.rejected)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no ready replicas")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
 		return
 	}
 	epoch, ok := j.beginEpoch(0)
@@ -249,7 +247,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: replica unreachable: "+err.Error(), nil)
 		w.Header().Set(ReplicaHeader, m.Name)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusBadGateway, "replica "+m.Name+" unreachable: "+err.Error())
+		serve.HTTPError(w, http.StatusBadGateway, "replica "+m.Name+" unreachable: "+err.Error())
 		return
 	}
 	if rej != nil {
@@ -289,7 +287,7 @@ func (rt *Router) respondSubmit(w http.ResponseWriter, j *routedJob, deduped boo
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, submitResponse{
+	serve.WriteJSON(w, serve.SubmitResponse{
 		ID:      j.ID,
 		Key:     j.Key,
 		State:   st.State,
@@ -335,7 +333,7 @@ func (rt *Router) submitToReplica(ctx context.Context, m *Member, spec serve.Spe
 			body:       body,
 		}, nil
 	}
-	var sr submitResponse
+	var sr serve.SubmitResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		return "", nil, fmt.Errorf("unparseable submit response: %w", err)
 	}
@@ -355,19 +353,19 @@ func (rt *Router) forwardRejection(w http.ResponseWriter, replica string, rej *r
 // --- status / events / results -------------------------------------------------
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := rt.jobs.list()
+	jobs := rt.jobs.List()
 	out := make([]RoutedStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.status(false)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	serve.WriteJSON(w, out)
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	st := j.status(r.URL.Query().Get("results") != "false")
@@ -375,13 +373,13 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ReplicaHeader, st.Replica)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, st)
+	serve.WriteJSON(w, st)
 }
 
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	member, rid := j.requestCancel()
@@ -404,57 +402,30 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(ReplicaHeader, st.Replica)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, st)
+	serve.WriteJSON(w, st)
 }
 
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := j.subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		writeSSE(w, ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serve.ServeEvents(w, r, &j.log)
 }
 
 // handleResults re-serves the executing replica's /results bytes
 // verbatim — the drill diffs this output against a single-replica
 // reference, so the router must not re-encode.
 func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := rt.jobs.get(r.PathValue("id"))
+	j := rt.jobs.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		serve.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	st := j.status(true)
 	if st.State != serve.StateDone {
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
+		serve.HTTPError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
 		return
 	}
 	if st.Replica != "" {
@@ -464,11 +435,6 @@ func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(st.Results)
 }
 
-// writeSSE renders one event in text/event-stream framing.
-func writeSSE(w http.ResponseWriter, ev serve.Event) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, ev.Data)
-}
-
 // --- membership endpoints ------------------------------------------------------
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -476,20 +442,20 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid registration: %v", err))
+		serve.HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid registration: %v", err))
 		return
 	}
 	if body.Name == "" || body.BaseURL == "" || body.Version == "" {
-		httpError(w, http.StatusBadRequest, "registration requires name, base_url and version")
+		serve.HTTPError(w, http.StatusBadRequest, "registration requires name, base_url and version")
 		return
 	}
 	m, err := rt.members.register(body.Name, strings.TrimSuffix(body.BaseURL, "/"), body.Version)
 	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		serve.HTTPError(w, http.StatusConflict, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, registerResponse{
+	serve.WriteJSON(w, registerResponse{
 		MemberStatus:    m.status(),
 		DeadAfterMillis: rt.deadAfterFloor().Milliseconds(),
 	})
@@ -527,15 +493,7 @@ func (rt *Router) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		out.Members = append(out.Members, m.status())
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, struct {
-		Status  string `json:"status"`
-		Version string `json:"version"`
-	}{Status: "ok", Version: version.String()})
+	serve.WriteJSON(w, out)
 }
 
 // handleReadyz: the router is ready while at least one replica is in
@@ -553,7 +511,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	writeJSON(w, resp)
+	serve.WriteJSON(w, resp)
 }
 
 // --- metrics -------------------------------------------------------------------
@@ -611,54 +569,31 @@ func (m *routerMetrics) jobFinished(s serve.State) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap := rt.metrics.snapshot()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("redhip_router_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", snap.submitted)
-	counter("redhip_router_jobs_deduped_total", "Submissions attached to an existing routed job by spec key.", snap.deduped)
-	counter("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, table full).", snap.rejected)
-	counter("redhip_router_proxied_rejections_total", "Replica rejections (429/503/400) forwarded verbatim.", snap.proxiedRejections)
-	counter("redhip_router_rehomes_total", "Jobs re-submitted to a new owner after losing their replica.", snap.rehomes)
-	counter("redhip_router_watch_reconnects_total", "Watcher SSE reconnects to the same replica.", snap.watchReconnects)
-	counter("redhip_router_jobs_done_total", "Routed jobs that finished successfully.", snap.done)
-	counter("redhip_router_jobs_failed_total", "Routed jobs that finished with an error.", snap.failed)
-	counter("redhip_router_jobs_cancelled_total", "Routed jobs cancelled.", snap.cancelled)
+	p := serve.PromWriter{W: w}
+	p.Counter("redhip_router_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", snap.submitted)
+	p.Counter("redhip_router_jobs_deduped_total", "Submissions attached to an existing routed job by spec key.", snap.deduped)
+	p.Counter("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, table full).", snap.rejected)
+	p.Counter("redhip_router_proxied_rejections_total", "Replica rejections (429/503/400) forwarded verbatim.", snap.proxiedRejections)
+	p.Counter("redhip_router_rehomes_total", "Jobs re-submitted to a new owner after losing their replica.", snap.rehomes)
+	p.Counter("redhip_router_watch_reconnects_total", "Watcher SSE reconnects to the same replica.", snap.watchReconnects)
+	p.Counter("redhip_router_jobs_done_total", "Routed jobs that finished successfully.", snap.done)
+	p.Counter("redhip_router_jobs_failed_total", "Routed jobs that finished with an error.", snap.failed)
+	p.Counter("redhip_router_jobs_cancelled_total", "Routed jobs cancelled.", snap.cancelled)
 
-	byState := make(map[MemberState]int)
+	byState := make(map[string]int64)
 	for _, mem := range rt.members.list() {
-		byState[mem.stateNow()]++
+		byState[string(mem.stateNow())]++
 	}
 	states := make([]string, 0, len(byState))
 	for st := range byState {
-		states = append(states, string(st))
+		states = append(states, st)
 	}
 	sort.Strings(states)
 	const mn = "redhip_router_members"
-	fmt.Fprintf(w, "# HELP %s Registered replicas by membership state.\n# TYPE %s gauge\n", mn, mn)
+	p.Family(mn, "gauge", "Registered replicas by membership state.")
 	for _, st := range states {
-		fmt.Fprintf(w, "%s{state=%q} %d\n", mn, st, byState[MemberState(st)])
+		p.Sample(mn, byState[st], "state", st)
 	}
-	gauge("redhip_router_ring_size", "Replicas currently in the ring (ready).", float64(rt.members.Ring().Size()))
-	gauge("redhip_router_jobs_tracked", "Routed jobs resident in the table (all states).", float64(rt.jobs.size()))
-}
-
-// --- small helpers -------------------------------------------------------------
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	writeJSON(w, errorBody{Error: msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // client gone is the only failure; nothing to do
+	p.Gauge("redhip_router_ring_size", "Replicas currently in the ring (ready).", float64(rt.members.Ring().Size()))
+	p.Gauge("redhip_router_jobs_tracked", "Routed jobs resident in the table (all states).", float64(rt.jobs.Len()))
 }

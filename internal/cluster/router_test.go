@@ -23,8 +23,9 @@ import (
 // fakeReplica speaks just enough of redhip-serve's job API for the
 // router to place, watch and resolve jobs against it, with per-test
 // knobs: mode drives what the event stream eventually emits ("done",
-// "cancel", or "stall" to hang pre-terminal), ready/notReadyReason
-// script /readyz, and reject scripts submission rejections.
+// "cancel", "fail", or "stall" to hang pre-terminal), ready/notReadyReason
+// script /readyz, and reject scripts submission rejections. A job
+// DELETEd through the fake ends cancelled whatever the mode.
 type fakeReplica struct {
 	t    *testing.T
 	name string
@@ -40,11 +41,12 @@ type fakeReplica struct {
 	rejectBody string
 	jobs       map[string]string // replica job id -> spec key
 	submits    []string          // keys in arrival order, dedups excluded
+	deleted    map[string]bool   // replica job ids cancelled by DELETE
 }
 
 func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{t: t, name: name, jobs: make(map[string]string)}
+	f := &fakeReplica{t: t, name: name, jobs: make(map[string]string), deleted: make(map[string]bool)}
 	f.mode.Store("done")
 	f.ready.Store(true)
 	f.notReadyReason.Store("shedding")
@@ -53,6 +55,9 @@ func newFakeReplica(t *testing.T, name string) *fakeReplica {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", f.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/results", f.handleResults)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.deleted[r.PathValue("id")] = true
+		f.mu.Unlock()
 		w.WriteHeader(http.StatusOK)
 	})
 	mux.HandleFunc("GET /readyz", f.handleReadyz)
@@ -112,7 +117,7 @@ func (f *fakeReplica) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	deduped := false
 	var id string
 	for jid, k := range f.jobs {
-		if k == key {
+		if k == key && !f.deleted[jid] { // a cancelled job released its key
 			id, deduped = jid, true
 			break
 		}
@@ -143,9 +148,19 @@ func (f *fakeReplica) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "id: 2\nevent: running\ndata: {\"state\":\"running\"}\n\n")
 	fl.Flush()
 	for {
-		switch f.mode.Load().(string) {
+		f.mu.Lock()
+		mode := f.mode.Load().(string)
+		if f.deleted[r.PathValue("id")] {
+			mode = "cancel"
+		}
+		f.mu.Unlock()
+		switch mode {
 		case "done":
 			fmt.Fprintf(w, "id: 3\nevent: done\ndata: {\"state\":\"done\"}\n\n")
+			fl.Flush()
+			return
+		case "fail":
+			fmt.Fprintf(w, "id: 3\nevent: failed\ndata: {\"state\":\"failed\",\"error\":\"injected failure\"}\n\n")
 			fl.Flush()
 			return
 		case "cancel":
@@ -189,12 +204,18 @@ func (f *fakeReplica) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // newTestRouter builds a router with drill-speed probing and serves it.
 func newTestRouter(t *testing.T) (*Router, string) {
 	t.Helper()
+	return newTestRouterMaxJobs(t, 64)
+}
+
+// newTestRouterMaxJobs is newTestRouter with a given job-table bound.
+func newTestRouterMaxJobs(t *testing.T, maxJobs int) (*Router, string) {
+	t.Helper()
 	rt, err := New(Options{
 		ProbeInterval:    20 * time.Millisecond,
 		ProbeTimeout:     500 * time.Millisecond,
 		FailThreshold:    2,
 		SuccessThreshold: 1,
-		MaxJobs:          64,
+		MaxJobs:          maxJobs,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -250,7 +271,7 @@ func testSpec(n int) serve.Spec {
 
 // submitJob POSTs a spec to the router, returning the raw response and
 // its decoded body (only on 202).
-func submitJob(t *testing.T, routerURL string, spec serve.Spec) (*http.Response, submitResponse) {
+func submitJob(t *testing.T, routerURL string, spec serve.Spec) (*http.Response, serve.SubmitResponse) {
 	t.Helper()
 	body, _ := json.Marshal(spec)
 	resp, err := http.Post(routerURL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -259,7 +280,7 @@ func submitJob(t *testing.T, routerURL string, spec serve.Spec) (*http.Response,
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	var out submitResponse
+	var out serve.SubmitResponse
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("decode submit response: %v (body %s)", err, raw)
@@ -314,7 +335,7 @@ func readAllEvents(t *testing.T, routerURL, id string) []serve.Event {
 	br := bufio.NewReader(resp.Body)
 	var evs []serve.Event
 	for {
-		ev, err := readSSE(br)
+		ev, err := serve.ReadSSE(br)
 		if err != nil {
 			return evs
 		}
@@ -640,6 +661,105 @@ func TestRouterClientCancelIsHonoured(t *testing.T) {
 	st := waitRouted(t, url, sub.ID, serve.StateCancelled)
 	if st.Rehomes != 0 {
 		t.Fatalf("client cancel triggered %d re-homes, want 0", st.Rehomes)
+	}
+}
+
+// cancelRouted DELETEs a routed job through the router.
+func cancelRouted(t *testing.T, routerURL, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, routerURL+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+}
+
+// TestRouterJobTableFull: with MaxJobs live jobs resident, a new unique
+// spec is refused 429 with a Retry-After, while a duplicate still
+// deduplicates; once one job is terminal it can be evicted and the new
+// spec is accepted.
+func TestRouterJobTableFull(t *testing.T) {
+	rt, url := newTestRouterMaxJobs(t, 2)
+	f := newFakeReplica(t, "alpha")
+	f.mode.Store("stall")
+	if code, body := register(t, url, f, "test-v1"); code != http.StatusOK {
+		t.Fatalf("register = %d (%s)", code, body)
+	}
+	waitFor(t, "replica in ring", func() bool { return rt.members.Ring().Size() == 1 })
+
+	var live []serve.SubmitResponse
+	for n := 0; n < 2; n++ {
+		resp, sub := submitJob(t, url, testSpec(n))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", n, resp.StatusCode)
+		}
+		live = append(live, sub)
+	}
+	resp, _ := submitJob(t, url, testSpec(2))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third unique spec = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("table-full rejection lacks Retry-After")
+	}
+	if resp, sub := submitJob(t, url, testSpec(1)); resp.StatusCode != http.StatusAccepted || !sub.Deduped {
+		t.Fatalf("duplicate into a full table = %d deduped=%v, want 202 deduped", resp.StatusCode, sub.Deduped)
+	}
+
+	cancelRouted(t, url, live[0].ID)
+	waitRouted(t, url, live[0].ID, serve.StateCancelled)
+	resp, sub := submitJob(t, url, testSpec(2))
+	if resp.StatusCode != http.StatusAccepted || sub.Deduped {
+		t.Fatalf("after a job ended: submit = %d deduped=%v, want fresh 202", resp.StatusCode, sub.Deduped)
+	}
+	if got := rt.jobs.Len(); got != 2 {
+		t.Fatalf("table holds %d jobs, want 2 (the terminal one evicted)", got)
+	}
+}
+
+// TestRouterResubmitAfterTerminal: a spec whose routed job failed or
+// was cancelled is placed fresh when resubmitted — its key was released
+// with the terminal transition — while a done spec deduplicates onto
+// the cached result.
+func TestRouterResubmitAfterTerminal(t *testing.T) {
+	rt, url := newTestRouter(t)
+	f := newFakeReplica(t, "alpha")
+	if code, body := register(t, url, f, "test-v1"); code != http.StatusOK {
+		t.Fatalf("register = %d (%s)", code, body)
+	}
+	waitFor(t, "replica in ring", func() bool { return rt.members.Ring().Size() == 1 })
+
+	cases := []struct {
+		mode   string
+		state  serve.State
+		cancel bool
+		dedup  bool
+	}{
+		{mode: "fail", state: serve.StateFailed},
+		{mode: "stall", state: serve.StateCancelled, cancel: true},
+		{mode: "done", state: serve.StateDone, dedup: true},
+	}
+	for n, tc := range cases {
+		f.mode.Store(tc.mode)
+		resp, first := submitJob(t, url, testSpec(n))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d", tc.state, resp.StatusCode)
+		}
+		if tc.cancel {
+			cancelRouted(t, url, first.ID)
+		}
+		waitRouted(t, url, first.ID, tc.state)
+
+		f.mode.Store("stall")
+		resp, again := submitJob(t, url, testSpec(n))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: resubmit = %d", tc.state, resp.StatusCode)
+		}
+		if again.Deduped != tc.dedup || (again.ID == first.ID) != tc.dedup {
+			t.Fatalf("%s: resubmit deduped=%v id %s (first %s), want deduped=%v",
+				tc.state, again.Deduped, again.ID, first.ID, tc.dedup)
+		}
 	}
 }
 

@@ -38,7 +38,26 @@ type routedJob struct {
 	cancelRequested bool               //redhip:guardedby mu
 	submitted       time.Time          //redhip:guardedby mu
 	finished        time.Time          //redhip:guardedby mu
-	log             serve.EventLog     //redhip:guardedby mu
+	// log is bound to mu: appends happen under it, Subscribe takes it.
+	log serve.EventLog
+}
+
+// newRoutedJob is the table's constructor for a fresh submission: queued,
+// one submission, its "queued" event already in the log.
+func newRoutedJob(id, key string, spec serve.Spec, now time.Time) *routedJob {
+	j := &routedJob{
+		ID:          id,
+		Key:         key,
+		Spec:        spec,
+		state:       serve.StateQueued,
+		submissions: 1,
+		submitted:   now,
+	}
+	j.log.Bind(&j.mu)
+	j.mu.Lock()
+	j.log.AppendLocked("queued", serve.TerminalData{State: serve.StateQueued}, false)
+	j.mu.Unlock()
+	return j
 }
 
 // routedData is the payload of the router-authored "routed" event.
@@ -51,12 +70,6 @@ type routedData struct {
 type rehomedData struct {
 	From   string `json:"from"`
 	Reason string `json:"reason"`
-}
-
-// terminalData mirrors serve's terminal event payload.
-type terminalData struct {
-	State serve.State `json:"state"`
-	Error string      `json:"error,omitempty"`
 }
 
 // beginEpoch advances from the given epoch to the next, clearing the
@@ -171,23 +184,18 @@ func (j *routedJob) isCancelRequested() bool {
 	return j.cancelRequested
 }
 
-// attach records one more deduplicated submission.
-func (j *routedJob) attach() {
+// Attach records one more deduplicated submission.
+func (j *routedJob) Attach() {
 	j.mu.Lock()
 	j.submissions++
 	j.mu.Unlock()
 }
 
-// subscribe returns the replayed router log and a live channel.
-func (j *routedJob) subscribe() (replay []serve.Event, live <-chan serve.Event, unsub func()) {
+// Terminal reports whether the routed job reached an end state.
+func (j *routedJob) Terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay, ch := j.log.SubscribeLocked(j.state.Terminal())
-	return replay, ch, func() {
-		j.mu.Lock()
-		j.log.UnsubscribeLocked(ch)
-		j.mu.Unlock()
-	}
+	return j.state.Terminal()
 }
 
 // RoutedStatus is the JSON shape of the router's GET /v1/jobs/{id}.
@@ -231,14 +239,14 @@ func (j *routedJob) status(withResults bool) RoutedStatus {
 	return st
 }
 
-// finalizeRouted applies a routed job's terminal transition exactly
-// once: state, terminal event, key release for non-reusable outcomes
-// (done results stay cached under their key, the router-side dedup
-// cache), and the terminal counter.
-func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string, results json.RawMessage) bool {
+// finish applies the terminal transition exactly once: state, result
+// bytes and the terminal event land under one hold of j.mu, and the
+// current epoch's stream follow is aborted. It reports whether this
+// call won.
+func (j *routedJob) finish(state serve.State, errMsg string, results json.RawMessage) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.state = state
@@ -249,112 +257,27 @@ func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string,
 		j.streamCancel()
 		j.streamCancel = nil
 	}
-	j.log.AppendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
-	j.mu.Unlock()
-	if state != serve.StateDone {
-		rt.jobs.releaseKey(j)
-	}
-	rt.metrics.jobFinished(state)
+	j.log.AppendLocked(string(state), serve.TerminalData{State: state, Error: errMsg}, true)
 	return true
 }
 
-// --- job table -----------------------------------------------------------------
-
-// jobTable is the router's routed-job registry: ID lookup, key-level
-// single-flight dedup, insertion-ordered eviction of terminal jobs.
-type jobTable struct {
-	mu     sync.Mutex
-	byID   map[string]*routedJob //redhip:guardedby mu
-	byKey  map[string]*routedJob //redhip:guardedby mu // non-terminal or done (result cache)
-	order  []*routedJob          //redhip:guardedby mu // insertion order, eviction scan
-	nextID int                   //redhip:guardedby mu
-	max    int
-}
-
-func newJobTable(max int) *jobTable {
-	return &jobTable{
-		byID:  make(map[string]*routedJob),
-		byKey: make(map[string]*routedJob),
-		max:   max,
+// finalizeRouted applies a routed job's terminal transition exactly
+// once and counts it. A done job keeps its key — that is the router's
+// result cache; a failed or cancelled one releases it in the same
+// table-lock hold as the transition (Table.FinishRelease), so no
+// resubmission can deduplicate onto it in between.
+func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string, results json.RawMessage) bool {
+	finish := func() bool { return j.finish(state, errMsg, results) }
+	var won bool
+	if state == serve.StateDone {
+		won = finish()
+	} else {
+		won = rt.jobs.FinishRelease(j.Key, j, finish)
 	}
-}
-
-// resolve returns the job owning key, creating it if absent —
-// single-flight: two concurrent submissions of one spec meet here and
-// share a job, exactly like serve's store. A full table evicts its
-// oldest terminal job; all-live tables reject.
-func (t *jobTable) resolve(key string, spec serve.Spec, now time.Time) (*routedJob, bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if j := t.byKey[key]; j != nil {
-		j.attach()
-		return j, false, nil
+	if won {
+		rt.metrics.jobFinished(state)
 	}
-	if len(t.byID) >= t.max && !t.evictLocked() {
-		return nil, false, fmt.Errorf("cluster: job table full (%d live jobs)", len(t.byID))
-	}
-	t.nextID++
-	j := &routedJob{
-		ID:          fmt.Sprintf("r-%08d", t.nextID),
-		Key:         key,
-		Spec:        spec,
-		state:       serve.StateQueued,
-		submissions: 1,
-		submitted:   now,
-	}
-	j.log.AppendLocked("queued", terminalData{State: serve.StateQueued}, false)
-	t.byID[j.ID] = j
-	t.byKey[key] = j
-	t.order = append(t.order, j)
-	return j, true, nil
-}
-
-// evictLocked drops the oldest terminal job; false when every resident
-// job is live.
-func (t *jobTable) evictLocked() bool {
-	for i, j := range t.order {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if !terminal {
-			continue
-		}
-		t.order = append(t.order[:i:i], t.order[i+1:]...)
-		delete(t.byID, j.ID)
-		if t.byKey[j.Key] == j {
-			delete(t.byKey, j.Key)
-		}
-		return true
-	}
-	return false
-}
-
-// releaseKey unmaps a failed/cancelled job's key so the spec can be
-// resubmitted fresh (mirrors serve's finishRelease semantics).
-func (t *jobTable) releaseKey(j *routedJob) {
-	t.mu.Lock()
-	if t.byKey[j.Key] == j {
-		delete(t.byKey, j.Key)
-	}
-	t.mu.Unlock()
-}
-
-func (t *jobTable) get(id string) *routedJob {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byID[id]
-}
-
-func (t *jobTable) list() []*routedJob {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*routedJob(nil), t.order...)
-}
-
-func (t *jobTable) size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byID)
+	return won
 }
 
 // --- watching ------------------------------------------------------------------
@@ -443,7 +366,7 @@ func (rt *Router) followStream(j *routedJob, epoch int, m *Member, rid string) (
 	}
 	br := bufio.NewReader(resp.Body)
 	for {
-		ev, err := readSSE(br)
+		ev, err := serve.ReadSSE(br)
 		if err != nil {
 			return false, err
 		}
@@ -451,13 +374,13 @@ func (rt *Router) followStream(j *routedJob, epoch int, m *Member, rid string) (
 		case string(serve.StateDone):
 			return true, rt.completeDone(j, epoch, m, rid)
 		case string(serve.StateFailed):
-			var td terminalData
+			var td serve.TerminalData
 			_ = json.Unmarshal(ev.Data, &td)
 			rt.finalizeRouted(j, serve.StateFailed, td.Error, nil)
 			return true, nil
 		case string(serve.StateCancelled):
 			if j.isCancelRequested() {
-				var td terminalData
+				var td serve.TerminalData
 				_ = json.Unmarshal(ev.Data, &td)
 				rt.finalizeRouted(j, serve.StateCancelled, td.Error, nil)
 				return true, nil
@@ -534,7 +457,7 @@ func (rt *Router) fetchResults(m *Member, rid string) ([]byte, int, error) {
 // its epoch first, so a watcher acting on the same death (or a client
 // cancel) cannot double-place.
 func (rt *Router) onMemberDead(name string) {
-	for _, j := range rt.jobs.list() {
+	for _, j := range rt.jobs.List() {
 		member, epoch, terminal := j.current()
 		if terminal || member != name {
 			continue
@@ -647,38 +570,5 @@ func (rt *Router) sleep(d time.Duration) bool {
 		return false
 	case <-time.After(d):
 		return true
-	}
-}
-
-// --- SSE client ----------------------------------------------------------------
-
-// readSSE parses one text/event-stream frame (id/event/data lines
-// ended by a blank line) as serve writes them.
-func readSSE(br *bufio.Reader) (serve.Event, error) {
-	var ev serve.Event
-	got := false
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return ev, err
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "" {
-			if got {
-				return ev, nil
-			}
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			ev.ID, _ = strconv.Atoi(line[len("id: "):])
-			got = true
-		case strings.HasPrefix(line, "event: "):
-			ev.Type = line[len("event: "):]
-			got = true
-		case strings.HasPrefix(line, "data: "):
-			ev.Data = json.RawMessage(line[len("data: "):])
-			got = true
-		}
 	}
 }

@@ -78,7 +78,7 @@ func TestChaosSweep(t *testing.T) {
 	for i, id := range ids {
 		st := ts.status(id)
 		deadline := time.Now().Add(120 * time.Second)
-		for !st.State.terminal() {
+		for !st.State.Terminal() {
 			if time.Now().After(deadline) {
 				t.Fatalf("job %s wedged in %q — leaked slot or stuck retry", id, st.State)
 			}
@@ -106,7 +106,7 @@ func TestChaosSweep(t *testing.T) {
 	// terminal event, and it must be last: a truncated or double-closed
 	// SSE replay is how a client sees a corrupted job.
 	for i, id := range ids {
-		replay, live, unsub := ts.s.store.get(id).subscribe()
+		replay, live, unsub := ts.s.store.Get(id).log.Subscribe()
 		unsub()
 		if _, ok := <-live; ok {
 			t.Fatalf("job %s: live channel open after terminal state", id)

@@ -192,11 +192,8 @@ func (s *Server) leaseWatchdog(ctx context.Context) {
 // replica cannot tell who submitted what.
 func (s *Server) fenceJobs() {
 	s.metrics.inc(&s.metrics.leaseFences)
-	for _, j := range s.store.list() {
-		wasQueued, _ := j.requestCancel()
-		if wasQueued && s.queue.remove(j) {
-			s.finalize(j, StateCancelled, "router lease lost: job fenced", nil, time.Now())
-		}
+	for _, j := range s.store.List() {
+		s.cancelJob(j, "router lease lost: job fenced")
 	}
 }
 

@@ -35,7 +35,7 @@ func TestConcurrentDedupSingleFlight(t *testing.T) {
 				t.Errorf("client %d: status %d", i, resp.StatusCode)
 				return
 			}
-			var sub submitResponse
+			var sub SubmitResponse
 			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 				t.Errorf("client %d: decode: %v", i, err)
 				return

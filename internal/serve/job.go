@@ -22,14 +22,10 @@ const (
 	StateCancelled State = "cancelled"
 )
 
-// terminal reports whether s is an end state.
-func (s State) terminal() bool {
+// Terminal reports whether s is an end state.
+func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
-
-// Terminal is the exported face of terminal — the cluster router
-// mirrors job lifecycles and needs the same end-state test.
-func (s State) Terminal() bool { return s.terminal() }
 
 // Event is one entry of a job's progress stream, delivered over SSE as
 //
@@ -57,8 +53,10 @@ type progressData struct {
 	WallMS    float64 `json:"wall_ms,omitempty"`
 }
 
-// terminalData is the payload of a terminal event.
-type terminalData struct {
+// TerminalData is the payload of a state event ("queued", "running")
+// and of a terminal one; the cluster router authors and parses the same
+// shape.
+type TerminalData struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 }
@@ -106,8 +104,9 @@ type Job struct {
 	// cancelRequested is set when DELETE races the queued->running
 	// hand-off: the worker that pops the job consults it in start and
 	// abandons the run instead of executing a cancelled job.
-	cancelRequested bool     //redhip:guardedby mu
-	log             EventLog //redhip:guardedby mu
+	cancelRequested bool //redhip:guardedby mu
+	// log is bound to mu: appends happen under it, Subscribe takes it.
+	log EventLog
 }
 
 func newJob(id string, spec Spec, now time.Time) *Job {
@@ -120,7 +119,8 @@ func newJob(id string, spec Spec, now time.Time) *Job {
 		submissions: 1,
 		submitted:   now,
 	}
-	j.publish("queued", terminalData{State: StateQueued})
+	j.log.Bind(&j.mu)
+	j.publish("queued", TerminalData{State: StateQueued})
 	return j
 }
 
@@ -134,24 +134,9 @@ func (j *Job) publish(typ string, payload any) {
 // publishLocked is publish with j.mu already held — terminal
 // transitions use it so the state change and its event land atomically
 // (a subscriber can never observe a terminal state whose event is
-// missing from the log). The mechanics live in EventLog, shared with
-// the sweep orchestrator.
+// missing from the log).
 func (j *Job) publishLocked(typ string, payload any) {
-	j.log.AppendLocked(typ, payload, j.state.terminal())
-}
-
-// subscribe returns the replayed event log and a live channel. The
-// channel is closed after the terminal event; unsub must be called when
-// the consumer stops reading early.
-func (j *Job) subscribe() (replay []Event, live <-chan Event, unsub func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay, ch := j.log.SubscribeLocked(j.state.terminal())
-	return replay, ch, func() {
-		j.mu.Lock()
-		j.log.UnsubscribeLocked(ch)
-		j.mu.Unlock()
-	}
+	j.log.AppendLocked(typ, payload, j.state.Terminal())
 }
 
 // start transitions queued -> running, installing the cancel func.
@@ -166,7 +151,7 @@ func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
 	j.started = now
 	j.cancel = cancel
 	j.mu.Unlock()
-	j.publish("running", terminalData{State: StateRunning})
+	j.publish("running", TerminalData{State: StateRunning})
 	return true
 }
 
@@ -208,7 +193,7 @@ func (j *Job) progress(p progressData) {
 // first terminal state wins. It reports whether this call won.
 func (j *Job) finish(state State, errMsg string, results []*sim.Result, now time.Time) bool {
 	j.mu.Lock()
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		j.mu.Unlock()
 		return false
 	}
@@ -217,33 +202,32 @@ func (j *Job) finish(state State, errMsg string, results []*sim.Result, now time
 	j.results = results
 	j.finished = now
 	j.cancel = nil
-	j.publishLocked(string(state), terminalData{State: state, Error: errMsg})
+	j.publishLocked(string(state), TerminalData{State: state, Error: errMsg})
 	j.mu.Unlock()
 	return true
 }
 
 // requestCancel asks the job to stop. A queued job reports
-// wasQueued=true and the caller (the store) removes it from the queue
-// and finishes it; a running job has its context cancelled and reaches
-// "cancelled" through the worker. Terminal jobs are untouched.
-func (j *Job) requestCancel() (wasQueued, wasRunning bool) {
+// wasQueued=true and the caller (Server.cancelJob) removes it from the
+// queue and finishes it; a running job has its context cancelled and
+// reaches "cancelled" through the worker. Terminal jobs are untouched.
+func (j *Job) requestCancel() (wasQueued bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateQueued:
 		j.cancelRequested = true
-		return true, false
+		return true
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel()
 		}
-		return false, true
 	}
-	return false, false
+	return false
 }
 
-// attach records one more deduplicated submission.
-func (j *Job) attach() {
+// Attach records one more deduplicated submission.
+func (j *Job) Attach() {
 	j.mu.Lock()
 	j.submissions++
 	j.mu.Unlock()
@@ -303,6 +287,9 @@ func (j *Job) stateNow() State {
 	defer j.mu.Unlock()
 	return j.state
 }
+
+// Terminal reports whether the job reached an end state.
+func (j *Job) Terminal() bool { return j.stateNow().Terminal() }
 
 // runningSince reports when the job started executing, if it is
 // currently running.

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"sync"
 
 	"redhip/internal/simstate"
@@ -21,37 +20,11 @@ var runBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 // "latency" is the stream lifetime.
 var httpBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 
-// histogram is a fixed-bucket Prometheus-style histogram: counts[i]
-// observes values <= buckets[i]; sum/count feed the implicit +Inf
-// bucket and averages.
-type histogram struct {
-	buckets []float64 // bucket upper bounds; nil defaults to runBuckets
-	counts  []uint64
-	sum     float64
-	count   uint64
-}
-
-func (h *histogram) observe(v float64) {
-	if h.buckets == nil {
-		h.buckets = runBuckets
-	}
-	if h.counts == nil {
-		h.counts = make([]uint64, len(h.buckets))
-	}
-	for i, ub := range h.buckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.count++
-}
-
 // endpointMetrics is one HTTP endpoint's instrumentation: a request
 // latency histogram, per-status-code counters, and a live in-flight
 // gauge — the server-side numbers loadgen reports cross-check against.
 type endpointMetrics struct {
-	latency  histogram
+	latency  Histogram
 	codes    map[int]uint64
 	inflight int64
 }
@@ -61,34 +34,34 @@ type endpointMetrics struct {
 // stored jobs) are read live from their owners at render time.
 type metrics struct {
 	mu               sync.Mutex
-	submitted        uint64                // POST /v1/jobs accepted (new or deduped)
-	deduped          uint64                // submissions attached to an existing job
-	rejectedFull     uint64                // 429s
-	rejectedShutdown uint64                // 503s during drain
-	completed        uint64                // jobs reaching "done"
-	failed           uint64                // jobs reaching "failed"
-	cancelled        uint64                // jobs reaching "cancelled"
-	runnerStarts     uint64                // experiment.Runner executions launched
-	executionsDone   uint64                // jobs whose sweep completed locally (cluster no-double-execution invariant)
-	leaseFences      uint64                // router-lease expiries that fenced non-terminal jobs
-	retries          uint64                // execution attempts beyond the first
-	workerPanics     uint64                // panics recovered in the worker stack
-	shedBreaker      uint64                // submissions shed by an open circuit
-	shedMemory       uint64                // submissions shed by the byte budget
-	sweepsSubmitted  uint64                // POST /v1/sweeps accepted
-	sweepsDone       uint64                // sweeps reaching "done"
-	sweepsFailed     uint64                // sweeps reaching "failed"
-	sweepsCancelled  uint64                // sweeps reaching "cancelled"
-	sweepChildren    uint64                // child jobs submitted by sweep orchestrators
-	sweepChildDedup  uint64                // sweep children resolved by dedup instead of a fresh run
-	sweepAdmitWaits  uint64                // child admissions retried after a transient rejection
-	runs             map[string]*histogram       // per-scheme run wall time
+	submitted        uint64                      // POST /v1/jobs accepted (new or deduped)
+	deduped          uint64                      // submissions attached to an existing job
+	rejectedFull     uint64                      // 429s
+	rejectedShutdown uint64                      // 503s during drain
+	completed        uint64                      // jobs reaching "done"
+	failed           uint64                      // jobs reaching "failed"
+	cancelled        uint64                      // jobs reaching "cancelled"
+	runnerStarts     uint64                      // experiment.Runner executions launched
+	executionsDone   uint64                      // jobs whose sweep completed locally (cluster no-double-execution invariant)
+	leaseFences      uint64                      // router-lease expiries that fenced non-terminal jobs
+	retries          uint64                      // execution attempts beyond the first
+	workerPanics     uint64                      // panics recovered in the worker stack
+	shedBreaker      uint64                      // submissions shed by an open circuit
+	shedMemory       uint64                      // submissions shed by the byte budget
+	sweepsSubmitted  uint64                      // POST /v1/sweeps accepted
+	sweepsDone       uint64                      // sweeps reaching "done"
+	sweepsFailed     uint64                      // sweeps reaching "failed"
+	sweepsCancelled  uint64                      // sweeps reaching "cancelled"
+	sweepChildren    uint64                      // child jobs submitted by sweep orchestrators
+	sweepChildDedup  uint64                      // sweep children resolved by dedup instead of a fresh run
+	sweepAdmitWaits  uint64                      // child admissions retried after a transient rejection
+	runs             map[string]*Histogram       // per-scheme run wall time
 	http             map[string]*endpointMetrics // per-endpoint HTTP request metrics
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		runs: make(map[string]*histogram),
+		runs: make(map[string]*Histogram),
 		http: make(map[string]*endpointMetrics),
 	}
 }
@@ -98,7 +71,7 @@ func newMetrics() *metrics {
 func (m *metrics) endpointLocked(endpoint string) *endpointMetrics {
 	e := m.http[endpoint]
 	if e == nil {
-		e = &endpointMetrics{latency: histogram{buckets: httpBuckets}, codes: make(map[int]uint64)}
+		e = &endpointMetrics{latency: Histogram{Buckets: httpBuckets}, codes: make(map[int]uint64)}
 		m.http[endpoint] = e
 	}
 	return e
@@ -117,7 +90,7 @@ func (m *metrics) httpDone(endpoint string, code int, seconds float64) {
 	m.mu.Lock()
 	e := m.endpointLocked(endpoint)
 	e.inflight--
-	e.latency.observe(seconds)
+	e.latency.Observe(seconds)
 	e.codes[code]++
 	m.mu.Unlock()
 }
@@ -133,10 +106,10 @@ func (m *metrics) observeRun(scheme string, seconds float64) {
 	m.mu.Lock()
 	h := m.runs[scheme]
 	if h == nil {
-		h = &histogram{}
+		h = &Histogram{Buckets: runBuckets}
 		m.runs[scheme] = h
 	}
-	h.observe(seconds)
+	h.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -229,140 +202,105 @@ type gauges struct {
 // scrapes are diffable.
 func (m *metrics) writeProm(w io.Writer, g gauges, ts tracestore.Stats, tsOK bool, ss simstate.StoreStats, ssOK bool) {
 	s := m.snapshot()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	p := PromWriter{W: w}
 
-	counter("redhip_serve_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", s.Submitted)
-	counter("redhip_serve_jobs_deduped_total", "Submissions attached to an existing job by dedup key.", s.Deduped)
-	counter("redhip_serve_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.", s.RejectedFull)
-	counter("redhip_serve_jobs_shutdown_rejected_total", "Submissions rejected with 503 during shutdown.", s.RejectedShutdown)
-	counter("redhip_serve_jobs_completed_total", "Jobs that finished successfully.", s.Completed)
-	counter("redhip_serve_jobs_failed_total", "Jobs that finished with an error.", s.Failed)
-	counter("redhip_serve_jobs_cancelled_total", "Jobs cancelled while queued or running.", s.Cancelled)
-	counter("redhip_serve_runner_executions_total", "experiment.Runner executions launched (one per non-deduplicated job).", s.RunnerStarts)
-	counter("redhip_serve_executions_done_total", "Jobs whose sweep completed on this replica (summed across a cluster, equals unique specs executed).", s.ExecutionsDone)
-	counter("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.", s.LeaseFences)
-	counter("redhip_serve_retries_total", "Job execution attempts beyond each job's first.", s.Retries)
-	counter("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.", s.WorkerPanics)
-	counter("redhip_serve_shed_breaker_total", "Submissions shed with 503 by an open circuit breaker.", s.ShedBreaker)
-	counter("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.", s.ShedMemory)
-	counter("redhip_serve_breaker_trips_total", "Circuit-breaker transitions to open, over all schemes.", g.BreakerTrips)
-	counter("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.", s.SweepsSubmitted)
-	counter("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated.", s.SweepsDone)
-	counter("redhip_serve_sweeps_failed_total", "Sweeps that ended failed.", s.SweepsFailed)
-	counter("redhip_serve_sweeps_cancelled_total", "Sweeps cancelled by DELETE or shutdown.", s.SweepsCancelled)
-	counter("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.", s.SweepChildren)
-	counter("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.", s.SweepChildDedup)
-	counter("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, breaker open, memory shed).", s.SweepAdmitWaits)
+	p.Counter("redhip_serve_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", s.Submitted)
+	p.Counter("redhip_serve_jobs_deduped_total", "Submissions attached to an existing job by dedup key.", s.Deduped)
+	p.Counter("redhip_serve_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.", s.RejectedFull)
+	p.Counter("redhip_serve_jobs_shutdown_rejected_total", "Submissions rejected with 503 during shutdown.", s.RejectedShutdown)
+	p.Counter("redhip_serve_jobs_completed_total", "Jobs that finished successfully.", s.Completed)
+	p.Counter("redhip_serve_jobs_failed_total", "Jobs that finished with an error.", s.Failed)
+	p.Counter("redhip_serve_jobs_cancelled_total", "Jobs cancelled while queued or running.", s.Cancelled)
+	p.Counter("redhip_serve_runner_executions_total", "experiment.Runner executions launched (one per non-deduplicated job).", s.RunnerStarts)
+	p.Counter("redhip_serve_executions_done_total", "Jobs whose sweep completed on this replica (summed across a cluster, equals unique specs executed).", s.ExecutionsDone)
+	p.Counter("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.", s.LeaseFences)
+	p.Counter("redhip_serve_retries_total", "Job execution attempts beyond each job's first.", s.Retries)
+	p.Counter("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.", s.WorkerPanics)
+	p.Counter("redhip_serve_shed_breaker_total", "Submissions shed with 503 by an open circuit breaker.", s.ShedBreaker)
+	p.Counter("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.", s.ShedMemory)
+	p.Counter("redhip_serve_breaker_trips_total", "Circuit-breaker transitions to open, over all schemes.", g.BreakerTrips)
+	p.Counter("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.", s.SweepsSubmitted)
+	p.Counter("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated.", s.SweepsDone)
+	p.Counter("redhip_serve_sweeps_failed_total", "Sweeps that ended failed.", s.SweepsFailed)
+	p.Counter("redhip_serve_sweeps_cancelled_total", "Sweeps cancelled by DELETE or shutdown.", s.SweepsCancelled)
+	p.Counter("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.", s.SweepChildren)
+	p.Counter("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.", s.SweepChildDedup)
+	p.Counter("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, breaker open, memory shed).", s.SweepAdmitWaits)
 
-	gauge("redhip_serve_queue_depth", "Jobs admitted and waiting for a worker.", float64(g.QueueDepth))
-	gauge("redhip_serve_inflight", "Jobs currently executing.", float64(g.InFlight))
-	gauge("redhip_serve_jobs_stored", "Jobs resident in the store (all states).", float64(g.StoredJobs))
-	gauge("redhip_serve_sweeps_stored", "Sweeps resident in the store (all states).", float64(g.StoredSweeps))
-	gauge("redhip_serve_sweeps_active", "Sweeps currently orchestrating children.", float64(g.ActiveSweeps))
-	gauge("redhip_serve_breaker_open_schemes", "Schemes whose circuit is currently open.", float64(g.BreakerOpen))
-	gauge("redhip_serve_memory_reserved_bytes", "Trace bytes reserved by admitted jobs.", float64(g.MemoryReserved))
-	gauge("redhip_serve_memory_budget_bytes", "Trace-memory admission budget (0 = shedding disabled).", float64(g.MemoryBudget))
+	p.Gauge("redhip_serve_queue_depth", "Jobs admitted and waiting for a worker.", float64(g.QueueDepth))
+	p.Gauge("redhip_serve_inflight", "Jobs currently executing.", float64(g.InFlight))
+	p.Gauge("redhip_serve_jobs_stored", "Jobs resident in the store (all states).", float64(g.StoredJobs))
+	p.Gauge("redhip_serve_sweeps_stored", "Sweeps resident in the store (all states).", float64(g.StoredSweeps))
+	p.Gauge("redhip_serve_sweeps_active", "Sweeps currently orchestrating children.", float64(g.ActiveSweeps))
+	p.Gauge("redhip_serve_breaker_open_schemes", "Schemes whose circuit is currently open.", float64(g.BreakerOpen))
+	p.Gauge("redhip_serve_memory_reserved_bytes", "Trace bytes reserved by admitted jobs.", float64(g.MemoryReserved))
+	p.Gauge("redhip_serve_memory_budget_bytes", "Trace-memory admission budget (0 = shedding disabled).", float64(g.MemoryBudget))
 	ready := 0.0
 	if g.Ready {
 		ready = 1.0
 	}
-	gauge("redhip_serve_ready", "1 when the instance would answer /readyz with 200.", ready)
+	p.Gauge("redhip_serve_ready", "1 when the instance would answer /readyz with 200.", ready)
 
-	// Per-scheme run-latency histograms.
-	const hn = "redhip_serve_run_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Wall time of individual simulation runs by scheme.\n# TYPE %s histogram\n", hn, hn)
 	m.mu.Lock()
-	schemes := make([]string, 0, len(m.runs))
-	for sc := range m.runs {
-		schemes = append(schemes, sc)
-	}
-	sort.Strings(schemes)
-	for _, sc := range schemes {
-		h := m.runs[sc]
-		for i, ub := range runBuckets {
-			fmt.Fprintf(w, "%s_bucket{scheme=%q,le=%q} %d\n", hn, sc, fmt.Sprintf("%g", ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{scheme=%q,le=\"+Inf\"} %d\n", hn, sc, h.count)
-		fmt.Fprintf(w, "%s_sum{scheme=%q} %g\n", hn, sc, h.sum)
-		fmt.Fprintf(w, "%s_count{scheme=%q} %d\n", hn, sc, h.count)
+	const hn = "redhip_serve_run_duration_seconds"
+	p.Family(hn, "histogram", "Wall time of individual simulation runs by scheme.")
+	for _, sc := range sortedKeys(m.runs) {
+		p.Histogram(hn, m.runs[sc], "scheme", sc)
 	}
 
 	// Per-endpoint HTTP request metrics: latency histogram, status-code
-	// counters and the live in-flight gauge. Sorted labels keep scrapes
-	// diffable; loadgen's client-side report cross-checks against these.
-	endpoints := make([]string, 0, len(m.http))
-	for ep := range m.http {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
+	// counters and the live in-flight gauge. Loadgen's client-side
+	// report cross-checks against these.
+	endpoints := sortedKeys(m.http)
 	const dn = "redhip_serve_http_request_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s HTTP request latency by endpoint (SSE streams observe their whole lifetime).\n# TYPE %s histogram\n", dn, dn)
+	p.Family(dn, "histogram", "HTTP request latency by endpoint (SSE streams observe their whole lifetime).")
 	for _, ep := range endpoints {
-		h := &m.http[ep].latency
-		for i, ub := range httpBuckets {
-			var c uint64
-			if h.counts != nil {
-				c = h.counts[i]
-			}
-			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d\n", dn, ep, fmt.Sprintf("%g", ub), c)
-		}
-		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d\n", dn, ep, h.count)
-		fmt.Fprintf(w, "%s_sum{endpoint=%q} %g\n", dn, ep, h.sum)
-		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", dn, ep, h.count)
+		p.Histogram(dn, &m.http[ep].latency, "endpoint", ep)
 	}
 	const rn = "redhip_serve_http_requests_total"
-	fmt.Fprintf(w, "# HELP %s HTTP requests finished, by endpoint and status code.\n# TYPE %s counter\n", rn, rn)
+	p.Family(rn, "counter", "HTTP requests finished, by endpoint and status code.")
 	for _, ep := range endpoints {
-		codes := make([]int, 0, len(m.http[ep].codes))
-		for c := range m.http[ep].codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "%s{endpoint=%q,code=\"%d\"} %d\n", rn, ep, c, m.http[ep].codes[c])
+		codes := m.http[ep].codes
+		for _, c := range sortedKeys(codes) {
+			p.Sample(rn, int64(codes[c]), "endpoint", ep, "code", strconv.Itoa(c))
 		}
 	}
 	const fn = "redhip_serve_http_inflight"
-	fmt.Fprintf(w, "# HELP %s HTTP requests currently being served, by endpoint.\n# TYPE %s gauge\n", fn, fn)
+	p.Family(fn, "gauge", "HTTP requests currently being served, by endpoint.")
 	for _, ep := range endpoints {
-		fmt.Fprintf(w, "%s{endpoint=%q} %d\n", fn, ep, m.http[ep].inflight)
+		p.Sample(fn, m.http[ep].inflight, "endpoint", ep)
 	}
 	m.mu.Unlock()
 
 	if tsOK {
-		counter("redhip_tracestore_hits_total", "Trace store gets served from a resident entry.", ts.Hits)
-		counter("redhip_tracestore_misses_total", "Trace store materialisations started.", ts.Misses)
-		counter("redhip_tracestore_evictions_total", "Trace store LRU evictions.", ts.Evictions)
-		gauge("redhip_tracestore_entries", "Trace store resident entries.", float64(ts.Entries))
-		gauge("redhip_tracestore_bytes", "Trace store resident bytes.", float64(ts.Bytes))
-		gauge("redhip_tracestore_budget_bytes", "Trace store byte budget.", float64(ts.BudgetBytes))
-		gauge("redhip_tracestore_hit_ratio", "Fraction of trace store gets served from cache.", ts.HitRate())
-		counter("redhip_tracestore_materialize_nanos_total", "Cumulative nanoseconds spent materialising streams.", uint64(ts.MaterializeNanos))
-		counter("redhip_tracestore_materializations_total", "Trace store materialisations completed.", ts.Materializations)
-		counter("redhip_tracestore_spills_total", "Trace blocks spilled from RAM to the disk tier.", ts.Spills)
-		counter("redhip_tracestore_spilled_bytes_total", "Bytes written to the disk tier's spill file.", ts.SpilledBytes)
-		counter("redhip_tracestore_disk_hits_total", "Trace store gets served zero-copy from the disk tier.", ts.DiskHits)
-		counter("redhip_tracestore_disk_evictions_total", "Blocks evicted from the disk tier's budget.", ts.DiskEvictions)
-		gauge("redhip_tracestore_disk_entries", "Blocks resident in the disk tier.", float64(ts.DiskEntries))
-		gauge("redhip_tracestore_disk_bytes", "Disk tier resident bytes (separate from RAM bytes).", float64(ts.DiskBytes))
-		gauge("redhip_tracestore_disk_budget_bytes", "Disk tier byte budget (0 = tier disabled).", float64(ts.DiskBudgetBytes))
+		p.Counter("redhip_tracestore_hits_total", "Trace store gets served from a resident entry.", ts.Hits)
+		p.Counter("redhip_tracestore_misses_total", "Trace store materialisations started.", ts.Misses)
+		p.Counter("redhip_tracestore_evictions_total", "Trace store LRU evictions.", ts.Evictions)
+		p.Gauge("redhip_tracestore_entries", "Trace store resident entries.", float64(ts.Entries))
+		p.Gauge("redhip_tracestore_bytes", "Trace store resident bytes.", float64(ts.Bytes))
+		p.Gauge("redhip_tracestore_budget_bytes", "Trace store byte budget.", float64(ts.BudgetBytes))
+		p.Gauge("redhip_tracestore_hit_ratio", "Fraction of trace store gets served from cache.", ts.HitRate())
+		p.Counter("redhip_tracestore_materialize_nanos_total", "Cumulative nanoseconds spent materialising streams.", uint64(ts.MaterializeNanos))
+		p.Counter("redhip_tracestore_materializations_total", "Trace store materialisations completed.", ts.Materializations)
+		p.Counter("redhip_tracestore_spills_total", "Trace blocks spilled from RAM to the disk tier.", ts.Spills)
+		p.Counter("redhip_tracestore_spilled_bytes_total", "Bytes written to the disk tier's spill file.", ts.SpilledBytes)
+		p.Counter("redhip_tracestore_disk_hits_total", "Trace store gets served zero-copy from the disk tier.", ts.DiskHits)
+		p.Counter("redhip_tracestore_disk_evictions_total", "Blocks evicted from the disk tier's budget.", ts.DiskEvictions)
+		p.Gauge("redhip_tracestore_disk_entries", "Blocks resident in the disk tier.", float64(ts.DiskEntries))
+		p.Gauge("redhip_tracestore_disk_bytes", "Disk tier resident bytes (separate from RAM bytes).", float64(ts.DiskBytes))
+		p.Gauge("redhip_tracestore_disk_budget_bytes", "Disk tier byte budget (0 = tier disabled).", float64(ts.DiskBudgetBytes))
 	}
 
 	if ssOK {
-		counter("redhip_simstate_hits_total", "Warm-state snapshot store gets served from a stored blob.", ss.Hits)
-		counter("redhip_simstate_misses_total", "Warm-state snapshot store gets that required a fresh warmup.", ss.Misses)
-		counter("redhip_simstate_puts_total", "Warm-state blobs stored after a warmup.", ss.Puts)
-		counter("redhip_simstate_evictions_total", "Warm-state snapshot store LRU evictions.", ss.Evictions)
-		counter("redhip_simstate_restores_total", "Engine restores branched from stored warm-state blobs.", ss.Restores)
-		counter("redhip_simstate_restore_nanos_total", "Cumulative decode+restore wall nanoseconds.", uint64(ss.RestoreNanos))
-		gauge("redhip_simstate_entries", "Warm-state blobs resident in the snapshot store.", float64(ss.Entries))
-		gauge("redhip_simstate_bytes", "Warm-state snapshot store resident bytes.", float64(ss.Bytes))
-		gauge("redhip_simstate_budget_bytes", "Warm-state snapshot store byte budget.", float64(ss.BudgetBytes))
-		gauge("redhip_simstate_hit_ratio", "Fraction of snapshot store gets served from a stored blob.", ss.HitRate())
+		p.Counter("redhip_simstate_hits_total", "Warm-state snapshot store gets served from a stored blob.", ss.Hits)
+		p.Counter("redhip_simstate_misses_total", "Warm-state snapshot store gets that required a fresh warmup.", ss.Misses)
+		p.Counter("redhip_simstate_puts_total", "Warm-state blobs stored after a warmup.", ss.Puts)
+		p.Counter("redhip_simstate_evictions_total", "Warm-state snapshot store LRU evictions.", ss.Evictions)
+		p.Counter("redhip_simstate_restores_total", "Engine restores branched from stored warm-state blobs.", ss.Restores)
+		p.Counter("redhip_simstate_restore_nanos_total", "Cumulative decode+restore wall nanoseconds.", uint64(ss.RestoreNanos))
+		p.Gauge("redhip_simstate_entries", "Warm-state blobs resident in the snapshot store.", float64(ss.Entries))
+		p.Gauge("redhip_simstate_bytes", "Warm-state snapshot store resident bytes.", float64(ss.Bytes))
+		p.Gauge("redhip_simstate_budget_bytes", "Warm-state snapshot store byte budget.", float64(ss.BudgetBytes))
+		p.Gauge("redhip_simstate_hit_ratio", "Fraction of snapshot store gets served from a stored blob.", ss.HitRate())
 	}
 }

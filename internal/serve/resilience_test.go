@@ -38,7 +38,7 @@ func TestWorkerPanicSlotAndKeyRecovery(t *testing.T) {
 	}
 
 	// The stack is in the event log, not just server stderr.
-	replay, _, unsub := ts.s.store.get(sub.ID).subscribe()
+	replay, _, unsub := ts.s.store.Get(sub.ID).log.Subscribe()
 	unsub()
 	var sawPanic bool
 	for _, ev := range replay {
@@ -68,24 +68,27 @@ func TestWorkerPanicSlotAndKeyRecovery(t *testing.T) {
 
 // --- dedup-key wedge (regression: failed job stayed key-resolvable) ------------
 
-// TestFinishReleaseAtomicity: finishRelease must deliver the terminal
-// event, close subscribers, and drop the key binding in one store-lock
+// TestFinishReleaseAtomicity: FinishRelease must deliver the terminal
+// event, close subscribers, and drop the key binding in one table-lock
 // hold, so no resolve can attach to a terminally failed job.
 func TestFinishReleaseAtomicity(t *testing.T) {
-	st := newJobStore(8)
+	st := NewTable[*Job]("job-%06d", 8)
 	spec, err := smokeSpec().normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, created, err := st.resolve(spec, 0, time.Now(), nil)
-	if err != nil || !created {
-		t.Fatalf("resolve: created=%v err=%v", created, err)
+	j, created := resolveJob(t, st, spec, time.Now())
+	if !created {
+		t.Fatalf("resolve on an empty table deduplicated")
 	}
-	_, live, unsub := j.subscribe()
+	_, live, unsub := j.log.Subscribe()
 	defer unsub()
 
-	if !st.finishRelease(j, StateFailed, "transient blowup", time.Now()) {
-		t.Fatalf("finishRelease lost a transition race on a fresh job")
+	fail := func(state State, msg string) func() bool {
+		return func() bool { return j.finish(state, msg, nil, time.Now()) }
+	}
+	if !st.FinishRelease(j.Key, j, fail(StateFailed, "transient blowup")) {
+		t.Fatalf("FinishRelease lost a transition race on a fresh job")
 	}
 	// The subscriber sees the terminal event, then the closed channel.
 	var last Event
@@ -96,12 +99,12 @@ func TestFinishReleaseAtomicity(t *testing.T) {
 		t.Fatalf("last streamed event = %q, want failed", last.Type)
 	}
 	// A second finisher loses; the key is free for a fresh execution.
-	if st.finishRelease(j, StateCancelled, "late", time.Now()) {
-		t.Fatalf("second finishRelease won")
+	if st.FinishRelease(j.Key, j, fail(StateCancelled, "late")) {
+		t.Fatalf("second FinishRelease won")
 	}
-	j2, created, err := st.resolve(spec, 0, time.Now(), nil)
-	if err != nil || !created || j2 == j {
-		t.Fatalf("resolve after failure: created=%v err=%v same=%v", created, err, j2 == j)
+	j2, created := resolveJob(t, st, spec, time.Now())
+	if !created || j2 == j {
+		t.Fatalf("resolve after failure: created=%v same=%v", created, j2 == j)
 	}
 }
 

@@ -14,7 +14,7 @@ func retryAfterServer(t *testing.T, workers int, at time.Time) *Server {
 	return &Server{
 		opts:    Options{Workers: workers},
 		queue:   newJobQueue(64),
-		store:   newJobStore(64),
+		store:   NewTable[*Job]("job-%06d", 64),
 		metrics: newMetrics(),
 		now:     func() time.Time { return at },
 	}
@@ -29,9 +29,9 @@ func startRunningJob(t *testing.T, s *Server, seed uint64, started time.Time) {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	j, created, err := s.store.resolve(norm, 0, started, nil)
-	if err != nil || !created {
-		t.Fatalf("resolve: created=%v err=%v", created, err)
+	j, created := resolveJob(t, s.store, norm, started)
+	if !created {
+		t.Fatalf("resolve deduplicated a distinct spec")
 	}
 	if !j.start(nil, started) {
 		t.Fatalf("job did not start")

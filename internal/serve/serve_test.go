@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,7 +44,7 @@ func newTestServer(t *testing.T, opts Options) *testServer {
 
 // submit POSTs a spec and returns the decoded response; it fails the
 // test unless the status code matches want.
-func (ts *testServer) submit(spec Spec, want int) submitResponse {
+func (ts *testServer) submit(spec Spec, want int) SubmitResponse {
 	ts.t.Helper()
 	body, _ := json.Marshal(spec)
 	resp, err := http.Post(ts.web.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -57,7 +56,7 @@ func (ts *testServer) submit(spec Spec, want int) submitResponse {
 	if resp.StatusCode != want {
 		ts.t.Fatalf("POST /v1/jobs = %d, want %d (body %s)", resp.StatusCode, want, raw)
 	}
-	var out submitResponse
+	var out SubmitResponse
 	if want == http.StatusAccepted {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			ts.t.Fatalf("decode submit response: %v", err)
@@ -111,7 +110,7 @@ func (ts *testServer) waitState(id string, want State) Status {
 		if st.State == want {
 			return st
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			ts.t.Fatalf("job %s reached %q (err %q), want %q", id, st.State, st.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -257,7 +256,7 @@ func TestStoreEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted job still resolvable: %d", resp.StatusCode)
 	}
-	if n := ts.s.store.size(); n != 2 {
+	if n := ts.s.store.Len(); n != 2 {
 		t.Fatalf("store size = %d, want 2", n)
 	}
 }
@@ -274,38 +273,18 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// sseEvent is one parsed text/event-stream frame.
-type sseEvent struct {
-	ID   int
-	Type string
-	Data string
-}
-
 // readSSE parses frames from an SSE response body until the stream ends
 // or maxEvents frames arrive.
-func readSSE(t *testing.T, body io.Reader, maxEvents int) []sseEvent {
+func readSSE(t *testing.T, body io.Reader, maxEvents int) []Event {
 	t.Helper()
-	var events []sseEvent
-	var cur sseEvent
-	sc := bufio.NewScanner(body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if cur.Type != "" {
-				events = append(events, cur)
-				if len(events) >= maxEvents {
-					return events
-				}
-			}
-			cur = sseEvent{}
-		case strings.HasPrefix(line, "id: "):
-			fmt.Sscanf(line, "id: %d", &cur.ID)
-		case strings.HasPrefix(line, "event: "):
-			cur.Type = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.Data = strings.TrimPrefix(line, "data: ")
+	br := bufio.NewReader(body)
+	var events []Event
+	for len(events) < maxEvents {
+		ev, err := ReadSSE(br)
+		if err != nil {
+			break
 		}
+		events = append(events, ev)
 	}
 	return events
 }

@@ -212,8 +212,8 @@ func (o *Options) fill() error {
 type Server struct {
 	opts     Options
 	queue    *jobQueue
-	store    *jobStore
-	sweeps   *sweepStore
+	store    *Table[*Job]
+	sweeps   *Table[*sweepRun]
 	traces   *tracestore.Store
 	snaps    *simstate.Store // nil when SnapshotCacheBytes == 0
 	metrics  *metrics
@@ -265,8 +265,8 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		queue:    newJobQueue(opts.QueueDepth),
-		store:    newJobStore(opts.MaxStoredJobs),
-		sweeps:   newSweepStore(opts.MaxStoredSweeps),
+		store:    NewTable[*Job]("job-%06d", opts.MaxStoredJobs),
+		sweeps:   NewTable[*sweepRun]("sweep-%06d", opts.MaxStoredSweeps),
 		traces:   traces,
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
@@ -311,7 +311,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.instrument("sweep_events", s.handleSweepEvents))
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/artifacts", s.instrument("sweep", s.handleSweepArtifacts))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", HandleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
 }
 
@@ -373,16 +373,17 @@ func (s *Server) fire(point string) error {
 }
 
 // finalize applies a job's terminal transition exactly once: the
-// terminal event (with the dedup key released in the same store-lock
+// terminal event (with the dedup key released in the same table-lock
 // hold for non-reusable outcomes), the shed reservation release, and
 // the terminal-state counter. It reports whether this call won the
 // transition.
 func (s *Server) finalize(j *Job, state State, errMsg string, results []*sim.Result, now time.Time) bool {
+	finish := func() bool { return j.finish(state, errMsg, results, now) }
 	var won bool
 	if state == StateDone {
-		won = j.finish(state, errMsg, results, now)
+		won = finish()
 	} else {
-		won = s.store.finishRelease(j, state, errMsg, now)
+		won = s.store.FinishRelease(j.Key, j, finish)
 	}
 	if won {
 		s.shed.release(j.estBytes)
@@ -414,7 +415,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Cancel active sweep orchestrators first: their pending submissions
 	// stop, and their already-queued children fall to queue.close below.
-	for _, sw := range s.sweeps.list() {
+	for _, sw := range s.sweeps.List() {
 		sw.requestCancel()
 	}
 	for _, j := range s.queue.close() {
@@ -675,7 +676,9 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 
 // --- handlers ------------------------------------------------------------------
 
-type submitResponse struct {
+// SubmitResponse is the body of a 202 to POST /v1/jobs — from a
+// replica and, in the same dialect, from the cluster router.
+type SubmitResponse struct {
 	ID    string `json:"id"`
 	Key   string `json:"key"`
 	State State  `json:"state"`
@@ -715,11 +718,16 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 	// lock, after the dedup check): attaching to existing work costs
 	// nothing, so it is never shed.
 	est := norm.estimateTraceBytes()
-	j, created, err = s.store.resolve(norm, est, s.now(), func() error {
+	admit := func() error {
 		if err := s.breaker.allow(norm.Schemes); err != nil {
 			return err
 		}
 		return s.shed.reserve(est)
+	}
+	j, created, err = s.store.Resolve(norm.key(), admit, func(id string) *Job {
+		j := newJob(id, norm, s.now())
+		j.estBytes = est // released exactly once, by finalize
+		return j
 	})
 	if err != nil {
 		var boe *breakerOpenError
@@ -738,7 +746,8 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 			// reservation included) so the spec can be resubmitted. Not
 			// via finalize — a never-admitted job is a rejection, not a
 			// cancellation, in the metrics.
-			if s.store.finishRelease(j, StateCancelled, "not admitted: "+err.Error(), s.now()) {
+			unwind := func() bool { return j.finish(StateCancelled, "not admitted: "+err.Error(), nil, s.now()) }
+			if s.store.FinishRelease(j.Key, j, unwind) {
 				s.shed.release(j.estBytes)
 			}
 			if errors.Is(err, ErrShuttingDown) {
@@ -760,12 +769,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
 		return
 	}
 	norm, err := spec.normalize()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -776,24 +785,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var se *shedError
 		switch {
 		case errors.Is(err, ErrShuttingDown):
-			httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+			HTTPError(w, http.StatusServiceUnavailable, "server is shutting down")
 		case errors.As(err, &af):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.As(err, &boe):
 			w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(boe.RetryAfter)))
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.As(err, &se) && se.Permanent:
 			// No budget this server ever frees will fit the job:
 			// resubmitting is futile, so the verdict is a client error.
-			httpError(w, http.StatusBadRequest, err.Error())
+			HTTPError(w, http.StatusBadRequest, err.Error())
 		case errors.As(err, &se):
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			HTTPError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			httpError(w, http.StatusTooManyRequests, "job queue full")
+			HTTPError(w, http.StatusTooManyRequests, "job queue full")
 		default:
-			httpError(w, http.StatusInternalServerError, err.Error())
+			HTTPError(w, http.StatusInternalServerError, err.Error())
 		}
 		return
 	}
@@ -801,7 +810,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, submitResponse{
+	WriteJSON(w, SubmitResponse{
 		ID:      j.ID,
 		Key:     j.Key,
 		State:   j.stateNow(),
@@ -827,7 +836,11 @@ func (s *Server) retryAfterSeconds() int {
 	}
 	now := s.now()
 	var remaining float64
-	for _, started := range s.store.runningStarts() {
+	for _, j := range s.store.List() {
+		started, ok := j.runningSince()
+		if !ok {
+			continue
+		}
 		r := avg - now.Sub(started).Seconds()
 		if r < 0 {
 			r = 0
@@ -848,14 +861,14 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.store.get(r.PathValue("id"))
+	j := s.store.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	withResults := r.URL.Query().Get("results") != "false"
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, j.snapshot(withResults))
+	WriteJSON(w, j.snapshot(withResults))
 }
 
 // handleResults answers GET /v1/jobs/{id}/results: the bare result
@@ -865,102 +878,81 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // endpoint's output directly. 409 before the job is done — an absent
 // result and an empty result must not look alike.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := s.store.get(r.PathValue("id"))
+	j := s.store.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	st := j.snapshot(true)
 	if st.State != StateDone {
-		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
+		HTTPError(w, http.StatusConflict, fmt.Sprintf("job is %s, results exist only for done jobs", st.State))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, st.Results)
+	WriteJSON(w, st.Results)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.store.list()
+	jobs := s.store.List()
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.snapshot(false)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.store.get(r.PathValue("id"))
+	j := s.store.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	wasQueued, _ := j.requestCancel()
-	if wasQueued && s.queue.remove(j) {
-		// The slot is free the moment remove returns; the state flip
-		// below is bookkeeping.
-		s.finalize(j, StateCancelled, "cancelled while queued", nil, time.Now())
-	}
+	s.cancelJob(j, "cancelled while queued")
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, j.snapshot(false))
+	WriteJSON(w, j.snapshot(false))
+}
+
+// cancelJob asks j to stop. A queued job leaves the queue and finishes
+// cancelled here with reason — its slot is free the moment remove
+// returns; a running job has its context cancelled and its worker
+// finalizes it.
+func (s *Server) cancelJob(j *Job, reason string) {
+	if j.requestCancel() && s.queue.remove(j) {
+		s.finalize(j, StateCancelled, reason, nil, time.Now())
+	}
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.store.get(r.PathValue("id"))
+	j := s.store.Get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if faultinject.Enabled {
 		if ferr := s.fire(faultinject.PointServeSSE); ferr != nil {
-			httpError(w, http.StatusServiceUnavailable, ferr.Error())
+			HTTPError(w, http.StatusServiceUnavailable, ferr.Error())
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := j.subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		writeSSE(w, ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return // terminal event delivered (or subscriber dropped)
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE renders one event in text/event-stream framing.
-func writeSSE(w http.ResponseWriter, ev Event) {
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, ev.Data)
+	ServeEvents(w, r, &j.log)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reserved, budget := s.shed.usage()
-	stored, active := s.sweeps.sizes()
+	sweeps := s.sweeps.List()
+	active := 0
+	for _, sw := range sweeps {
+		if !sw.Terminal() {
+			active++
+		}
+	}
 	g := gauges{
 		QueueDepth:     s.queue.depth(),
 		InFlight:       int(s.inflight.Load()),
-		StoredJobs:     s.store.size(),
-		StoredSweeps:   stored,
+		StoredJobs:     s.store.Len(),
+		StoredSweeps:   len(sweeps),
 		ActiveSweeps:   active,
 		BreakerOpen:    len(s.breaker.openSchemes()),
 		BreakerTrips:   s.breaker.tripCount(),
@@ -981,15 +973,15 @@ type healthResponse struct {
 	Version string `json:"version"`
 }
 
-// handleHealthz is the liveness probe: 200 as long as the process can
-// serve HTTP at all, shutdown drain included — restarting a draining
-// process loses in-flight work for no gain. Whether the instance
-// should receive NEW traffic is /readyz's question. The payload names
-// the build (module version + VCS revision) so a fleet's versions are
-// scrapeable.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// HandleHealthz is the liveness probe of replicas and the router: 200
+// as long as the process can serve HTTP at all, shutdown drain included
+// — restarting a draining process loses in-flight work for no gain.
+// Whether the instance should receive NEW traffic is /readyz's
+// question. The payload names the build (module version + VCS
+// revision) so a fleet's versions are scrapeable.
+func HandleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, healthResponse{Status: "ok", Version: version.String()})
+	WriteJSON(w, healthResponse{Status: "ok", Version: version.String()})
 }
 
 // readyResponse is the JSON body of GET /readyz. Reasons is the
@@ -1045,7 +1037,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // ceilSeconds rounds a duration up to whole seconds, minimum 1 — the
@@ -1064,13 +1056,15 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
+// HTTPError writes the JSON error body every non-2xx answer carries.
+func HTTPError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	writeJSON(w, errorBody{Error: msg})
+	WriteJSON(w, errorBody{Error: msg})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as indented JSON.
+func WriteJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // client gone is the only failure; nothing to do

@@ -81,8 +81,9 @@ type sweepRun struct {
 	// cancelRequested bridges the DELETE-races-startup window: the
 	// orchestrator installs its cancel func after launch and honours a
 	// request that arrived first.
-	cancelRequested bool     //redhip:guardedby mu
-	log             EventLog //redhip:guardedby mu
+	cancelRequested bool //redhip:guardedby mu
+	// log is bound to mu: appends happen under it, Subscribe takes it.
+	log EventLog
 }
 
 func newSweepRun(id string, g sweep.Grid, children []sweep.Child, now time.Time) *sweepRun {
@@ -98,8 +99,9 @@ func newSweepRun(id string, g sweep.Grid, children []sweep.Child, now time.Time)
 		results:    make([][]*sim.Result, len(children)),
 		submitted:  now,
 	}
+	sw.log.Bind(&sw.mu)
 	sw.mu.Lock()
-	sw.log.AppendLocked("running", terminalData{State: StateRunning}, false)
+	sw.log.AppendLocked("running", TerminalData{State: StateRunning}, false)
 	sw.mu.Unlock()
 	return sw
 }
@@ -188,7 +190,7 @@ func (sw *sweepRun) settle() (counts sweepCounts, cancelRequested bool, results 
 func (sw *sweepRun) finish(state State, errMsg string, arts *sweep.Artifacts, now time.Time) bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.state.terminal() {
+	if sw.state.Terminal() {
 		return false
 	}
 	sw.state = state
@@ -196,7 +198,7 @@ func (sw *sweepRun) finish(state State, errMsg string, arts *sweep.Artifacts, no
 	sw.artifacts = arts
 	sw.finished = now
 	sw.cancel = nil
-	sw.log.AppendLocked(string(state), terminalData{State: state, Error: errMsg}, true)
+	sw.log.AppendLocked(string(state), TerminalData{State: state, Error: errMsg}, true)
 	return true
 }
 
@@ -205,7 +207,7 @@ func (sw *sweepRun) finish(state State, errMsg string, arts *sweep.Artifacts, no
 func (sw *sweepRun) setCancel(cancel context.CancelFunc) {
 	sw.mu.Lock()
 	requested := sw.cancelRequested
-	if !sw.state.terminal() {
+	if !sw.state.Terminal() {
 		sw.cancel = cancel
 	}
 	sw.mu.Unlock()
@@ -221,7 +223,7 @@ func (sw *sweepRun) setCancel(cancel context.CancelFunc) {
 func (sw *sweepRun) requestCancel() []string {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.state.terminal() {
+	if sw.state.Terminal() {
 		return nil
 	}
 	sw.cancelRequested = true
@@ -230,24 +232,11 @@ func (sw *sweepRun) requestCancel() []string {
 	}
 	var ids []string
 	for i, st := range sw.childState {
-		if sw.childOwned[i] && !st.terminal() && sw.childJob[i] != "" {
+		if sw.childOwned[i] && !st.Terminal() && sw.childJob[i] != "" {
 			ids = append(ids, sw.childJob[i])
 		}
 	}
 	return ids
-}
-
-// subscribe returns the replayed event log and a live channel, exactly
-// like Job.subscribe.
-func (sw *sweepRun) subscribe() (replay []Event, live <-chan Event, unsub func()) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	replay, ch := sw.log.SubscribeLocked(sw.state.terminal())
-	return replay, ch, func() {
-		sw.mu.Lock()
-		sw.log.UnsubscribeLocked(ch)
-		sw.mu.Unlock()
-	}
 }
 
 // stateNow returns the sweep's current state.
@@ -256,6 +245,13 @@ func (sw *sweepRun) stateNow() State {
 	defer sw.mu.Unlock()
 	return sw.state
 }
+
+// Terminal reports whether the sweep reached an end state.
+func (sw *sweepRun) Terminal() bool { return sw.stateNow().Terminal() }
+
+// Attach is never called: sweeps live in an unkeyed table, so nothing
+// deduplicates onto one.
+func (sw *sweepRun) Attach() {}
 
 // artifactsSnapshot returns the aggregated artifacts, nil until the
 // sweep finishes done.
@@ -332,86 +328,6 @@ func (sw *sweepRun) snapshot(withChildren bool) SweepStatus {
 		}
 	}
 	return st
-}
-
-// --- sweep store ---------------------------------------------------------------
-
-// sweepStore indexes sweeps by ID and bounds residency like jobStore:
-// terminal sweeps beyond maxSweeps are evicted oldest-first; active
-// sweeps are never evicted.
-type sweepStore struct {
-	mu        sync.Mutex
-	nextID    uint64               //redhip:guardedby mu
-	byID      map[string]*sweepRun //redhip:guardedby mu
-	order     []*sweepRun          //redhip:guardedby mu // insertion order, the eviction scan order
-	maxSweeps int
-}
-
-func newSweepStore(maxSweeps int) *sweepStore {
-	return &sweepStore{
-		byID:      make(map[string]*sweepRun),
-		maxSweeps: maxSweeps,
-	}
-}
-
-// add registers a new sweep and evicts aged-out terminal ones.
-func (st *sweepStore) add(g sweep.Grid, children []sweep.Child, now time.Time) *sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.nextID++
-	sw := newSweepRun(fmt.Sprintf("sweep-%06d", st.nextID), g, children, now)
-	st.byID[sw.ID] = sw
-	st.order = append(st.order, sw)
-	st.evictLocked()
-	return sw
-}
-
-// get looks a sweep up by ID.
-func (st *sweepStore) get(id string) *sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.byID[id]
-}
-
-// list snapshots all resident sweeps in insertion order.
-func (st *sweepStore) list() []*sweepRun {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*sweepRun, len(st.order))
-	copy(out, st.order)
-	return out
-}
-
-// evictLocked trims terminal sweeps, oldest first, down to maxSweeps.
-// Lock order st.mu -> sw.mu (via stateNow) has no inverse anywhere.
-func (st *sweepStore) evictLocked() {
-	if len(st.order) <= st.maxSweeps {
-		return
-	}
-	kept := st.order[:0]
-	excess := len(st.order) - st.maxSweeps
-	for _, sw := range st.order {
-		if excess > 0 && sw.stateNow().terminal() {
-			delete(st.byID, sw.ID)
-			excess--
-			continue
-		}
-		kept = append(kept, sw)
-	}
-	st.order = kept
-}
-
-// sizes returns (resident sweeps, sweeps still orchestrating) for the
-// /metrics gauges.
-func (st *sweepStore) sizes() (stored, active int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, sw := range st.order {
-		if !sw.stateNow().terminal() {
-			active++
-		}
-	}
-	return len(st.order), active
 }
 
 // --- orchestrator --------------------------------------------------------------
@@ -552,7 +468,7 @@ func (s *Server) runSweep(sw *sweepRun) {
 // makes replayed transitions idempotent.
 func (s *Server) watchChild(sw *sweepRun, idx int, j *Job, failFast func()) {
 	for {
-		replay, live, unsub := j.subscribe()
+		replay, live, unsub := j.log.Subscribe()
 		for _, ev := range replay {
 			if s.mirrorChildEvent(sw, idx, j, ev, failFast) {
 				unsub()
@@ -569,7 +485,7 @@ func (s *Server) watchChild(sw *sweepRun, idx int, j *Job, failFast func()) {
 		// The live channel closed without a terminal event: dropped as a
 		// slow subscriber. Resolve from job state, resubscribing if the
 		// job is still live.
-		if st := j.stateNow(); st.terminal() {
+		if st := j.stateNow(); st.Terminal() {
 			snap := j.snapshot(true)
 			sw.childTransition(idx, st, snap.Error, snap.Results)
 			if st != StateDone {
@@ -652,25 +568,27 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&g); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid sweep grid: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid sweep grid: %v", err))
 		return
 	}
 	norm, err := g.Normalize()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if n := norm.Count(); n > s.opts.MaxSweepChildren {
-		httpError(w, http.StatusBadRequest,
+		HTTPError(w, http.StatusBadRequest,
 			fmt.Sprintf("sweep expands to %d children, cap is %d", n, s.opts.MaxSweepChildren))
 		return
 	}
 	if s.stopping.Load() {
 		s.metrics.inc(&s.metrics.rejectedShutdown)
-		httpError(w, http.StatusServiceUnavailable, "server is shutting down")
+		HTTPError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	sw := s.sweeps.add(norm, norm.Expand(), s.now())
+	sw, _, _ := s.sweeps.Resolve("", nil, func(id string) *sweepRun {
+		return newSweepRun(id, norm, norm.Expand(), s.now())
+	})
 	s.metrics.inc(&s.metrics.sweepsSubmitted)
 	s.sweepWG.Add(1)
 	go s.runSweep(sw)
@@ -678,7 +596,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/v1/sweeps/"+sw.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, sweepSubmitResponse{
+	WriteJSON(w, sweepSubmitResponse{
 		ID:        sw.ID,
 		State:     sw.stateNow(),
 		Children:  len(sw.Children),
@@ -690,24 +608,24 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	sweeps := s.sweeps.list()
+	sweeps := s.sweeps.List()
 	out := make([]SweepStatus, len(sweeps))
 	for i, sw := range sweeps {
 		out[i] = sw.snapshot(false)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	withChildren := r.URL.Query().Get("children") != "false"
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, sw.snapshot(withChildren))
+	WriteJSON(w, sw.snapshot(withChildren))
 }
 
 // handleSweepCancel cancels the sweep and fans the cancellation out to
@@ -715,73 +633,41 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // share (dedup attached them): cancelling those would yank results out
 // from under an unrelated client.
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	for _, id := range sw.requestCancel() {
-		j := s.store.get(id)
-		if j == nil || j.snapshot(false).Submissions > 1 {
-			continue
-		}
-		wasQueued, _ := j.requestCancel()
-		if wasQueued && s.queue.remove(j) {
-			s.finalize(j, StateCancelled, "sweep cancelled", nil, time.Now())
+		if j := s.store.Get(id); j != nil && j.snapshot(false).Submissions == 1 {
+			s.cancelJob(j, "sweep cancelled")
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, sw.snapshot(false))
+	WriteJSON(w, sw.snapshot(false))
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := sw.subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		writeSSE(w, ev)
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			writeSSE(w, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	ServeEvents(w, r, &sw.log)
 }
 
 // handleSweepArtifacts serves the aggregated paper-figure tables:
 // JSON by default, the rendered text block with ?format=text (the
 // form the smoke script diffs for bit-identity).
 func (s *Server) handleSweepArtifacts(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweeps.get(r.PathValue("id"))
+	sw := s.sweeps.Get(r.PathValue("id"))
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "no such sweep")
+		HTTPError(w, http.StatusNotFound, "no such sweep")
 		return
 	}
 	arts := sw.artifactsSnapshot()
 	if arts == nil {
-		httpError(w, http.StatusConflict,
+		HTTPError(w, http.StatusConflict,
 			fmt.Sprintf("sweep is %s: artifacts are available once every child is done", sw.stateNow()))
 		return
 	}
@@ -791,5 +677,5 @@ func (s *Server) handleSweepArtifacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, arts)
+	WriteJSON(w, arts)
 }

@@ -66,7 +66,7 @@ func (ts *testServer) waitSweep(id string, want State) SweepStatus {
 		if st.State == want {
 			return st
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			ts.t.Fatalf("sweep %s reached %q (err %q), want %q", id, st.State, st.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -241,7 +241,7 @@ func TestSweepSSEFanout(t *testing.T) {
 
 	const readers = 8
 	var wg sync.WaitGroup
-	results := make([][]sseEvent, readers)
+	results := make([][]Event, readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(slot int) {
@@ -332,7 +332,7 @@ func TestSweepShutdownCancelsOrchestration(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("Shutdown did not drain sweeps")
 	}
-	if st := ts.sweepStatus(sub.ID); !st.State.terminal() {
+	if st := ts.sweepStatus(sub.ID); !st.State.Terminal() {
 		t.Fatalf("sweep still %q after shutdown", st.State)
 	}
 }

@@ -15,7 +15,9 @@
 #      survivors must equal the number of unique specs, results must be
 #      byte-identical to a fresh single-replica run, a mixed-version
 #      registration must be refused, and a seeded loadgen mix through
-#      the router must see zero 5xx while spreading across replicas.
+#      the router must see zero 5xx while spreading across replicas,
+#      and the router's /metrics must expose every redhip_router_*
+#      family.
 set -euo pipefail
 
 ROUTER_ADDR="${FAILOVER_SMOKE_ROUTER:-127.0.0.1:8095}"
@@ -287,5 +289,29 @@ ACCEPTED=$(sed -n 's/.*"accepted": *\([0-9]*\).*/\1/p' "$BIN_DIR/load_report.jso
 grep -q '"replicas"' "$BIN_DIR/load_report.json" \
     || fail "loadgen report lacks per-replica accounting (X-RedHiP-Replica missing?)"
 echo "failover-smoke: loadgen OK ($ACCEPTED accepted, zero 5xx, zero network errors)"
+
+# --- router /metrics ---------------------------------------------------------
+
+echo "failover-smoke: scraping the router's /metrics"
+METRICS=$(curl -fsS "$ROUTER/metrics") || fail "router /metrics scrape failed"
+for M in \
+    redhip_router_jobs_submitted_total \
+    redhip_router_jobs_deduped_total \
+    redhip_router_jobs_rejected_total \
+    redhip_router_proxied_rejections_total \
+    redhip_router_rehomes_total \
+    redhip_router_watch_reconnects_total \
+    redhip_router_jobs_done_total \
+    redhip_router_jobs_failed_total \
+    redhip_router_jobs_cancelled_total \
+    redhip_router_members \
+    redhip_router_ring_size \
+    redhip_router_jobs_tracked; do
+    echo "$METRICS" | grep -q "^# TYPE $M " || fail "router metric family $M missing"
+done
+echo "$METRICS" | grep -Eq '^redhip_router_rehomes_total [1-9]' \
+    || fail "router counted no re-homes after the kill and partition drills"
+echo "$METRICS" | grep -Eq '^redhip_router_members\{state="ready"\} [1-9]' \
+    || fail "router reports no ready members"
 
 echo "failover-smoke: OK"
