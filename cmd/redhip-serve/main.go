@@ -7,6 +7,9 @@
 //
 //	redhip-serve -addr :8080 -workers 4 -queue 64
 //
+// Each job's simulation pass gets GOMAXPROCS/workers goroutines, so the
+// workers together never oversubscribe the machine.
+//
 // Endpoints:
 //
 //	POST   /v1/jobs                  submit a job (JSON spec) -> 202 + id
@@ -26,9 +29,9 @@
 //	GET    /metrics                  Prometheus text metrics
 //	GET    /healthz                  liveness JSON {"status","version"} (200 while
 //	                                 the process serves HTTP at all)
-//	GET    /readyz                   readiness (503 while draining, a circuit is
-//	                                 open, or the memory shedder is denying
-//	                                 admissions)
+//	GET    /readyz                   readiness JSON {"ready","reasons"}: 503 with
+//	                                 reason stopping (draining),
+//	                                 breaker_open:<scheme> or shedding
 //
 // Resilience: specs may carry a retry policy (bounded exponential
 // backoff, capped by -retry-max); repeated run failures under one
@@ -88,7 +91,6 @@ func main() {
 		maxJobs    = flag.Int("max-jobs", 1024, "max resident jobs (LRU result cache size)")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job execution timeout")
 		maxTimeout = flag.Duration("max-timeout", 30*time.Minute, "cap on spec-requested timeouts")
-		runnerPar  = flag.Int("runner-parallelism", 1, "simulation parallelism inside each job")
 		grace      = flag.Duration("shutdown-grace", 30*time.Second, "drain budget for in-flight jobs on SIGINT/SIGTERM")
 		retryMax   = flag.Int("retry-max", 0, "cap on per-spec retry attempts (0 = default 5, -1 disables retries)")
 		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive per-scheme run failures that open its circuit (0 = default 5, -1 disables)")
@@ -125,7 +127,6 @@ func main() {
 		MaxStoredJobs:        *maxJobs,
 		DefaultTimeout:       *jobTimeout,
 		MaxTimeout:           *maxTimeout,
-		RunnerParallelism:    *runnerPar,
 		RetryMaxAttempts:     *retryMax,
 		BreakerThreshold:     *brkThresh,
 		BreakerCooldown:      *brkCool,

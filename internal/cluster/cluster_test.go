@@ -395,7 +395,7 @@ func TestFailoverDrill(t *testing.T) {
 	}
 
 	// The drill actually moved work: the router counted the re-homes.
-	if snap := rt.metrics.snapshot(); snap.rehomes < 2 {
-		t.Errorf("router re-homed %d jobs, drill expected >= 2", snap.rehomes)
+	if n := rt.metrics.rehomes.Load(); n < 2 {
+		t.Errorf("router re-homed %d jobs, drill expected >= 2", n)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"redhip/internal/serve"
 )
 
 // MemberState is a replica's position in the membership state machine:
@@ -264,16 +266,6 @@ func (ms *membership) list() []*Member {
 	return out
 }
 
-// readyzBody is the JSON shape of a replica's /readyz response — the
-// machine-readable reasons let the router distinguish a draining
-// replica (stop routing, let jobs finish) from a shedding one (stop
-// routing, jobs fine) from a dead one (re-home jobs), which a bare
-// status code cannot.
-type readyzBody struct {
-	Ready   bool     `json:"ready"`
-	Reasons []string `json:"reasons,omitempty"`
-}
-
 // probeLoop health-checks one member forever (the router's lifetime):
 // a deterministic, jittered interval — splitmix64 over (seed, member,
 // probe index) scales the base interval into [0.75, 1.25) so a fleet
@@ -390,8 +382,11 @@ const (
 // checkReadyz GETs the member's /readyz, marking the request as a
 // router probe (the header renews the replica's lease) and classifying
 // the answer. Transport errors and non-200/503 codes are failures; a
-// 503 whose body names "stopping" is draining; any other 503 is
-// unready.
+// 503 whose serve.Readiness body names serve.ReasonStopping is
+// draining; any other 503 is unready. The reasons are what let the
+// router tell a draining replica (let jobs finish) from a shedding one
+// (jobs fine) from a dead one (re-home jobs), which a bare status code
+// cannot.
 func (ms *membership) checkReadyz(ctx context.Context, m *Member) (probeVerdict, []string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.baseURLNow()+"/readyz", nil)
 	if err != nil {
@@ -408,12 +403,12 @@ func (ms *membership) checkReadyz(ctx context.Context, m *Member) (probeVerdict,
 	case http.StatusOK:
 		return probePass, nil
 	case http.StatusServiceUnavailable:
-		var rb readyzBody
+		var rb serve.Readiness
 		if err := json.Unmarshal(body, &rb); err != nil {
 			return probeUnready, []string{"unparseable readyz body"}
 		}
 		for _, r := range rb.Reasons {
-			if r == "stopping" {
+			if r == serve.ReasonStopping {
 				return probeDraining, rb.Reasons
 			}
 		}

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"redhip/internal/serve"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -41,12 +43,13 @@ func TestRouterMetricsGolden(t *testing.T) {
 			t.Fatalf("submit %d = %d, want 503", n, rec.Code)
 		}
 	}
-	for i, field := range []*uint64{
-		&rt.metrics.deduped, &rt.metrics.proxiedRejections, &rt.metrics.rehomes,
-		&rt.metrics.watchReconnects, &rt.metrics.done, &rt.metrics.failed,
+	m := rt.metrics
+	for i, c := range []*serve.Counter{
+		m.deduped, m.proxiedRejections, m.rehomes,
+		m.watchReconnects, m.jobs.Done, m.jobs.Failed,
 	} {
 		for n := 0; n <= i; n++ {
-			rt.metrics.inc(field)
+			c.Inc()
 		}
 	}
 

@@ -128,7 +128,7 @@ func New(opts Options) (*Router, error) {
 		opts:     opts,
 		client:   &http.Client{Transport: opts.Transport},
 		jobs:     serve.NewTable[*routedJob]("r-%08d", opts.MaxJobs),
-		metrics:  &routerMetrics{},
+		metrics:  newRouterMetrics(),
 		mux:      http.NewServeMux(),
 		baseCtx:  ctx,
 		baseStop: stop,
@@ -206,77 +206,47 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return newRoutedJob(id, key, norm, time.Now())
 	})
 	if err != nil {
-		rt.metrics.inc(&rt.metrics.rejected)
+		rt.metrics.rejected.Inc()
 		w.Header().Set("Retry-After", "5")
 		serve.HTTPError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
-	rt.metrics.inc(&rt.metrics.submitted)
+	rt.metrics.submitted.Inc()
 	if !created {
-		rt.metrics.inc(&rt.metrics.deduped)
+		rt.metrics.deduped.Inc()
 		rt.respondSubmit(w, j, true)
 		return
 	}
 
-	owner := rt.members.Ring().Owner(key)
-	if owner == "" {
-		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
-		rt.metrics.inc(&rt.metrics.rejected)
-		w.Header().Set("Retry-After", "1")
-		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
-		return
-	}
-	m := rt.members.get(owner)
-	if m == nil {
-		// The owner left the ring snapshot's member set (died and was
-		// evicted) between the Owner lookup and here — same answer as an
-		// empty ring.
-		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
-		rt.metrics.inc(&rt.metrics.rejected)
-		w.Header().Set("Retry-After", "1")
-		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
-		return
-	}
 	epoch, ok := j.beginEpoch(0)
 	if !ok {
 		rt.respondSubmit(w, j, true) // cancelled underfoot; report as-is
 		return
 	}
-	rid, rej, err := rt.submitToReplica(r.Context(), m, norm)
-	if err != nil {
-		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: replica unreachable: "+err.Error(), nil)
-		w.Header().Set(ReplicaHeader, m.Name)
+	pl := rt.placeOnce(r.Context(), j, epoch)
+	switch {
+	case pl.member == "":
+		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: no ready replicas", nil)
+		rt.metrics.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
-		serve.HTTPError(w, http.StatusBadGateway, "replica "+m.Name+" unreachable: "+err.Error())
-		return
-	}
-	if rej != nil {
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no ready replicas")
+	case pl.err != nil:
+		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: replica unreachable: "+pl.err.Error(), nil)
+		w.Header().Set(ReplicaHeader, pl.member)
+		w.Header().Set("Retry-After", "1")
+		serve.HTTPError(w, http.StatusBadGateway, "replica "+pl.member+" unreachable: "+pl.err.Error())
+	case pl.rej != nil:
 		// The replica said no — forward its verdict verbatim, its
-		// Retry-After included (satellite: never synthesize one the
-		// replica already computed from its own queue state).
+		// Retry-After included: never synthesize one the replica already
+		// computed from its own queue state.
 		rt.finalizeRouted(j, serve.StateCancelled, "not admitted: replica rejected", nil)
-		rt.metrics.inc(&rt.metrics.proxiedRejections)
-		rt.forwardRejection(w, m.Name, rej)
-		return
+		rt.metrics.proxiedRejections.Inc()
+		rt.forwardRejection(w, pl.member, pl.rej)
+	default:
+		// Placed, or the epoch moved on (a cancel raced in) and the client
+		// gets the job's current status.
+		rt.respondSubmit(w, j, !pl.placed)
 	}
-	if !j.assign(epoch, m.Name, rid) {
-		// Epoch moved on (cancel raced in); nothing to watch, but the
-		// client still gets the job's current status.
-		rt.respondSubmit(w, j, true)
-		return
-	}
-	j.appendEvent("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
-	// The placement scan in onMemberDead matches on the assigned member
-	// name; if the member died between our ring read and the assign, the
-	// scan may have run before the assignment existed — re-home here.
-	if m.stateNow() == MemberDead {
-		if next, claimed := j.beginEpoch(epoch); claimed {
-			rt.goRehome(j, next, m.Name, "owner died during placement")
-		}
-	} else {
-		rt.startWatcher(j, epoch)
-	}
-	rt.respondSubmit(w, j, false)
 }
 
 func (rt *Router) respondSubmit(w http.ResponseWriter, j *routedJob, deduped bool) {
@@ -499,86 +469,49 @@ func (rt *Router) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 // handleReadyz: the router is ready while at least one replica is in
 // the ring — with zero it can only reject submissions.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	size := rt.members.Ring().Size()
-	resp := struct {
-		Ready   bool     `json:"ready"`
-		Reasons []string `json:"reasons,omitempty"`
-	}{Ready: size > 0}
-	code := http.StatusOK
+	resp := serve.Readiness{Ready: rt.members.Ring().Size() > 0}
 	if !resp.Ready {
-		code = http.StatusServiceUnavailable
 		resp.Reasons = []string{"no_ready_replicas"}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	serve.WriteJSON(w, resp)
+	serve.WriteReadiness(w, resp)
 }
 
 // --- metrics -------------------------------------------------------------------
 
-// routerMetrics is the router's instrumentation: monotone counters;
-// member/job gauges read live at render time.
+// routerMetrics is the router's instrumentation: counters in exposition
+// order; member/job gauges are read live at render time.
 type routerMetrics struct {
-	mu                sync.Mutex
-	submitted         uint64 // POST /v1/jobs accepted (new or deduped)
-	deduped           uint64 // submissions attached to an existing routed job
-	rejected          uint64 // submissions the router itself refused
-	proxiedRejections uint64 // replica 4xx/5xx verdicts forwarded verbatim
-	rehomes           uint64 // jobs re-submitted after losing their replica
-	watchReconnects   uint64 // watcher stream reconnects (same replica)
-	done              uint64 // routed jobs reaching done
-	failed            uint64 // routed jobs reaching failed
-	cancelled         uint64 // routed jobs reaching cancelled
+	counters          serve.Counters
+	submitted         *serve.Counter // POST /v1/jobs accepted (new or deduped)
+	deduped           *serve.Counter // submissions attached to an existing routed job
+	rejected          *serve.Counter // submissions the router itself refused
+	proxiedRejections *serve.Counter // replica 4xx/5xx verdicts forwarded verbatim
+	rehomes           *serve.Counter // jobs re-submitted after losing their replica
+	watchReconnects   *serve.Counter // watcher stream reconnects (same replica)
+	jobs              serve.Outcomes // routed jobs reaching done, failed or cancelled
 }
 
-func (m *routerMetrics) inc(field *uint64) {
-	m.mu.Lock()
-	*field++
-	m.mu.Unlock()
-}
-
-// routerMetricsSnapshot copies the counter block for rendering.
-type routerMetricsSnapshot struct {
-	submitted, deduped, rejected, proxiedRejections uint64
-	rehomes, watchReconnects                        uint64
-	done, failed, cancelled                         uint64
-}
-
-func (m *routerMetrics) snapshot() routerMetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return routerMetricsSnapshot{
-		submitted: m.submitted, deduped: m.deduped,
-		rejected: m.rejected, proxiedRejections: m.proxiedRejections,
-		rehomes: m.rehomes, watchReconnects: m.watchReconnects,
-		done: m.done, failed: m.failed, cancelled: m.cancelled,
+func newRouterMetrics() *routerMetrics {
+	m := &routerMetrics{}
+	c := &m.counters
+	m.submitted = c.New("redhip_router_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).")
+	m.deduped = c.New("redhip_router_jobs_deduped_total", "Submissions attached to an existing routed job by spec key.")
+	m.rejected = c.New("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, table full).")
+	m.proxiedRejections = c.New("redhip_router_proxied_rejections_total", "Replica rejections (429/503/400) forwarded verbatim.")
+	m.rehomes = c.New("redhip_router_rehomes_total", "Jobs re-submitted to a new owner after losing their replica.")
+	m.watchReconnects = c.New("redhip_router_watch_reconnects_total", "Watcher SSE reconnects to the same replica.")
+	m.jobs = serve.Outcomes{
+		Done:      c.New("redhip_router_jobs_done_total", "Routed jobs that finished successfully."),
+		Failed:    c.New("redhip_router_jobs_failed_total", "Routed jobs that finished with an error."),
+		Cancelled: c.New("redhip_router_jobs_cancelled_total", "Routed jobs cancelled."),
 	}
-}
-
-func (m *routerMetrics) jobFinished(s serve.State) {
-	switch s {
-	case serve.StateDone:
-		m.inc(&m.done)
-	case serve.StateFailed:
-		m.inc(&m.failed)
-	case serve.StateCancelled:
-		m.inc(&m.cancelled)
-	}
+	return m
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap := rt.metrics.snapshot()
 	p := serve.PromWriter{W: w}
-	p.Counter("redhip_router_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", snap.submitted)
-	p.Counter("redhip_router_jobs_deduped_total", "Submissions attached to an existing routed job by spec key.", snap.deduped)
-	p.Counter("redhip_router_jobs_rejected_total", "Submissions the router refused (no replicas, table full).", snap.rejected)
-	p.Counter("redhip_router_proxied_rejections_total", "Replica rejections (429/503/400) forwarded verbatim.", snap.proxiedRejections)
-	p.Counter("redhip_router_rehomes_total", "Jobs re-submitted to a new owner after losing their replica.", snap.rehomes)
-	p.Counter("redhip_router_watch_reconnects_total", "Watcher SSE reconnects to the same replica.", snap.watchReconnects)
-	p.Counter("redhip_router_jobs_done_total", "Routed jobs that finished successfully.", snap.done)
-	p.Counter("redhip_router_jobs_failed_total", "Routed jobs that finished with an error.", snap.failed)
-	p.Counter("redhip_router_jobs_cancelled_total", "Routed jobs cancelled.", snap.cancelled)
+	p.Counters(rt.metrics.counters)
 
 	byState := make(map[string]int64)
 	for _, mem := range rt.members.list() {

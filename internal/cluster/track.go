@@ -275,7 +275,7 @@ func (rt *Router) finalizeRouted(j *routedJob, state serve.State, errMsg string,
 		won = rt.jobs.FinishRelease(j.Key, j, finish)
 	}
 	if won {
-		rt.metrics.jobFinished(state)
+		rt.metrics.jobs.Inc(state)
 	}
 	return won
 }
@@ -321,7 +321,7 @@ func (rt *Router) watch(j *routedJob, epoch int) {
 			return
 		}
 		if err != nil {
-			rt.metrics.inc(&rt.metrics.watchReconnects)
+			rt.metrics.watchReconnects.Inc()
 		}
 		select {
 		case <-rt.baseCtx.Done():
@@ -471,7 +471,7 @@ func (rt *Router) onMemberDead(name string) {
 // goRehome launches the re-placement for an epoch already claimed via
 // beginEpoch.
 func (rt *Router) goRehome(j *routedJob, epoch int, from, reason string) {
-	rt.metrics.inc(&rt.metrics.rehomes)
+	rt.metrics.rehomes.Inc()
 	j.noteRehome(from, reason)
 	rt.watcherWG.Add(1)
 	go func() {
@@ -480,8 +480,55 @@ func (rt *Router) goRehome(j *routedJob, epoch int, from, reason string) {
 	}()
 }
 
-// place finds the ring's current owner for the job's key and submits
-// the normalised spec there, retrying around empty rings and transient
+// placement is the outcome of one placeOnce attempt. member is ""
+// when the ring had no ready owner. Otherwise err is a transport failure
+// reaching member, rej is member's verbatim rejection, or neither is set
+// and placed says whether the job now runs on member (false: the epoch
+// moved on before the assignment).
+type placement struct {
+	member string
+	err    error
+	rej    *replicaRejection
+	placed bool
+}
+
+// placeOnce makes one placement attempt for an epoch already claimed via
+// beginEpoch: it submits the normalised spec to the ring's current owner
+// for the job's key, assigns the epoch, publishes the "routed" event,
+// and starts the watcher — or, when the owner died between the ring read
+// and the assignment, claims the next epoch and re-homes, because the
+// dead-member scan may have run before the assignment existed.
+func (rt *Router) placeOnce(ctx context.Context, j *routedJob, epoch int) placement {
+	owner := rt.members.Ring().Owner(j.Key)
+	if owner == "" {
+		return placement{}
+	}
+	m := rt.members.get(owner)
+	if m == nil {
+		// The ring snapshot named an owner that has since died and been
+		// evicted: same answer as an empty ring.
+		return placement{}
+	}
+	rid, rej, err := rt.submitToReplica(ctx, m, j.Spec)
+	if err != nil || rej != nil {
+		return placement{member: m.Name, err: err, rej: rej}
+	}
+	if !j.assign(epoch, m.Name, rid) {
+		return placement{member: m.Name}
+	}
+	j.appendEvent("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
+	if m.stateNow() == MemberDead {
+		if next, ok := j.beginEpoch(epoch); ok {
+			rt.goRehome(j, next, m.Name, "owner died during placement")
+		}
+	} else {
+		rt.startWatcher(j, epoch)
+	}
+	return placement{member: m.Name, placed: true}
+}
+
+// place re-places a job for an epoch claimed via beginEpoch, retrying
+// placeOnce around empty rings, unreachable owners and transient
 // rejections until it lands — idempotent because the spec key is the
 // identity: a replica that already holds the key (say it completed the
 // job before an earlier partition healed) dedups onto its cached
@@ -504,62 +551,31 @@ func (rt *Router) place(j *routedJob, epoch int) {
 			rt.finalizeRouted(j, serve.StateCancelled, "cancelled during re-home", nil)
 			return
 		}
-		owner := rt.members.Ring().Owner(j.Key)
-		if owner == "" {
-			if !rt.sleep(200 * time.Millisecond) {
-				return
-			}
-			continue
-		}
-		m := rt.members.get(owner)
-		if m == nil {
-			// The ring snapshot named an owner that has since died and
-			// been evicted; wait for the ring to catch up and re-pick.
-			if !rt.sleep(200 * time.Millisecond) {
-				return
-			}
-			continue
-		}
-		rid, rej, err := rt.submitToReplica(rt.baseCtx, m, j.Spec)
-		if err != nil {
-			if !rt.sleep(200 * time.Millisecond) {
-				return
-			}
-			continue
-		}
-		if rej != nil {
-			if rej.code == http.StatusBadRequest {
+		pl := rt.placeOnce(rt.baseCtx, j, epoch)
+		delay := 200 * time.Millisecond
+		switch {
+		case pl.member == "" || pl.err != nil:
+			// No ready owner, or it was unreachable: wait for the ring.
+		case pl.rej != nil:
+			if pl.rej.code == http.StatusBadRequest {
 				// The spec was valid once (it was admitted before); a 400
 				// now is a version/config divergence — surface it.
-				rt.finalizeRouted(j, serve.StateFailed, "re-home rejected: "+strings.TrimSpace(string(rej.body)), nil)
+				rt.finalizeRouted(j, serve.StateFailed, "re-home rejected: "+strings.TrimSpace(string(pl.rej.body)), nil)
 				return
 			}
-			delay := 500 * time.Millisecond
-			if s, aerr := strconv.Atoi(rej.retryAfter); aerr == nil && s >= 1 {
+			delay = 500 * time.Millisecond
+			if s, aerr := strconv.Atoi(pl.rej.retryAfter); aerr == nil && s >= 1 {
 				if s > 2 {
 					s = 2 // clamp: re-homed work should land fast
 				}
 				delay = time.Duration(s) * time.Second
 			}
-			if !rt.sleep(delay) {
-				return
-			}
-			continue
-		}
-		if !j.assign(epoch, m.Name, rid) {
+		default: // placed, or the epoch moved on
 			return
 		}
-		j.appendEvent("routed", routedData{Replica: m.Name, ReplicaJobID: rid})
-		if m.stateNow() == MemberDead {
-			// The owner died between the dead scan and our assign: that
-			// scan may have missed this job, so claim the next epoch now.
-			if next, ok := j.beginEpoch(epoch); ok {
-				rt.goRehome(j, next, m.Name, "owner died during placement")
-			}
+		if !rt.sleep(delay) {
 			return
 		}
-		rt.startWatcher(j, epoch)
-		return
 	}
 }
 

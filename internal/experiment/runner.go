@@ -61,13 +61,11 @@ type Options struct {
 	// next round barrier (sim.MultiOptions.Interrupt), and run methods
 	// return the context's error.
 	Context context.Context
-	// TraceCacheBytes bounds the trace store's resident records;
-	// defaults to tracestore.DefaultBudgetBytes.
-	TraceCacheBytes uint64
 	// TraceCache, when non-nil, is a caller-owned store shared with
 	// other runners (a session sweeping many figures keeps one store
 	// across runner instances so each stream materialises once per
-	// session, not once per runner). TraceCacheBytes is ignored.
+	// session, not once per runner). Nil gives the runner its own store
+	// with the default budget (tracestore.DefaultBudgetBytes).
 	TraceCache *tracestore.Store
 	// Fault, when non-nil and the build carries the faultinject tag,
 	// evaluates the "experiment.run" injection point before every
@@ -88,13 +86,9 @@ type Options struct {
 	// once per (geometry, workload, seed, warmup, scheme) lineage and
 	// branch their measure phases from the cached blob
 	// (sim.MultiOptions SnapshotSink/Snapshots — bit-identical to cold
-	// runs by the golden contract). Mutually exclusive with
-	// SnapshotCacheBytes.
-	SnapshotCache *simstate.Store
-	// SnapshotCacheBytes, when positive, enables a runner-owned snapshot
-	// store with this byte budget. Zero leaves snapshotting off: warm
+	// runs by the golden contract). Nil leaves snapshotting off: warm
 	// blobs cost memory, so reuse is opt-in.
-	SnapshotCacheBytes uint64
+	SnapshotCache *simstate.Store
 }
 
 // Validate rejects option values that fill cannot repair. A negative
@@ -106,9 +100,6 @@ func (o *Options) Validate() error {
 	}
 	if o.IntraParallelism < 0 {
 		return fmt.Errorf("experiment: IntraParallelism must be >= 0 (0 = auto), got %d", o.IntraParallelism)
-	}
-	if o.SnapshotCache != nil && o.SnapshotCacheBytes != 0 {
-		return fmt.Errorf("experiment: SnapshotCache and SnapshotCacheBytes are mutually exclusive")
 	}
 	return nil
 }
@@ -186,19 +177,14 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	opts.fill()
 	r := &Runner{
-		opts:  opts,
-		cache: make(map[jobKey]*sim.Result),
-		errs:  make(map[jobKey]error),
+		opts:   opts,
+		traces: opts.TraceCache,
+		snaps:  opts.SnapshotCache,
+		cache:  make(map[jobKey]*sim.Result),
+		errs:   make(map[jobKey]error),
 	}
-	r.traces = opts.TraceCache
 	if r.traces == nil {
-		r.traces = tracestore.New(opts.TraceCacheBytes)
-	}
-	switch {
-	case opts.SnapshotCache != nil:
-		r.snaps = opts.SnapshotCache
-	case opts.SnapshotCacheBytes > 0:
-		r.snaps = simstate.NewStore(opts.SnapshotCacheBytes)
+		r.traces = tracestore.New(0)
 	}
 	return r, nil
 }

@@ -72,7 +72,7 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 			}
 
 			snapOpts := snapshotOpts()
-			snapOpts.SnapshotCacheBytes = 64 << 20
+			snapOpts.SnapshotCache = simstate.NewStore(64 << 20)
 			snap := mustRunner(t, snapOpts)
 			got, err := tc.sweep(snap, "mcf", schemes)
 			if err != nil {
@@ -161,16 +161,6 @@ func TestRunnerSnapshotMeasureVariants(t *testing.T) {
 		if a, b := resultJSON(t, cold[0]), resultJSON(t, tc.res); a != b {
 			t.Errorf("refs=%d: branched variant diverged from cold run", tc.refs)
 		}
-	}
-}
-
-// TestRunnerSnapshotOptionValidation pins the configuration errors.
-func TestRunnerSnapshotOptionValidation(t *testing.T) {
-	opts := snapshotOpts()
-	opts.SnapshotCache = simstate.NewStore(1 << 20)
-	opts.SnapshotCacheBytes = 1 << 20
-	if _, err := NewRunner(opts); err == nil {
-		t.Fatal("SnapshotCache + SnapshotCacheBytes accepted, want error")
 	}
 }
 

@@ -71,15 +71,16 @@ type breaker struct {
 	cooldown  time.Duration
 	now       func() time.Time // injected by tests for deterministic cooldowns
 	schemes   map[string]*schemeBreaker
-	trips     uint64
+	trips     *Counter // transitions to open, over all schemes
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
+func newBreaker(threshold int, cooldown time.Duration, trips *Counter) *breaker {
 	return &breaker{
 		threshold: threshold,
 		cooldown:  cooldown,
 		now:       time.Now,
 		schemes:   make(map[string]*schemeBreaker),
+		trips:     trips,
 	}
 }
 
@@ -133,13 +134,13 @@ func (b *breaker) onRun(scheme string, failed bool) {
 	case breakerHalfOpen:
 		sb.state = breakerOpen
 		sb.openedAt = b.now()
-		b.trips++
+		b.trips.Inc()
 	case breakerClosed:
 		sb.fails++
 		if sb.fails >= b.threshold {
 			sb.state = breakerOpen
 			sb.openedAt = b.now()
-			b.trips++
+			b.trips.Inc()
 		}
 	case breakerOpen:
 		// Stragglers from jobs admitted before the trip; the cooldown
@@ -164,14 +165,4 @@ func (b *breaker) openSchemes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// tripCount returns how many times any circuit has tripped.
-func (b *breaker) tripCount() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

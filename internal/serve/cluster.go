@@ -191,7 +191,7 @@ func (s *Server) leaseWatchdog(ctx context.Context) {
 // too: in cluster mode the router is the front door, and a split-brain
 // replica cannot tell who submitted what.
 func (s *Server) fenceJobs() {
-	s.metrics.inc(&s.metrics.leaseFences)
+	s.metrics.leaseFences.Inc()
 	for _, j := range s.store.List() {
 		s.cancelJob(j, "router lease lost: job fenced")
 	}
@@ -201,11 +201,11 @@ func (s *Server) fenceJobs() {
 // replica — the failover drill sums it across replicas and compares
 // with the number of unique specs submitted.
 func (s *Server) ExecutionsDone() uint64 {
-	return s.metrics.snapshot().ExecutionsDone
+	return s.metrics.executionsDone.Load()
 }
 
 // LeaseFences reports how many times the lease watchdog fenced this
 // replica.
 func (s *Server) LeaseFences() uint64 {
-	return s.metrics.snapshot().LeaseFences
+	return s.metrics.leaseFences.Load()
 }

@@ -22,7 +22,7 @@ func TestReadyzReasonsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET readyz: %v", err)
 	}
-	var body readyResponse
+	var body Readiness
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode readyz: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestReadyzReasonsJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || body.Ready {
 		t.Fatalf("stopping readyz = %d ready=%v, want 503/false", resp.StatusCode, body.Ready)
 	}
-	if len(body.Reasons) != 1 || body.Reasons[0] != "stopping" {
+	if len(body.Reasons) != 1 || body.Reasons[0] != ReasonStopping {
 		t.Fatalf("stopping reasons = %v, want [stopping]", body.Reasons)
 	}
 }

@@ -57,15 +57,15 @@ func TestConcurrentDedupSingleFlight(t *testing.T) {
 
 	// Exactly one runner execution; the other 15 submissions were
 	// deduplicated onto it.
-	snap := ts.s.metrics.snapshot()
-	if snap.RunnerStarts != 1 {
-		t.Fatalf("runner executions = %d, want 1", snap.RunnerStarts)
+	m := ts.s.metrics
+	if got := m.runnerStarts.Load(); got != 1 {
+		t.Fatalf("runner executions = %d, want 1", got)
 	}
-	if snap.Deduped != clients-1 {
-		t.Fatalf("deduped = %d, want %d", snap.Deduped, clients-1)
+	if got := m.deduped.Load(); got != clients-1 {
+		t.Fatalf("deduped = %d, want %d", got, clients-1)
 	}
-	if snap.Submitted != clients {
-		t.Fatalf("submitted = %d, want %d", snap.Submitted, clients)
+	if got := m.submitted.Load(); got != clients {
+		t.Fatalf("submitted = %d, want %d", got, clients)
 	}
 
 	// Every client polling the job reads bit-identical bytes.
@@ -82,7 +82,7 @@ func TestConcurrentDedupSingleFlight(t *testing.T) {
 	if !late.Deduped || late.ID != ids[0] {
 		t.Fatalf("post-completion submission not served from cache: %+v", late)
 	}
-	if snap := ts.s.metrics.snapshot(); snap.RunnerStarts != 1 {
+	if m.runnerStarts.Load() != 1 {
 		t.Fatalf("cache-served submission re-ran the job")
 	}
 }

@@ -33,37 +33,64 @@ type endpointMetrics struct {
 // per-scheme run-latency histograms. Gauges (queue depth, in-flight,
 // stored jobs) are read live from their owners at render time.
 type metrics struct {
-	mu               sync.Mutex
-	submitted        uint64                      // POST /v1/jobs accepted (new or deduped)
-	deduped          uint64                      // submissions attached to an existing job
-	rejectedFull     uint64                      // 429s
-	rejectedShutdown uint64                      // 503s during drain
-	completed        uint64                      // jobs reaching "done"
-	failed           uint64                      // jobs reaching "failed"
-	cancelled        uint64                      // jobs reaching "cancelled"
-	runnerStarts     uint64                      // experiment.Runner executions launched
-	executionsDone   uint64                      // jobs whose sweep completed locally (cluster no-double-execution invariant)
-	leaseFences      uint64                      // router-lease expiries that fenced non-terminal jobs
-	retries          uint64                      // execution attempts beyond the first
-	workerPanics     uint64                      // panics recovered in the worker stack
-	shedBreaker      uint64                      // submissions shed by an open circuit
-	shedMemory       uint64                      // submissions shed by the byte budget
-	sweepsSubmitted  uint64                      // POST /v1/sweeps accepted
-	sweepsDone       uint64                      // sweeps reaching "done"
-	sweepsFailed     uint64                      // sweeps reaching "failed"
-	sweepsCancelled  uint64                      // sweeps reaching "cancelled"
-	sweepChildren    uint64                      // child jobs submitted by sweep orchestrators
-	sweepChildDedup  uint64                      // sweep children resolved by dedup instead of a fresh run
-	sweepAdmitWaits  uint64                      // child admissions retried after a transient rejection
-	runs             map[string]*Histogram       // per-scheme run wall time
-	http             map[string]*endpointMetrics // per-endpoint HTTP request metrics
+	counters         Counters // every counter below, in exposition order
+	submitted        *Counter // POST /v1/jobs accepted (new or deduped)
+	deduped          *Counter // submissions attached to an existing job
+	rejectedFull     *Counter // 429s
+	rejectedShutdown *Counter // 503s during drain
+	jobs             Outcomes // jobs reaching done, failed or cancelled
+	runnerStarts     *Counter // experiment.Runner executions launched
+	executionsDone   *Counter // jobs whose sweep completed locally (cluster no-double-execution invariant)
+	leaseFences      *Counter // router-lease expiries that fenced non-terminal jobs
+	retries          *Counter // execution attempts beyond the first
+	workerPanics     *Counter // panics recovered in the worker stack
+	shedBreaker      *Counter // submissions shed by an open circuit
+	shedMemory       *Counter // submissions shed by the byte budget
+	breakerTrips     *Counter // circuit transitions to open, fed by the breaker
+	sweepsSubmitted  *Counter // POST /v1/sweeps accepted
+	sweeps           Outcomes // sweeps reaching done, failed or cancelled
+	sweepChildren    *Counter // child jobs submitted by sweep orchestrators
+	sweepChildDedup  *Counter // sweep children resolved by dedup instead of a fresh run
+	sweepAdmitWaits  *Counter // child admissions retried after a transient rejection
+
+	mu   sync.Mutex
+	runs map[string]*Histogram       // per-scheme run wall time
+	http map[string]*endpointMetrics // per-endpoint HTTP request metrics
 }
 
 func newMetrics() *metrics {
-	return &metrics{
+	m := &metrics{
 		runs: make(map[string]*Histogram),
 		http: make(map[string]*endpointMetrics),
 	}
+	c := &m.counters
+	m.submitted = c.New("redhip_serve_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).")
+	m.deduped = c.New("redhip_serve_jobs_deduped_total", "Submissions attached to an existing job by dedup key.")
+	m.rejectedFull = c.New("redhip_serve_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.")
+	m.rejectedShutdown = c.New("redhip_serve_jobs_shutdown_rejected_total", "Submissions rejected with 503 during shutdown.")
+	m.jobs = Outcomes{
+		Done:      c.New("redhip_serve_jobs_completed_total", "Jobs that finished successfully."),
+		Failed:    c.New("redhip_serve_jobs_failed_total", "Jobs that finished with an error."),
+		Cancelled: c.New("redhip_serve_jobs_cancelled_total", "Jobs cancelled while queued or running."),
+	}
+	m.runnerStarts = c.New("redhip_serve_runner_executions_total", "experiment.Runner executions launched (one per non-deduplicated job).")
+	m.executionsDone = c.New("redhip_serve_executions_done_total", "Jobs whose sweep completed on this replica (summed across a cluster, equals unique specs executed).")
+	m.leaseFences = c.New("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.")
+	m.retries = c.New("redhip_serve_retries_total", "Job execution attempts beyond each job's first.")
+	m.workerPanics = c.New("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.")
+	m.shedBreaker = c.New("redhip_serve_shed_breaker_total", "Submissions shed with 503 by an open circuit breaker.")
+	m.shedMemory = c.New("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.")
+	m.breakerTrips = c.New("redhip_serve_breaker_trips_total", "Circuit-breaker transitions to open, over all schemes.")
+	m.sweepsSubmitted = c.New("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.")
+	m.sweeps = Outcomes{
+		Done:      c.New("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated."),
+		Failed:    c.New("redhip_serve_sweeps_failed_total", "Sweeps that ended failed."),
+		Cancelled: c.New("redhip_serve_sweeps_cancelled_total", "Sweeps cancelled by DELETE or shutdown."),
+	}
+	m.sweepChildren = c.New("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.")
+	m.sweepChildDedup = c.New("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.")
+	m.sweepAdmitWaits = c.New("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, breaker open, memory shed).")
+	return m
 }
 
 // endpointLocked returns (creating on first use) the instrumentation
@@ -95,12 +122,6 @@ func (m *metrics) httpDone(endpoint string, code int, seconds float64) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) inc(field *uint64) {
-	m.mu.Lock()
-	*field++
-	m.mu.Unlock()
-}
-
 // observeRun records one simulation run's wall time under its scheme.
 func (m *metrics) observeRun(scheme string, seconds float64) {
 	m.mu.Lock()
@@ -111,30 +132,6 @@ func (m *metrics) observeRun(scheme string, seconds float64) {
 	}
 	h.Observe(seconds)
 	m.mu.Unlock()
-}
-
-// jobFinished bumps the counter matching a terminal state.
-func (m *metrics) jobFinished(s State) {
-	switch s {
-	case StateDone:
-		m.inc(&m.completed)
-	case StateFailed:
-		m.inc(&m.failed)
-	case StateCancelled:
-		m.inc(&m.cancelled)
-	}
-}
-
-// sweepFinished bumps the counter matching a sweep's terminal state.
-func (m *metrics) sweepFinished(s State) {
-	switch s {
-	case StateDone:
-		m.inc(&m.sweepsDone)
-	case StateFailed:
-		m.inc(&m.sweepsFailed)
-	case StateCancelled:
-		m.inc(&m.sweepsCancelled)
-	}
 }
 
 // avgRunSeconds returns the mean observed run latency, or 0 before the
@@ -154,35 +151,6 @@ func (m *metrics) avgRunSeconds() float64 {
 	return sum / float64(n)
 }
 
-// snapshot copies the counter block for tests and the renderer.
-type metricsSnapshot struct {
-	Submitted, Deduped, RejectedFull, RejectedShutdown uint64
-	Completed, Failed, Cancelled, RunnerStarts         uint64
-	ExecutionsDone, LeaseFences                        uint64
-	Retries, WorkerPanics, ShedBreaker, ShedMemory     uint64
-	SweepsSubmitted, SweepsDone, SweepsFailed          uint64
-	SweepsCancelled, SweepChildren, SweepChildDedup    uint64
-	SweepAdmitWaits                                    uint64
-}
-
-func (m *metrics) snapshot() metricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return metricsSnapshot{
-		Submitted: m.submitted, Deduped: m.deduped,
-		RejectedFull: m.rejectedFull, RejectedShutdown: m.rejectedShutdown,
-		Completed: m.completed, Failed: m.failed, Cancelled: m.cancelled,
-		RunnerStarts:   m.runnerStarts,
-		ExecutionsDone: m.executionsDone, LeaseFences: m.leaseFences,
-		Retries: m.retries, WorkerPanics: m.workerPanics,
-		ShedBreaker: m.shedBreaker, ShedMemory: m.shedMemory,
-		SweepsSubmitted: m.sweepsSubmitted, SweepsDone: m.sweepsDone,
-		SweepsFailed: m.sweepsFailed, SweepsCancelled: m.sweepsCancelled,
-		SweepChildren: m.sweepChildren, SweepChildDedup: m.sweepChildDedup,
-		SweepAdmitWaits: m.sweepAdmitWaits,
-	}
-}
-
 // gauges are the live values the renderer reads from the server.
 type gauges struct {
 	QueueDepth     int
@@ -191,7 +159,6 @@ type gauges struct {
 	StoredSweeps   int
 	ActiveSweeps   int // sweeps not yet terminal
 	BreakerOpen    int // schemes with an open circuit
-	BreakerTrips   uint64
 	MemoryReserved uint64
 	MemoryBudget   uint64
 	Ready          bool
@@ -201,31 +168,8 @@ type gauges struct {
 // Families are emitted in a fixed order and label values sorted, so
 // scrapes are diffable.
 func (m *metrics) writeProm(w io.Writer, g gauges, ts tracestore.Stats, tsOK bool, ss simstate.StoreStats, ssOK bool) {
-	s := m.snapshot()
 	p := PromWriter{W: w}
-
-	p.Counter("redhip_serve_jobs_submitted_total", "Accepted job submissions (new plus deduplicated).", s.Submitted)
-	p.Counter("redhip_serve_jobs_deduped_total", "Submissions attached to an existing job by dedup key.", s.Deduped)
-	p.Counter("redhip_serve_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.", s.RejectedFull)
-	p.Counter("redhip_serve_jobs_shutdown_rejected_total", "Submissions rejected with 503 during shutdown.", s.RejectedShutdown)
-	p.Counter("redhip_serve_jobs_completed_total", "Jobs that finished successfully.", s.Completed)
-	p.Counter("redhip_serve_jobs_failed_total", "Jobs that finished with an error.", s.Failed)
-	p.Counter("redhip_serve_jobs_cancelled_total", "Jobs cancelled while queued or running.", s.Cancelled)
-	p.Counter("redhip_serve_runner_executions_total", "experiment.Runner executions launched (one per non-deduplicated job).", s.RunnerStarts)
-	p.Counter("redhip_serve_executions_done_total", "Jobs whose sweep completed on this replica (summed across a cluster, equals unique specs executed).", s.ExecutionsDone)
-	p.Counter("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.", s.LeaseFences)
-	p.Counter("redhip_serve_retries_total", "Job execution attempts beyond each job's first.", s.Retries)
-	p.Counter("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.", s.WorkerPanics)
-	p.Counter("redhip_serve_shed_breaker_total", "Submissions shed with 503 by an open circuit breaker.", s.ShedBreaker)
-	p.Counter("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.", s.ShedMemory)
-	p.Counter("redhip_serve_breaker_trips_total", "Circuit-breaker transitions to open, over all schemes.", g.BreakerTrips)
-	p.Counter("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.", s.SweepsSubmitted)
-	p.Counter("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated.", s.SweepsDone)
-	p.Counter("redhip_serve_sweeps_failed_total", "Sweeps that ended failed.", s.SweepsFailed)
-	p.Counter("redhip_serve_sweeps_cancelled_total", "Sweeps cancelled by DELETE or shutdown.", s.SweepsCancelled)
-	p.Counter("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.", s.SweepChildren)
-	p.Counter("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.", s.SweepChildDedup)
-	p.Counter("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, breaker open, memory shed).", s.SweepAdmitWaits)
+	p.Counters(m.counters)
 
 	p.Gauge("redhip_serve_queue_depth", "Jobs admitted and waiting for a worker.", float64(g.QueueDepth))
 	p.Gauge("redhip_serve_inflight", "Jobs currently executing.", float64(g.InFlight))

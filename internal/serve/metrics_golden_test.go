@@ -21,16 +21,17 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // family is deliberately added or renamed.
 func TestWritePromGolden(t *testing.T) {
 	m := newMetrics()
-	for i, field := range []*uint64{
-		&m.submitted, &m.deduped, &m.rejectedFull, &m.rejectedShutdown,
-		&m.completed, &m.failed, &m.cancelled, &m.runnerStarts,
-		&m.executionsDone, &m.leaseFences, &m.retries, &m.workerPanics,
-		&m.shedBreaker, &m.shedMemory, &m.sweepsSubmitted, &m.sweepsDone,
-		&m.sweepsFailed, &m.sweepsCancelled, &m.sweepChildren,
-		&m.sweepChildDedup, &m.sweepAdmitWaits,
-	} {
-		for n := 0; n <= i; n++ {
-			m.inc(field)
+	// Every counter reads a distinct value: the breaker's trips read 6,
+	// the others 1, 2, 3, … in exposition order.
+	i := 0
+	for _, c := range m.counters {
+		want := 6
+		if c != m.breakerTrips {
+			i++
+			want = i
+		}
+		for n := 0; n < want; n++ {
+			c.Inc()
 		}
 	}
 	m.observeRun("redhip", 0.0004)
@@ -50,7 +51,7 @@ func TestWritePromGolden(t *testing.T) {
 
 	g := gauges{
 		QueueDepth: 3, InFlight: 2, StoredJobs: 17, StoredSweeps: 4,
-		ActiveSweeps: 1, BreakerOpen: 1, BreakerTrips: 6,
+		ActiveSweeps: 1, BreakerOpen: 1,
 		MemoryReserved: 1 << 20, MemoryBudget: 1 << 30, Ready: true,
 	}
 	ts := tracestore.Stats{

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // PromWriter renders the Prometheus text exposition format for serve's
@@ -17,6 +18,13 @@ type PromWriter struct{ W io.Writer }
 func (p PromWriter) Counter(name, help string, v uint64) {
 	p.Family(name, "counter", help)
 	fmt.Fprintf(p.W, "%s %d\n", name, v)
+}
+
+// Counters writes each counter of cs, in order.
+func (p PromWriter) Counters(cs Counters) {
+	for _, c := range cs {
+		p.Counter(c.name, c.help, c.Load())
+	}
 }
 
 // Gauge writes an unlabelled gauge family with its one sample.
@@ -78,6 +86,44 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	slices.Sort(keys)
 	return keys
+}
+
+// Counter is one monotone, unlabelled counter family: its name, help
+// text and value. It is safe for concurrent use.
+type Counter struct {
+	name, help string
+	v          atomic.Uint64
+}
+
+// Inc adds one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Load returns the current value.
+func (c *Counter) Load() uint64 { return c.v.Load() }
+
+// Counters is a /metrics endpoint's counter set in exposition order.
+type Counters []*Counter
+
+// New declares the next counter of the set.
+func (cs *Counters) New(name, help string) *Counter {
+	c := &Counter{name: name, help: help}
+	*cs = append(*cs, c)
+	return c
+}
+
+// Outcomes counts terminal states, one counter per outcome.
+type Outcomes struct{ Done, Failed, Cancelled *Counter }
+
+// Inc bumps the counter matching terminal state s.
+func (o Outcomes) Inc(s State) {
+	switch s {
+	case StateDone:
+		o.Done.Inc()
+	case StateFailed:
+		o.Failed.Inc()
+	case StateCancelled:
+		o.Cancelled.Inc()
+	}
 }
 
 // Histogram is a fixed-bucket Prometheus histogram: counts[i] observes

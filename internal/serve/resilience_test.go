@@ -115,7 +115,7 @@ func TestFinishReleaseAtomicity(t *testing.T) {
 // injected clock.
 func TestBreakerStateMachine(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	b := newBreaker(3, time.Minute)
+	b := newBreaker(3, time.Minute, &Counter{})
 	b.now = func() time.Time { return clock }
 
 	for i := 0; i < 2; i++ {
@@ -146,8 +146,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if err := b.allow([]string{"base"}); err == nil {
 		t.Fatalf("half-open failure did not re-open")
 	}
-	if got := b.tripCount(); got != 2 {
-		t.Fatalf("tripCount = %d, want 2", got)
+	if got := b.trips.Load(); got != 2 {
+		t.Fatalf("trips = %d, want 2", got)
 	}
 
 	// Next cooldown: a success closes for good.
@@ -205,7 +205,7 @@ func assertReadyz(t *testing.T, ts *testServer, want int) {
 	if err != nil {
 		t.Fatalf("GET /readyz: %v", err)
 	}
-	var body readyResponse
+	var body Readiness
 	if derr := json.NewDecoder(resp.Body).Decode(&body); derr != nil {
 		t.Fatalf("decode /readyz: %v", derr)
 	}

@@ -60,15 +60,11 @@ type Options struct {
 	// 30m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RunnerParallelism is each job's simulation parallelism
-	// (experiment.Options.Parallelism; default 1 so N workers mean ~N
-	// busy cores, not N*GOMAXPROCS).
-	RunnerParallelism int
 	// IntraParallelism is each single-pass multi-scheme simulation's
 	// internal worker count (experiment.Options.IntraParallelism).
-	// Default 0 = auto: GOMAXPROCS divided across Workers x
-	// RunnerParallelism, floor 1, so the three layers combined never
-	// oversubscribe the machine. Negative is a configuration error.
+	// Default 0 = auto: GOMAXPROCS divided across Workers, floor 1, so
+	// concurrent jobs never oversubscribe the machine. Negative is a
+	// configuration error.
 	IntraParallelism int
 	// RetryMaxAttempts caps any spec's retry.max_attempts (default 5;
 	// -1 disables retries server-wide).
@@ -153,19 +149,13 @@ func (o *Options) fill() error {
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = 30 * time.Minute
 	}
-	if o.RunnerParallelism == 0 {
-		o.RunnerParallelism = 1
-	}
-	if o.RunnerParallelism < 1 {
-		return fmt.Errorf("serve: RunnerParallelism must be >= 1, got %d", o.RunnerParallelism)
-	}
 	if o.IntraParallelism < 0 {
 		return fmt.Errorf("serve: IntraParallelism must be >= 0 (0 = auto), got %d", o.IntraParallelism)
 	}
 	if o.IntraParallelism == 0 {
-		// Auto: split the machine across the two outer layers so
-		// Workers x RunnerParallelism x IntraParallelism <= GOMAXPROCS.
-		o.IntraParallelism = runtime.GOMAXPROCS(0) / (o.Workers * o.RunnerParallelism)
+		// Auto: split the machine across the workers so
+		// Workers x IntraParallelism <= GOMAXPROCS.
+		o.IntraParallelism = runtime.GOMAXPROCS(0) / o.Workers
 		if o.IntraParallelism < 1 {
 			o.IntraParallelism = 1
 		}
@@ -278,7 +268,7 @@ func New(opts Options) (*Server, error) {
 		s.snaps = simstate.NewStore(opts.SnapshotCacheBytes)
 	}
 	if opts.BreakerThreshold > 0 {
-		s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
+		s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, s.metrics.breakerTrips)
 	}
 	if opts.MemoryBudgetBytes > 0 {
 		s.shed = newLoadShedder(uint64(opts.MemoryBudgetBytes))
@@ -387,14 +377,14 @@ func (s *Server) finalize(j *Job, state State, errMsg string, results []*sim.Res
 	}
 	if won {
 		s.shed.release(j.estBytes)
-		s.metrics.jobFinished(state)
+		s.metrics.jobs.Inc(state)
 		if state == StateDone {
 			// One completed local execution: the dedup store runs each
 			// key's sweep once, so summing this counter across a cluster's
 			// replicas equals the number of unique specs executed — the
 			// failover drill's no-double-execution invariant. Cancelled
 			// and failed runs do not count: they produced no results.
-			s.metrics.inc(&s.metrics.executionsDone)
+			s.metrics.executionsDone.Inc()
 		}
 	}
 	return won
@@ -466,7 +456,7 @@ func (s *Server) worker() {
 func (s *Server) safeRunJob(j *Job) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.metrics.inc(&s.metrics.workerPanics)
+			s.metrics.workerPanics.Inc()
 			j.publishPanic(v, debug.Stack())
 			s.finalize(j, StateFailed, fmt.Sprintf("worker panicked: %v", v), nil, time.Now())
 		}
@@ -565,7 +555,7 @@ func (s *Server) runJob(j *Job) {
 			break
 		}
 		delay := backoffDelay(j.Spec.Retry, j.Key, attempt)
-		s.metrics.inc(&s.metrics.retries)
+		s.metrics.retries.Inc()
 		j.publishRetry(attempt, attempts, delay, err)
 		select {
 		case <-time.After(delay):
@@ -598,7 +588,7 @@ func (s *Server) runJob(j *Job) {
 func (s *Server) executeAttempt(ctx context.Context, j *Job) (results []*sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.metrics.inc(&s.metrics.workerPanics)
+			s.metrics.workerPanics.Inc()
 			j.publishPanic(v, debug.Stack())
 			results, err = nil, fmt.Errorf("run attempt panicked: %v", v)
 		}
@@ -611,7 +601,7 @@ func (s *Server) executeAttempt(ctx context.Context, j *Job) (results []*sim.Res
 	results, err = s.execute(ctx, j)
 	var pe *experiment.PanicError
 	if errors.As(err, &pe) {
-		s.metrics.inc(&s.metrics.workerPanics)
+		s.metrics.workerPanics.Inc()
 		j.publishPanic(pe.Value, pe.Stack)
 	}
 	return results, err
@@ -636,7 +626,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 		Base:             base,
 		Seed:             spec.Seed,
 		Workloads:        spec.Workloads,
-		Parallelism:      s.opts.RunnerParallelism,
+		Parallelism:      1, // SchemeSweep runs one pass; IntraParallelism sizes it
 		IntraParallelism: s.opts.IntraParallelism,
 		Context:          ctx,
 		TraceCache:       s.traces,
@@ -661,7 +651,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.inc(&s.metrics.runnerStarts)
+	s.metrics.runnerStarts.Inc()
 
 	results := make([]*sim.Result, 0, spec.runs())
 	for _, wl := range spec.Workloads {
@@ -705,7 +695,7 @@ func (e *admitFault) Error() string { return e.err.Error() }
 // and ErrQueueFull; metrics for each verdict are recorded here.
 func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 	if s.stopping.Load() {
-		s.metrics.inc(&s.metrics.rejectedShutdown)
+		s.metrics.rejectedShutdown.Inc()
 		return nil, false, ErrShuttingDown
 	}
 	if faultinject.Enabled {
@@ -734,9 +724,9 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 		var se *shedError
 		switch {
 		case errors.As(err, &boe):
-			s.metrics.inc(&s.metrics.shedBreaker)
+			s.metrics.shedBreaker.Inc()
 		case errors.As(err, &se):
-			s.metrics.inc(&s.metrics.shedMemory)
+			s.metrics.shedMemory.Inc()
 		}
 		return nil, false, err
 	}
@@ -751,17 +741,53 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 				s.shed.release(j.estBytes)
 			}
 			if errors.Is(err, ErrShuttingDown) {
-				s.metrics.inc(&s.metrics.rejectedShutdown)
+				s.metrics.rejectedShutdown.Inc()
 			} else {
-				s.metrics.inc(&s.metrics.rejectedFull)
+				s.metrics.rejectedFull.Inc()
 			}
 			return nil, false, err
 		}
 	} else {
-		s.metrics.inc(&s.metrics.deduped)
+		s.metrics.deduped.Inc()
 	}
-	s.metrics.inc(&s.metrics.submitted)
+	s.metrics.submitted.Inc()
 	return j, created, nil
+}
+
+// admitVerdict is how a client hears an admitSpec error: an HTTP
+// status and message, and a Retry-After (0 = none). A verdict with a
+// Retry-After is transient — the sweep orchestrator waits it out and
+// retries; any other verdict is final.
+type admitVerdict struct {
+	code       int
+	msg        string
+	retryAfter time.Duration
+}
+
+// classifyAdmit gives each error admitSpec returns its verdict: POST
+// /v1/jobs answers with it and the sweep orchestrator retries by it.
+func (s *Server) classifyAdmit(err error) admitVerdict {
+	var af *admitFault
+	var boe *breakerOpenError
+	var se *shedError
+	estimate := func() time.Duration { return time.Duration(s.retryAfterSeconds()) * time.Second }
+	switch {
+	case errors.Is(err, ErrShuttingDown):
+		return admitVerdict{http.StatusServiceUnavailable, "server is shutting down", 0}
+	case errors.As(err, &af):
+		return admitVerdict{http.StatusServiceUnavailable, err.Error(), estimate()}
+	case errors.As(err, &boe):
+		return admitVerdict{http.StatusServiceUnavailable, err.Error(), boe.RetryAfter}
+	case errors.As(err, &se) && se.Permanent:
+		// No budget this server ever frees will fit the job:
+		// resubmitting is futile, so the verdict is a client error.
+		return admitVerdict{http.StatusBadRequest, err.Error(), 0}
+	case errors.As(err, &se):
+		return admitVerdict{http.StatusServiceUnavailable, err.Error(), estimate()}
+	case errors.Is(err, ErrQueueFull):
+		return admitVerdict{http.StatusTooManyRequests, "job queue full", estimate()}
+	}
+	return admitVerdict{http.StatusInternalServerError, err.Error(), 0}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -780,30 +806,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	j, created, err := s.admitSpec(norm)
 	if err != nil {
-		var af *admitFault
-		var boe *breakerOpenError
-		var se *shedError
-		switch {
-		case errors.Is(err, ErrShuttingDown):
-			HTTPError(w, http.StatusServiceUnavailable, "server is shutting down")
-		case errors.As(err, &af):
-			HTTPError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.As(err, &boe):
-			w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(boe.RetryAfter)))
-			HTTPError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.As(err, &se) && se.Permanent:
-			// No budget this server ever frees will fit the job:
-			// resubmitting is futile, so the verdict is a client error.
-			HTTPError(w, http.StatusBadRequest, err.Error())
-		case errors.As(err, &se):
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			HTTPError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			HTTPError(w, http.StatusTooManyRequests, "job queue full")
-		default:
-			HTTPError(w, http.StatusInternalServerError, err.Error())
+		v := s.classifyAdmit(err)
+		if v.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(v.retryAfter)))
 		}
+		HTTPError(w, v.code, v.msg)
 		return
 	}
 
@@ -955,7 +962,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		StoredSweeps:   len(sweeps),
 		ActiveSweeps:   active,
 		BreakerOpen:    len(s.breaker.openSchemes()),
-		BreakerTrips:   s.breaker.tripCount(),
 		MemoryReserved: reserved,
 		MemoryBudget:   budget,
 		Ready:          s.readiness().Ready,
@@ -984,37 +990,46 @@ func HandleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, healthResponse{Status: "ok", Version: version.String()})
 }
 
-// readyResponse is the JSON body of GET /readyz. Reasons is the
-// machine-readable vocabulary the cluster router keys its membership
-// state machine on: "stopping" means drain (stop routing new work, let
-// in-flight jobs finish), "breaker_open:<scheme>" and "shedding" mean
-// back off but stay — none of them means dead. The legacy boolean
-// fields remain for human eyes and older scrapers.
-type readyResponse struct {
-	Ready       bool     `json:"ready"`
-	Reasons     []string `json:"reasons,omitempty"`
-	Stopping    bool     `json:"stopping,omitempty"`
-	OpenSchemes []string `json:"breaker_open_schemes,omitempty"`
-	MemoryShed  bool     `json:"memory_shed_active,omitempty"`
+// ReasonStopping is the /readyz reason of a draining instance: stop
+// routing new work to it, let its in-flight jobs finish.
+const ReasonStopping = "stopping"
+
+// Readiness is the JSON body of GET /readyz on replicas and the router.
+// Reasons is the machine-readable vocabulary the cluster router keys
+// its membership state machine on: ReasonStopping means drain,
+// "breaker_open:<scheme>" and "shedding" mean back off but stay — none
+// of them means dead. A router with an empty ring reports
+// "no_ready_replicas".
+type Readiness struct {
+	Ready   bool     `json:"ready"`
+	Reasons []string `json:"reasons,omitempty"`
 }
 
-func (s *Server) readiness() readyResponse {
-	resp := readyResponse{
-		Stopping:    s.stopping.Load(),
-		OpenSchemes: s.breaker.openSchemes(),
-		MemoryShed:  s.shed.active(),
+// WriteReadiness answers a /readyz request with r: 200 when ready, 503
+// otherwise.
+func WriteReadiness(w http.ResponseWriter, r Readiness) {
+	code := http.StatusOK
+	if !r.Ready {
+		code = http.StatusServiceUnavailable
 	}
-	resp.Ready = !resp.Stopping && len(resp.OpenSchemes) == 0 && !resp.MemoryShed
-	if resp.Stopping {
-		resp.Reasons = append(resp.Reasons, "stopping")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	WriteJSON(w, r)
+}
+
+func (s *Server) readiness() Readiness {
+	var r Readiness
+	if s.stopping.Load() {
+		r.Reasons = append(r.Reasons, ReasonStopping)
 	}
-	for _, sc := range resp.OpenSchemes {
-		resp.Reasons = append(resp.Reasons, "breaker_open:"+sc)
+	for _, sc := range s.breaker.openSchemes() {
+		r.Reasons = append(r.Reasons, "breaker_open:"+sc)
 	}
-	if resp.MemoryShed {
-		resp.Reasons = append(resp.Reasons, "shedding")
+	if s.shed.active() {
+		r.Reasons = append(r.Reasons, "shedding")
 	}
-	return resp
+	r.Ready = len(r.Reasons) == 0
+	return r
 }
 
 // handleReadyz is the readiness probe: it flips to 503 while the
@@ -1030,14 +1045,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(RouterProbeHeader) != "" {
 		s.renewLease()
 	}
-	resp := s.readiness()
-	code := http.StatusOK
-	if !resp.Ready {
-		code = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	WriteJSON(w, resp)
+	WriteReadiness(w, s.readiness())
 }
 
 // ceilSeconds rounds a duration up to whole seconds, minimum 1 — the

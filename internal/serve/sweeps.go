@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -353,35 +352,19 @@ func childSpec(g sweep.Grid, c sweep.Child) (Spec, error) {
 }
 
 // admitChild pushes one child spec through admitSpec, absorbing
-// transient rejections (full queue, open breaker, memory shed,
-// injected admission faults) by waiting out the advertised Retry-After
-// and retrying — a sweep is a patient client, so backpressure slows it
-// down instead of failing it. Permanent verdicts (shutdown, a spec
-// that can never fit the memory budget) and ctx cancellation return
-// immediately.
+// transient verdicts (full queue, open breaker, memory shed, injected
+// admission faults) by waiting out their Retry-After and retrying — a
+// sweep is a patient client, so backpressure slows it down instead of
+// failing it. Final verdicts (shutdown, a spec that can never fit the
+// memory budget) and ctx cancellation return immediately.
 func (s *Server) admitChild(ctx context.Context, spec Spec) (*Job, bool, error) {
 	for {
 		j, created, err := s.admitSpec(spec)
 		if err == nil {
 			return j, created, nil
 		}
-		var boe *breakerOpenError
-		var se *shedError
-		var af *admitFault
-		var delay time.Duration
-		switch {
-		case errors.Is(err, ErrShuttingDown):
-			return nil, false, err
-		case errors.As(err, &boe):
-			delay = boe.RetryAfter
-		case errors.As(err, &se):
-			if se.Permanent {
-				return nil, false, err
-			}
-			delay = time.Duration(s.retryAfterSeconds()) * time.Second
-		case errors.Is(err, ErrQueueFull), errors.As(err, &af):
-			delay = time.Duration(s.retryAfterSeconds()) * time.Second
-		default:
+		delay := s.classifyAdmit(err).retryAfter
+		if delay == 0 {
 			return nil, false, err
 		}
 		// Clamp the wait: floor keeps a hot retry loop off the admission
@@ -392,7 +375,7 @@ func (s *Server) admitChild(ctx context.Context, spec Spec) (*Job, bool, error) 
 		} else if delay > 2*time.Second {
 			delay = 2 * time.Second
 		}
-		s.metrics.inc(&s.metrics.sweepAdmitWaits)
+		s.metrics.sweepAdmitWaits.Inc()
 		select {
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
@@ -445,9 +428,9 @@ func (s *Server) runSweep(sw *sweepRun) {
 			failFast()
 			break
 		}
-		s.metrics.inc(&s.metrics.sweepChildren)
+		s.metrics.sweepChildren.Inc()
 		if !created {
-			s.metrics.inc(&s.metrics.sweepChildDedup)
+			s.metrics.sweepChildDedup.Inc()
 		}
 		sw.childSubmitted(i, j.ID, created)
 		watchers.Add(1)
@@ -547,7 +530,7 @@ func (s *Server) finishSweep(sw *sweepRun) {
 		state, errMsg = StateCancelled, fmt.Sprintf("%d of %d children cancelled", counts.Cancelled, len(sw.Children))
 	}
 	if sw.finish(state, errMsg, arts, time.Now()) {
-		s.metrics.sweepFinished(state)
+		s.metrics.sweeps.Inc(state)
 	}
 }
 
@@ -582,14 +565,14 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.stopping.Load() {
-		s.metrics.inc(&s.metrics.rejectedShutdown)
+		s.metrics.rejectedShutdown.Inc()
 		HTTPError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	sw, _, _ := s.sweeps.Resolve("", nil, func(id string) *sweepRun {
 		return newSweepRun(id, norm, norm.Expand(), s.now())
 	})
-	s.metrics.inc(&s.metrics.sweepsSubmitted)
+	s.metrics.sweepsSubmitted.Inc()
 	s.sweepWG.Add(1)
 	go s.runSweep(sw)
 

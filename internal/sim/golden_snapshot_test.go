@@ -30,7 +30,7 @@ func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool) (Config, string
 // stream, sized for cfg's warmup plus measure windows. Warm-state
 // capture needs replays: a front reads ahead of its engines, so only a
 // source that can state its cursor at an un-simulated offset
-// (workload.OffsetStater) can label the blob.
+// (workload.StateSource) can label the blob.
 func replaySources(t *testing.T, store *tracestore.Store, cfg Config, wl string) []workload.Source {
 	t.Helper()
 	mat, err := store.Get(tracestore.Key{
@@ -325,6 +325,24 @@ func TestSnapshotRejections(t *testing.T) {
 		}
 		if _, b := captureSolo(t, cold, replaySources(t, store, cold, wl)); b != nil {
 			t.Error("SnapshotSink fired on a pass without a warmup window")
+		}
+	})
+	t.Run("live generated sources", func(t *testing.T) {
+		// Blobs record replay positions, so a restore must refuse live
+		// generators — computebound's included, whose mixture has no
+		// component cursor (hot components only) to contradict one.
+		cb := cfg
+		cb.Scheme = Base
+		_, cbBlob := captureSolo(t, cb, replaySources(t, store, cb, "computebound"))
+		if cbBlob == nil {
+			t.Fatal("SnapshotSink never fired")
+		}
+		live, err := workload.Sources("computebound", cb.Cores, cb.WorkloadScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restoreSolo(cb, cbBlob, live, 1); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("restore over live generators error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("measure length branches", func(t *testing.T) {

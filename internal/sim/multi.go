@@ -38,10 +38,10 @@ type MultiOptions struct {
 	// receives each scheme's warm-state blob as its back half crosses
 	// the warmup/measure boundary. The callback runs on worker
 	// goroutines and may fire concurrently for different schemes; it
-	// must be safe for concurrent use. Capture requires every source to
-	// implement workload.OffsetStater (trace replays do; live
-	// generators cannot state their cursor at an un-simulated offset),
-	// otherwise the pass runs normally and the sink never fires.
+	// must be safe for concurrent use. Capture, like restore, requires
+	// every source to implement workload.StateSource (trace replays do;
+	// live generators cannot state their cursor at an un-simulated
+	// offset), otherwise the pass runs normally and the sink never fires.
 	SnapshotSink func(scheme Scheme, blob []byte)
 	// SnapshotSeed labels captured blobs and validates restored ones:
 	// it must be the seed the sources were built with (sim.WarmKey).
@@ -341,22 +341,23 @@ func sourceStatesEqual(a, b [][]uint64) bool {
 }
 
 // armSnapshotCapture installs per-engine warm-state capture hooks on a
-// cold pass when the caller asked for them and every source can state
-// its cursor at the warmup boundary (workload.OffsetStater — the front
-// reads ahead of engine consumption, so the live cursor is useless).
+// cold pass when the caller asked for them and every source is a
+// replay that can state its cursor at the warmup boundary
+// (workload.StateSource — the front reads ahead of engine consumption,
+// so the live cursor is useless).
 // The hooks fire inside worker goroutines as each back half crosses its
 // boundary; opt.SnapshotSink's concurrency contract covers that.
 func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, sources []workload.Source, front *traceFront, cold bool, opt *MultiOptions) {
 	if !cold || opt.SnapshotSink == nil || cfg.WarmupRefsPerCore == 0 {
 		return
 	}
-	srcState := make([][]uint64, len(sources))
-	for i, s := range sources {
-		os, ok := s.(workload.OffsetStater)
-		if !ok {
-			return
-		}
-		st, err := os.StateAt(cfg.WarmupRefsPerCore)
+	states, err := stateSources(sources)
+	if err != nil {
+		return
+	}
+	srcState := make([][]uint64, len(states))
+	for i, ss := range states {
+		st, err := ss.StateAt(cfg.WarmupRefsPerCore)
 		if err != nil {
 			return
 		}

@@ -80,8 +80,9 @@ func validateWarmMeta(m *simstate.Meta, cfg *Config, workloadName string, seed u
 	return nil
 }
 
-// stateSources asserts that every source exposes its cursor state; a
-// source that cannot be re-seated cannot participate in snapshotting.
+// stateSources asserts that every source is a replay exposing its
+// cursor state (workload.StateSource) — the one contract both capture
+// and restore demand, because a blob records replay positions.
 func stateSources(sources []workload.Source) ([]workload.StateSource, error) {
 	out := make([]workload.StateSource, len(sources))
 	for i, s := range sources {

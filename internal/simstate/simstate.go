@@ -162,8 +162,9 @@ type Snapshot struct {
 	// straight-through run fails.
 	FNSeen  bool
 	FNBlock uint64
-	// Sources holds each per-core workload source's opaque cursor words
-	// (workload.StateSource.AppendState), index = core.
+	// Sources holds each per-core replay's opaque cursor words at the
+	// warmup boundary (workload.StateSource.StateAt), index = core. A
+	// restore re-seats replays of the same stream from them.
 	Sources [][]uint64
 }
 

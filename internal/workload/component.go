@@ -22,19 +22,6 @@ type component interface {
 	reset(r *rng)
 	// footprint returns the region size in bytes the component touches.
 	footprint() uint64
-	// appendState appends the component's mutable cursor words to out
-	// and returns it; restoreState consumes the same words from in,
-	// returning the remainder. Together they let the warm-state
-	// snapshot layer capture and re-seat a source mid-stream
-	// (stateless components contribute zero words).
-	appendState(out []uint64) []uint64
-	restoreState(in []uint64) ([]uint64, error)
-}
-
-// shortState is the shared restoreState error for a state vector that
-// ran out of words before a component was satisfied.
-func shortState(kind string) error {
-	return fmt.Errorf("workload: source state too short for %s component", kind)
 }
 
 // region assigns each component a disjoint piece of the address space.
@@ -88,25 +75,6 @@ func (c *streamComponent) reset(r *rng) { c.pos = 0; c.dir = 1 }
 
 func (c *streamComponent) footprint() uint64 { return c.size }
 
-func (c *streamComponent) appendState(out []uint64) []uint64 {
-	return append(out, c.pos, uint64(c.dir))
-}
-
-func (c *streamComponent) restoreState(in []uint64) ([]uint64, error) {
-	if len(in) < 2 {
-		return nil, shortState("stream")
-	}
-	pos, dir := in[0], int64(in[1])
-	if pos >= c.size {
-		return nil, fmt.Errorf("workload: stream position %d outside region of %d bytes", pos, c.size)
-	}
-	if dir != 1 && dir != -1 {
-		return nil, fmt.Errorf("workload: stream direction %d not ±1", dir)
-	}
-	c.pos, c.dir = pos, dir
-	return in[2:], nil
-}
-
 // --- strided multi-stream --------------------------------------------------
 
 // stridedComponent interleaves several concurrent streams, each with
@@ -151,28 +119,6 @@ func (c *stridedComponent) reset(r *rng) {
 }
 
 func (c *stridedComponent) footprint() uint64 { return c.size }
-
-func (c *stridedComponent) appendState(out []uint64) []uint64 {
-	out = append(out, uint64(c.turn))
-	return append(out, c.pos...)
-}
-
-func (c *stridedComponent) restoreState(in []uint64) ([]uint64, error) {
-	if len(in) < 1+len(c.pos) {
-		return nil, shortState("strided")
-	}
-	if in[0] >= uint64(len(c.strides)) {
-		return nil, fmt.Errorf("workload: strided turn %d outside %d streams", in[0], len(c.strides))
-	}
-	for i, p := range in[1 : 1+len(c.pos)] {
-		if p >= c.size {
-			return nil, fmt.Errorf("workload: strided stream %d position %d outside region of %d bytes", i, p, c.size)
-		}
-	}
-	c.turn = int(in[0])
-	copy(c.pos, in[1:1+len(c.pos)])
-	return in[1+len(c.pos):], nil
-}
 
 // --- pointer chase ----------------------------------------------------------
 
@@ -220,24 +166,6 @@ func (c *chaseComponent) reset(r *rng) {
 
 func (c *chaseComponent) footprint() uint64 { return 1 << (c.blockBits + memaddr.BlockBits) }
 
-func (c *chaseComponent) appendState(out []uint64) []uint64 {
-	return append(out, c.x, c.inc)
-}
-
-func (c *chaseComponent) restoreState(in []uint64) ([]uint64, error) {
-	if len(in) < 2 {
-		return nil, shortState("chase")
-	}
-	if in[0] >= uint64(1)<<c.blockBits {
-		return nil, fmt.Errorf("workload: chase cursor %d outside 2^%d blocks", in[0], c.blockBits)
-	}
-	if in[1]&1 == 0 {
-		return nil, fmt.Errorf("workload: chase increment %d not odd", in[1])
-	}
-	c.x, c.inc = in[0], in[1]
-	return in[2:], nil
-}
-
 // --- hot set ---------------------------------------------------------------
 
 // hotComponent accesses a small region uniformly at random — the
@@ -259,10 +187,6 @@ func (c *hotComponent) next(r *rng) (memaddr.Addr, int) {
 func (c *hotComponent) reset(r *rng) {}
 
 func (c *hotComponent) footprint() uint64 { return c.size }
-
-func (c *hotComponent) appendState(out []uint64) []uint64 { return out }
-
-func (c *hotComponent) restoreState(in []uint64) ([]uint64, error) { return in, nil }
 
 // --- zipf over blocks --------------------------------------------------------
 
@@ -304,10 +228,6 @@ func (c *zipfComponent) next(r *rng) (memaddr.Addr, int) {
 func (c *zipfComponent) reset(r *rng) {}
 
 func (c *zipfComponent) footprint() uint64 { return c.blocks * memaddr.BlockSize }
-
-func (c *zipfComponent) appendState(out []uint64) []uint64 { return out }
-
-func (c *zipfComponent) restoreState(in []uint64) ([]uint64, error) { return in, nil }
 
 // --- validation ---------------------------------------------------------------
 

@@ -79,35 +79,25 @@ type StableWindowSource interface {
 	StableWindows() bool
 }
 
-// StateSource is a Source whose generation cursor can be captured
-// mid-stream and re-seated into a fresh instance: the warm-state
-// snapshot layer records each per-core source's state at the
-// warmup/measure boundary so a restored engine resumes the exact
-// reference stream a straight-through run would have seen. The state
-// is an opaque vector of words — callers store and transport it but
-// never interpret it.
+// StateSource is a finite replay source whose cursor the warm-state
+// snapshot layer can state and re-seat: capture records each per-core
+// source's state at the warmup/measure boundary, and restore re-seats a
+// fresh replay of the same stream there, so a restored engine resumes
+// the exact reference stream a straight-through run would have seen.
+// Capture and restore demand this one contract; live generators do not
+// implement it. The state is an opaque vector of words — callers store
+// and transport it but never interpret it.
 type StateSource interface {
 	Source
-	// AppendState appends the source's mutable cursor words to out and
-	// returns it.
-	AppendState(out []uint64) []uint64
-	// RestoreState overwrites the source's cursor from a vector
-	// previously produced by AppendState on an identically-constructed
-	// source (same profile, scale, seed). It rejects vectors of the
+	// StateAt returns the state after consuming exactly n records from
+	// the start. The multi-scheme engine front reads records ahead of
+	// engine consumption, so at a snapshot boundary the source's own
+	// cursor is already past it.
+	StateAt(n uint64) ([]uint64, error)
+	// RestoreState overwrites the cursor from a vector produced by
+	// StateAt on a replay of the same stream. It rejects vectors of the
 	// wrong shape or with out-of-range cursors.
 	RestoreState(state []uint64) error
-}
-
-// OffsetStater is implemented by finite replay sources whose state
-// after consuming n records is a pure function of n. The multi-scheme
-// engine front reads records ahead of engine consumption, so at a
-// snapshot boundary the source's own cursor is past the boundary;
-// StateAt lets the snapshot layer ask for the state at the boundary
-// position without rewinding anything.
-type OffsetStater interface {
-	// StateAt returns the AppendState vector the source would report
-	// after consuming exactly n records from the start.
-	StateAt(n uint64) ([]uint64, error)
 }
 
 // AsBatch returns s itself when it already implements BatchSource and
@@ -348,38 +338,6 @@ func (s *mixSource) NextBatch(buf []trace.Record) int {
 	return len(buf)
 }
 
-// AppendState implements StateSource: the RNG cursor followed by each
-// component's cursor words, in component order.
-func (s *mixSource) AppendState(out []uint64) []uint64 {
-	out = append(out, s.rng.state)
-	for _, c := range s.components {
-		out = c.appendState(out)
-	}
-	return out
-}
-
-// RestoreState implements StateSource.
-func (s *mixSource) RestoreState(state []uint64) error {
-	if len(state) < 1 {
-		return fmt.Errorf("workload: empty source state")
-	}
-	if state[0] == 0 {
-		return fmt.Errorf("workload: source state has zero RNG cursor")
-	}
-	rest := state[1:]
-	for _, c := range s.components {
-		var err error
-		if rest, err = c.restoreState(rest); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("workload: %d trailing source state words", len(rest))
-	}
-	s.rng.state = state[0]
-	return nil
-}
-
 // newOffset builds a Source whose entire address stream is shifted by a
 // constant, placing multiprogrammed copies of the same benchmark in
 // disjoint address spaces.
@@ -391,15 +349,12 @@ func newOffset(p *Profile, scale, seed uint64, offset memaddr.Addr) (Source, err
 	if offset == 0 {
 		return s, nil
 	}
-	o := &offsetSource{Source: s, batch: AsBatch(s), offset: offset}
-	o.state, _ = s.(StateSource)
-	return o, nil
+	return &offsetSource{Source: s, batch: AsBatch(s), offset: offset}, nil
 }
 
 type offsetSource struct {
 	Source
 	batch  BatchSource // the same underlying source, for NextBatch
-	state  StateSource // the same underlying source, for snapshotting
 	offset memaddr.Addr
 }
 
@@ -416,17 +371,6 @@ func (o *offsetSource) NextBatch(buf []trace.Record) int {
 		buf[i].Addr += o.offset
 	}
 	return n
-}
-
-// AppendState implements StateSource by delegating to the wrapped
-// source — the offset is a construction-time constant, not state.
-func (o *offsetSource) AppendState(out []uint64) []uint64 {
-	return o.state.AppendState(out)
-}
-
-// RestoreState implements StateSource.
-func (o *offsetSource) RestoreState(state []uint64) error {
-	return o.state.RestoreState(state)
 }
 
 // hashName mixes the profile name into the seed so distinct benchmarks
@@ -535,13 +479,8 @@ func (t *TraceSource) Window(max int) []trace.Record {
 // immutable and outlive the source, so windows never go stale.
 func (t *TraceSource) StableWindows() bool { return true }
 
-// AppendState implements StateSource: a replay's only cursor is its
+// RestoreState implements StateSource: a replay's only cursor is its
 // position.
-func (t *TraceSource) AppendState(out []uint64) []uint64 {
-	return append(out, uint64(t.pos))
-}
-
-// RestoreState implements StateSource.
 func (t *TraceSource) RestoreState(state []uint64) error {
 	if len(state) != 1 {
 		return fmt.Errorf("workload: trace source state has %d words, want 1", len(state))
@@ -553,7 +492,7 @@ func (t *TraceSource) RestoreState(state []uint64) error {
 	return nil
 }
 
-// StateAt implements OffsetStater: the state after n records is just n.
+// StateAt implements StateSource: the state after n records is just n.
 func (t *TraceSource) StateAt(n uint64) ([]uint64, error) {
 	if n > uint64(len(t.recs)) {
 		return nil, fmt.Errorf("workload: trace position %d beyond %d records", n, len(t.recs))

@@ -123,13 +123,16 @@ HDRS=$(curl -sS -D - -o /dev/null -X POST "$BASE/v1/jobs" \
     -d '{"workloads":["mcf"],"schemes":["base"],"geometry":"smoke","refs_per_core":2000,"seed":3}')
 echo "$HDRS" | head -n1 | grep -q ' 503 ' || fail "open breaker did not 503: $HDRS"
 echo "$HDRS" | grep -qi '^retry-after:' || fail "breaker 503 missing Retry-After"
-READY_CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/readyz")
+READY_BODY=$(curl -sS -w '\n%{http_code}' "$BASE/readyz")
+READY_CODE=$(echo "$READY_BODY" | tail -n1)
 [[ "$READY_CODE" == 503 ]] || fail "/readyz = $READY_CODE with an open circuit, want 503"
+echo "$READY_BODY" | grep -q '"breaker_open:base"' \
+    || fail "/readyz body does not list breaker_open:base: $READY_BODY"
 curl -fsS "$BASE/healthz" >/dev/null || fail "/healthz failed during breaker-open (liveness must hold)"
 METRICS=$(curl -fsS "$BASE/metrics")
 echo "$METRICS" | grep -q '^redhip_serve_breaker_trips_total [1-9]' || fail "breaker_trips_total not incremented"
 echo "$METRICS" | grep -q '^redhip_serve_shed_breaker_total [1-9]' || fail "shed_breaker_total not incremented"
-echo "chaos-smoke: drill 2 OK (breaker open: 503 + Retry-After, readyz 503, healthz 200)"
+echo "chaos-smoke: drill 2 OK (breaker open: 503 + Retry-After, readyz 503 breaker_open:base, healthz 200)"
 stop_server
 
 echo "chaos-smoke: OK"

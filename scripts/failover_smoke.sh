@@ -17,7 +17,8 @@
 #      registration must be refused, and a seeded loadgen mix through
 #      the router must see zero 5xx while spreading across replicas,
 #      and the router's /metrics must expose every redhip_router_*
-#      family.
+#      family. The router's /readyz body reads no_ready_replicas while
+#      the ring is empty and ready once replicas join.
 set -euo pipefail
 
 ROUTER_ADDR="${FAILOVER_SMOKE_ROUTER:-127.0.0.1:8095}"
@@ -100,6 +101,13 @@ wait_done() { # args: router job id
     fail "job $1 never finished (last: $state)"
 }
 
+router_readyz() { # args: wanted status code, regexp the body must match
+    local out
+    out=$(curl -sS -w '\n%{http_code}' "$ROUTER/readyz") || fail "router /readyz failed"
+    [[ "$(echo "$out" | tail -n1)" == "$1" ]] || fail "router /readyz = $out, want status $1"
+    echo "$out" | sed '$d' | grep -Eq "$2" || fail "router /readyz body does not match $2: $out"
+}
+
 job_rehomes() { # args: router job id
     curl -fsS "$ROUTER/v1/jobs/$1?results=false" | sed -n 's/.*"rehomes": *\([0-9]*\).*/\1/p'
 }
@@ -121,6 +129,7 @@ echo "failover-smoke: starting router + three replicas"
     >"$BIN_DIR/router.log" 2>&1 &
 ROUTER_PID=$!
 wait_healthy "$ROUTER"
+router_readyz 503 '"no_ready_replicas"'
 
 for NAME_ADDR in "r1:$R1_ADDR" "r2:$R2_ADDR" "r3:$R3_ADDR"; do
     NAME="${NAME_ADDR%%:*}"
@@ -131,6 +140,7 @@ for NAME_ADDR in "r1:$R1_ADDR" "r2:$R2_ADDR" "r3:$R3_ADDR"; do
     REPLICA_PID[$NAME]=$!
 done
 wait_ring 3
+router_readyz 200 '"ready": *true'
 
 echo "failover-smoke: mixed-version registration must be refused"
 SKEW=$(curl -sS -w '\n%{http_code}' -X POST "$ROUTER/v1/cluster/register" \
