@@ -1,12 +1,18 @@
 // Command redhip-bench regenerates the paper's evaluation: every table
-// and figure of Section V, printed as aligned text, CSV or markdown.
+// and figure of Section V, printed as aligned text, CSV, markdown or a
+// bar chart of each figure's last column.
 //
 // Usage:
 //
-//	redhip-bench                         # all figures, scaled geometry
-//	redhip-bench -experiment fig6,fig7   # a subset
+//	redhip-bench                          # all figures, scaled geometry
+//	redhip-bench -experiment fig6,fig7    # a subset
+//	redhip-bench -experiment everything   # every figure, then every ablation
+//	redhip-bench -geometry smoke -verify  # check the paper's claims
 //	redhip-bench -geometry paper -refs 1000000
 //	redhip-bench -workloads mcf,lbm -format csv
+//
+// The -experiment names are the entries of experiment.Catalog, listed
+// in order by -help.
 package main
 
 import (
@@ -27,7 +33,7 @@ import (
 
 func main() {
 	var (
-		expList   = flag.String("experiment", "all", "comma-separated experiments: all, everything, ablations, table1, fig1, fig6..fig15, ablation-{hash,cbf,banks,replacement,fills,adaptive}")
+		expList   = flag.String("experiment", "all", "comma-separated experiments: "+experimentNames())
 		geometry  = flag.String("geometry", "scaled", "cache geometry: paper, scaled or smoke")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the paper's 11)")
 		refs      = flag.Uint64("refs", 0, "references per core (default: geometry preset)")
@@ -91,9 +97,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pprof server on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	cfg, err := configFor(*geometry)
+	cfg, err := sim.Preset(*geometry)
 	if err != nil {
 		fatal(err)
+	}
+	if *geometry == "paper" {
+		// The paper simulates 500M refs/core; that is hours of wall
+		// time, so default to a tractable slice and let -refs raise it.
+		cfg.RefsPerCore = 2_000_000
 	}
 	if *refs > 0 {
 		cfg.RefsPerCore = *refs
@@ -177,23 +188,6 @@ func main() {
 	}
 }
 
-func configFor(geometry string) (sim.Config, error) {
-	switch geometry {
-	case "paper":
-		c := sim.Paper()
-		// The paper simulates 500M refs/core; that is hours of wall
-		// time, so default to a tractable slice and let -refs raise it.
-		c.RefsPerCore = 2_000_000
-		return c, nil
-	case "scaled":
-		return sim.Scaled(), nil
-	case "smoke":
-		return sim.Smoke(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown geometry %q (want paper, scaled or smoke)", geometry)
-	}
-}
-
 func selectFigures(r *experiment.Runner, list string) ([]*experiment.Figure, error) {
 	switch list {
 	case "all":
@@ -211,43 +205,29 @@ func selectFigures(r *experiment.Runner, list string) ([]*experiment.Figure, err
 		}
 		return append(figs, abl...), nil
 	}
-	builders := map[string]func() (*experiment.Figure, error){
-		"table1": func() (*experiment.Figure, error) {
-			return &experiment.Figure{ID: "Table I", Caption: "Architecture parameters.", Table: r.TableI()}, nil
-		},
-		"fig1":                 func() (*experiment.Figure, error) { return r.Fig1CacheSizeTrend(), nil },
-		"fig1-energy":          r.Fig1EnergyBreakdown,
-		"fig6":                 r.Fig6Speedup,
-		"fig7":                 r.Fig7DynamicEnergy,
-		"fig8":                 r.Fig8Metric,
-		"fig9":                 r.Fig9HitRatesBase,
-		"fig10":                r.Fig10HitRatesReDHiP,
-		"fig11":                r.Fig11TableSize,
-		"fig12":                r.Fig12RecalPeriod,
-		"fig13":                r.Fig13Inclusion,
-		"fig14":                r.Fig14PrefetchSpeedup,
-		"fig15":                r.Fig15PrefetchEnergy,
-		"ablation-hash":        r.AblationHash,
-		"ablation-cbf":         r.AblationCBFCounters,
-		"ablation-banks":       r.AblationBanks,
-		"ablation-replacement": r.AblationReplacement,
-		"ablation-fills":       r.AblationFills,
-		"ablation-adaptive":    r.AblationAdaptive,
-		"ablation-memlat":      r.AblationMemoryLatency,
-	}
 	var figs []*experiment.Figure
 	for _, name := range strings.Split(list, ",") {
-		b, ok := builders[strings.TrimSpace(strings.ToLower(name))]
+		e, ok := experiment.Lookup(strings.TrimSpace(strings.ToLower(name)))
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q", name)
 		}
-		f, err := b()
+		f, err := e.Build(r)
 		if err != nil {
 			return nil, err
 		}
 		figs = append(figs, f)
 	}
 	return figs, nil
+}
+
+// experimentNames lists every -experiment value: the three groups, then
+// each figure and ablation by name.
+func experimentNames() string {
+	names := []string{"all", "everything", "ablations"}
+	for _, e := range experiment.Catalog {
+		names = append(names, e.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 func fatal(err error) {

@@ -49,14 +49,19 @@ func main() {
 		return
 	}
 
-	cfg, err := configFor(*geometry)
+	cfg, err := sim.Preset(*geometry)
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.Scheme, err = parseScheme(*scheme); err != nil {
+	if *geometry == "paper" {
+		// The paper's 500M refs/core take hours; default to a
+		// tractable slice and let -refs raise it.
+		cfg.RefsPerCore = 2_000_000
+	}
+	if cfg.Scheme, err = sim.ParseScheme(*scheme); err != nil {
 		fatal(err)
 	}
-	if cfg.Inclusion, err = parseInclusion(*inclusion); err != nil {
+	if cfg.Inclusion, err = sim.ParseInclusion(*inclusion); err != nil {
 		fatal(err)
 	}
 	if *refs > 0 {
@@ -169,39 +174,6 @@ func printResult(r *sim.Result, cfg *sim.Config) {
 		fmt.Printf("prefetch: %d issued, %d useful (%.1f%%)\n", r.Prefetch.Issued, r.Prefetch.Useful,
 			100*float64(r.Prefetch.Useful)/float64(r.Prefetch.Issued))
 	}
-}
-
-func configFor(geometry string) (sim.Config, error) {
-	switch geometry {
-	case "paper":
-		c := sim.Paper()
-		c.RefsPerCore = 2_000_000
-		return c, nil
-	case "scaled":
-		return sim.Scaled(), nil
-	case "smoke":
-		return sim.Smoke(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown geometry %q", geometry)
-	}
-}
-
-func parseScheme(s string) (sim.Scheme, error) {
-	for _, sc := range sim.Schemes() {
-		if sc.String() == s {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
-}
-
-func parseInclusion(s string) (sim.InclusionPolicy, error) {
-	for _, p := range []sim.InclusionPolicy{sim.Inclusive, sim.Hybrid, sim.Exclusive} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown inclusion policy %q", s)
 }
 
 func fatal(err error) {

@@ -512,10 +512,12 @@ func IsCompiledOutGuard(info *types.Info, ifStmt *ast.IfStmt) bool {
 }
 
 // SimulationPackages is the determinism target set: the packages that
-// feed the golden Result fingerprints. Anything nondeterministic inside
-// them (wall-clock reads, global rand, map-iteration order) can silently
-// change simulation results, so the determinism analyzer patrols
-// exactly this list.
+// feed the golden Result fingerprints, plus the ones that render those
+// results into the byte-stable paper figures, claim checks and sweep
+// artifacts (experiment, sweep, stats). Anything nondeterministic
+// inside them (wall-clock reads, global rand, map-iteration order) can
+// silently change simulation results or their rendering, so the
+// determinism analyzer patrols exactly this list.
 var SimulationPackages = map[string]bool{
 	"sim":        true,
 	"cache":      true,
@@ -527,6 +529,9 @@ var SimulationPackages = map[string]bool{
 	"memaddr":    true,
 	"trace":      true,
 	"tracestore": true,
+	"experiment": true,
+	"sweep":      true,
+	"stats":      true,
 }
 
 // IsSimulationPackage reports whether the package at path belongs to

@@ -106,12 +106,13 @@ func TestPathTail(t *testing.T) {
 }
 
 func TestIsSimulationPackage(t *testing.T) {
-	for _, p := range []string{"redhip/internal/sim", "cache", "redhip/internal/tracestore"} {
+	for _, p := range []string{"redhip/internal/sim", "cache", "redhip/internal/tracestore",
+		"redhip/internal/experiment", "redhip/internal/sweep", "stats"} {
 		if !IsSimulationPackage(p) {
 			t.Errorf("IsSimulationPackage(%q) = false, want true", p)
 		}
 	}
-	for _, p := range []string{"redhip/internal/analysis", "redhip/cmd/redhip-sim", "stats"} {
+	for _, p := range []string{"redhip/internal/analysis", "redhip/cmd/redhip-sim", "redhip/internal/simstate"} {
 		if IsSimulationPackage(p) {
 			t.Errorf("IsSimulationPackage(%q) = true, want false", p)
 		}

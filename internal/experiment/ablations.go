@@ -28,248 +28,139 @@ import (
 // streaming, one pointer-chasing, one strided code).
 var ablationWorkloads = []string{"lbm", "mcf", "milc"}
 
+// averagedOver is the title note every averaged ablation carries.
+var averagedOver = "average over " + fmt.Sprint(ablationWorkloads)
+
+// ablationFigure renders f averaged over ablationWorkloads: one row
+// per variant, one column per metric.
+func (r *Runner) ablationFigure(f figure) (*Figure, error) {
+	vals, err := r.measure(f, ablationWorkloads)
+	if err != nil {
+		return nil, err
+	}
+	header := []string{f.head}
+	for _, m := range f.metrics {
+		header = append(header, m.name)
+	}
+	var labels []string
+	for _, v := range f.rows {
+		labels = append(labels, v.label)
+	}
+	t := stats.MeanTable(f.title, header, labels,
+		func(row, col int) []float64 { return vals[row][col] },
+		func(col int, v float64) string { return f.metrics[col].format(v) }, false)
+	return &Figure{ID: f.id, Caption: f.caption, Table: t}, nil
+}
+
+func accuracy(res, _ *sim.Result) float64   { return res.Pred.Accuracy() }
+func recalStall(res, _ *sim.Result) float64 { return float64(res.Pred.RecalCycles) }
+func whole(v float64) string                { return fmt.Sprintf("%.0f", v) }
+
 // AblationHash compares the bits-hash table against an equal-size
 // xor-hash table: prediction accuracy, dynamic energy, speedup, and
 // the recalibration stall both pay.
 func (r *Runner) AblationHash() (*Figure, error) {
-	mk := func(wl string, h core.HashKind) job {
-		cfg := r.opts.Base.WithScheme(sim.ReDHiP)
-		cfg.EnablePrefetch = false
-		cfg.PTHash = h
-		return job{workload: wl, cfg: cfg}
-	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		jobs = append(jobs, r.baseJob(wl), mk(wl, core.HashBits), mk(wl, core.HashXor))
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Prediction-table hash ablation (average over "+fmt.Sprint(ablationWorkloads)+")",
-		"hash", "accuracy", "dynamic energy vs base", "speedup", "recal stall cycles")
+	var rows []variant
 	for _, h := range []core.HashKind{core.HashBits, core.HashXor} {
-		var acc, dyn, sp, stall []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(r.baseJob(wl))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, h))
-			if err != nil {
-				return nil, err
-			}
-			acc = append(acc, res.Pred.Accuracy())
-			dyn = append(dyn, res.DynamicEnergyRatio(base))
-			sp = append(sp, res.Speedup(base))
-			stall = append(stall, float64(res.Pred.RecalCycles))
-		}
-		t.AddRow(h.String(),
-			stats.Pct(stats.Mean(acc), false),
-			stats.Pct(stats.Mean(dyn), false),
-			stats.Pct(stats.Mean(sp), true),
-			fmt.Sprintf("%.0f", stats.Mean(stall)))
+		rows = append(rows, redhipWith(h.String(), func(c *sim.Config) { c.PTHash = h }))
 	}
-	return &Figure{
-		ID:      "Ablation: hash",
-		Caption: "The paper's central trade-off (Section III-A/B): xor-hash can discriminate better per lookup, but its entries scatter across the cache so recalibration degrades to one tag per cycle — a stall tens of times larger that erases the accuracy gain. \"Any slight complexity added to the predictor prohibits the possibility of this recalibration process.\"",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: hash",
+		caption: "The paper's central trade-off (Section III-A/B): xor-hash can discriminate better per lookup, but its entries scatter across the cache so recalibration degrades to one tag per cycle — a stall tens of times larger that erases the accuracy gain. \"Any slight complexity added to the predictor prohibits the possibility of this recalibration process.\"",
+		title:   "Prediction-table hash ablation (" + averagedOver + ")",
+		head:    "hash",
+		rows:    rows,
+		metrics: []metric{
+			{name: "accuracy", value: accuracy, format: pct},
+			{name: "dynamic energy vs base", value: energyRatio, format: pct},
+			{name: "speedup", value: speedup, format: signedPct},
+			{name: "recal stall cycles", value: recalStall, format: whole},
+		},
+	})
 }
 
 // AblationCBFCounters sweeps the CBF counter width at fixed area: wider
 // counters overflow less but afford fewer entries.
 func (r *Runner) AblationCBFCounters() (*Figure, error) {
-	widths := []uint{2, 3, 4, 8}
-	mk := func(wl string, bits uint) job {
-		cfg := r.opts.Base.WithScheme(sim.CBF)
-		cfg.EnablePrefetch = false
-		cfg.CBFCounterBits = bits
-		return job{workload: wl, cfg: cfg}
+	var rows []variant
+	for _, bits := range []uint{2, 3, 4, 8} {
+		rows = append(rows, variant{fmt.Sprintf("%d", bits), func(c *sim.Config) {
+			c.Scheme, c.CBFCounterBits = sim.CBF, bits
+		}, baseRun})
 	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		jobs = append(jobs, r.baseJob(wl))
-		for _, b := range widths {
-			jobs = append(jobs, mk(wl, b))
-		}
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("CBF counter-width ablation at fixed area (average over "+fmt.Sprint(ablationWorkloads)+")",
-		"counter bits", "accuracy", "dynamic energy vs base", "speedup")
-	for _, b := range widths {
-		var acc, dyn, sp []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(r.baseJob(wl))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, b))
-			if err != nil {
-				return nil, err
-			}
-			acc = append(acc, res.Pred.Accuracy())
-			dyn = append(dyn, res.DynamicEnergyRatio(base))
-			sp = append(sp, res.Speedup(base))
-		}
-		t.AddRow(fmt.Sprintf("%d", b),
-			stats.Pct(stats.Mean(acc), false),
-			stats.Pct(stats.Mean(dyn), false),
-			stats.Pct(stats.Mean(sp), true))
-	}
-	return &Figure{
-		ID:      "Ablation: cbf-counters",
-		Caption: "At fixed area, fewer bits per counter buy more entries; ReDHiP's 1-bit limit case plus recalibration is the paper's accuracy-per-bit claim.",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: cbf-counters",
+		caption: "At fixed area, fewer bits per counter buy more entries; ReDHiP's 1-bit limit case plus recalibration is the paper's accuracy-per-bit claim.",
+		title:   "CBF counter-width ablation at fixed area (" + averagedOver + ")",
+		head:    "counter bits",
+		rows:    rows,
+		metrics: []metric{
+			{name: "accuracy", value: accuracy, format: pct},
+			{name: "dynamic energy vs base", value: energyRatio, format: pct},
+			{name: "speedup", value: speedup, format: signedPct},
+		},
+	})
 }
 
 // AblationBanks sweeps the recalibration banking factor: more banks cut
 // the stall linearly at hardware cost (Section III-B's "different
 // design effort with different parallel degree").
 func (r *Runner) AblationBanks() (*Figure, error) {
-	banks := []int{1, 2, 4, 8, 16}
-	mk := func(wl string, b int) job {
-		cfg := r.opts.Base.WithScheme(sim.ReDHiP)
-		cfg.EnablePrefetch = false
-		cfg.PTBanks = b
-		return job{workload: wl, cfg: cfg}
+	var rows []variant
+	for _, banks := range []int{1, 2, 4, 8, 16} {
+		rows = append(rows, redhipWith(fmt.Sprintf("%d", banks), func(c *sim.Config) { c.PTBanks = banks }))
 	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		jobs = append(jobs, r.baseJob(wl))
-		for _, b := range banks {
-			jobs = append(jobs, mk(wl, b))
-		}
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Recalibration banking ablation (average over "+fmt.Sprint(ablationWorkloads)+")",
-		"banks", "recal stall cycles", "speedup")
-	for _, b := range banks {
-		var stall, sp []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(r.baseJob(wl))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, b))
-			if err != nil {
-				return nil, err
-			}
-			stall = append(stall, float64(res.Pred.RecalCycles))
-			sp = append(sp, res.Speedup(base))
-		}
-		t.AddRow(fmt.Sprintf("%d", b),
-			fmt.Sprintf("%.0f", stats.Mean(stall)),
-			stats.Pct(stats.Mean(sp), true))
-	}
-	return &Figure{
-		ID:      "Ablation: banks",
-		Caption: "Stall cycles scale as sets/banks; even a single bank keeps the total stall negligible at the 1M-miss period.",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: banks",
+		caption: "Stall cycles scale as sets/banks; even a single bank keeps the total stall negligible at the 1M-miss period.",
+		title:   "Recalibration banking ablation (" + averagedOver + ")",
+		head:    "banks",
+		rows:    rows,
+		metrics: []metric{
+			{name: "recal stall cycles", value: recalStall, format: whole},
+			{name: "speedup", value: speedup, format: signedPct},
+		},
+	})
 }
 
 // AblationReplacement checks whether ReDHiP's benefit depends on the
 // caches' replacement policy.
 func (r *Runner) AblationReplacement() (*Figure, error) {
-	policies := []cache.ReplacementPolicy{cache.LRU, cache.FIFO, cache.Random}
-	mk := func(wl string, p cache.ReplacementPolicy, s sim.Scheme) job {
-		cfg := r.opts.Base.WithScheme(s)
-		cfg.EnablePrefetch = false
-		cfg.Replacement = p
-		return job{workload: wl, cfg: cfg}
+	var rows []variant
+	for _, p := range []cache.ReplacementPolicy{cache.LRU, cache.FIFO, cache.Random} {
+		rows = append(rows, sameSetting(p.String(), func(c *sim.Config) { c.Replacement = p }))
 	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		for _, p := range policies {
-			jobs = append(jobs, mk(wl, p, sim.Base), mk(wl, p, sim.ReDHiP))
-		}
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Replacement-policy ablation (average over "+fmt.Sprint(ablationWorkloads)+"; each vs base with the same policy)",
-		"policy", "dynamic energy saving", "speedup", "accuracy")
-	for _, p := range policies {
-		var dyn, sp, acc []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(mk(wl, p, sim.Base))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, p, sim.ReDHiP))
-			if err != nil {
-				return nil, err
-			}
-			dyn = append(dyn, 1-res.DynamicEnergyRatio(base))
-			sp = append(sp, res.Speedup(base))
-			acc = append(acc, res.Pred.Accuracy())
-		}
-		t.AddRow(p.String(),
-			stats.Pct(stats.Mean(dyn), false),
-			stats.Pct(stats.Mean(sp), true),
-			stats.Pct(stats.Mean(acc), false))
-	}
-	return &Figure{
-		ID:      "Ablation: replacement",
-		Caption: "ReDHiP predicts presence, not recency: its savings survive FIFO and Random replacement nearly unchanged.",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: replacement",
+		caption: "ReDHiP predicts presence, not recency: its savings survive FIFO and Random replacement nearly unchanged.",
+		title:   "Replacement-policy ablation (" + averagedOver + "; each vs base with the same policy)",
+		head:    "policy",
+		rows:    rows,
+		metrics: []metric{
+			{name: "dynamic energy saving", value: energySaving, format: pct},
+			{name: "speedup", value: speedup, format: signedPct},
+			{name: "accuracy", value: accuracy, format: pct},
+		},
+	})
 }
 
 // AblationFills contrasts the paper's lookup-only energy accounting
 // with accounting that also charges insertion writes.
 func (r *Runner) AblationFills() (*Figure, error) {
-	mk := func(wl string, s sim.Scheme, fills bool) job {
-		cfg := r.opts.Base.WithScheme(s)
-		cfg.EnablePrefetch = false
-		cfg.ChargeFills = fills
-		return job{workload: wl, cfg: cfg}
-	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		for _, fills := range []bool{false, true} {
-			jobs = append(jobs, mk(wl, sim.Base, fills), mk(wl, sim.ReDHiP, fills), mk(wl, sim.Oracle, fills))
-		}
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Energy-accounting ablation (average over "+fmt.Sprint(ablationWorkloads)+")",
-		"accounting", "ReDHiP dynamic saving", "Oracle dynamic saving")
-	for _, fills := range []bool{false, true} {
-		label := "lookups only (paper)"
-		if fills {
-			label = "lookups + fill writes"
-		}
-		var red, ora []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(mk(wl, sim.Base, fills))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, sim.ReDHiP, fills))
-			if err != nil {
-				return nil, err
-			}
-			o, err := r.resultFor(mk(wl, sim.Oracle, fills))
-			if err != nil {
-				return nil, err
-			}
-			red = append(red, 1-res.DynamicEnergyRatio(base))
-			ora = append(ora, 1-o.DynamicEnergyRatio(base))
-		}
-		t.AddRow(label, stats.Pct(stats.Mean(red), false), stats.Pct(stats.Mean(ora), false))
-	}
-	return &Figure{
-		ID:      "Ablation: fills",
-		Caption: "Charging the fill writes no predictor can avoid compresses all savings; the paper's 71% Oracle bound implies lookup-only accounting.",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: fills",
+		caption: "Charging the fill writes no predictor can avoid compresses all savings; the paper's 71% Oracle bound implies lookup-only accounting.",
+		title:   "Energy-accounting ablation (" + averagedOver + ")",
+		head:    "accounting",
+		rows: []variant{
+			sameSetting("lookups only (paper)", func(c *sim.Config) { c.ChargeFills = false }),
+			sameSetting("lookups + fill writes", func(c *sim.Config) { c.ChargeFills = true }),
+		},
+		metrics: []metric{
+			{name: "ReDHiP dynamic saving", value: energySaving, format: pct},
+			{name: "Oracle dynamic saving", value: energySaving, format: pct, vary: scheme(sim.Oracle)},
+		},
+	})
 }
 
 // AblationAdaptive evaluates the Section IV disable heuristic on a
@@ -277,41 +168,31 @@ func (r *Runner) AblationFills() (*Figure, error) {
 // memory-bound one (where disabling would forfeit the benefit).
 func (r *Runner) AblationAdaptive() (*Figure, error) {
 	workloads := []string{"computebound", "mcf"}
-	mk := func(wl string, adaptive bool) job {
-		cfg := r.opts.Base.WithScheme(sim.ReDHiP)
-		cfg.EnablePrefetch = false
-		cfg.AdaptiveDisable = adaptive
-		return job{workload: wl, cfg: cfg}
-	}
+	variants := []bool{false, true}
 	var jobs []job
 	for _, wl := range workloads {
-		jobs = append(jobs, r.baseJob(wl), mk(wl, false), mk(wl, true))
+		jobs = append(jobs, r.jobFor(wl, baseRun))
+		for _, adaptive := range variants {
+			jobs = append(jobs, r.jobFor(wl, func(c *sim.Config) { c.Scheme, c.AdaptiveDisable = sim.ReDHiP, adaptive }))
+		}
 	}
-	if err := r.run(jobs); err != nil {
+	res, err := r.results(jobs)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Adaptive predictor-disable ablation",
 		"workload", "variant", "speedup vs base", "dynamic energy vs base", "epochs disabled")
-	for _, wl := range workloads {
-		base, err := r.resultFor(r.baseJob(wl))
-		if err != nil {
-			return nil, err
-		}
-		for _, adaptive := range []bool{false, true} {
-			res, err := r.resultFor(mk(wl, adaptive))
-			if err != nil {
-				return nil, err
-			}
+	for w, wl := range workloads {
+		base, runs := res[w*3], res[w*3+1:w*3+3]
+		for i, adaptive := range variants {
+			run := runs[i]
 			name := "always on"
 			disabled := "-"
 			if adaptive {
 				name = "adaptive"
-				disabled = fmt.Sprintf("%d/%d", res.Adaptive.DisabledEpochs, res.Adaptive.Epochs)
+				disabled = fmt.Sprintf("%d/%d", run.Adaptive.DisabledEpochs, run.Adaptive.Epochs)
 			}
-			t.AddRow(wl, name,
-				stats.Pct(res.Speedup(base), true),
-				stats.Pct(res.DynamicEnergyRatio(base), false),
-				disabled)
+			t.AddRow(wl, name, signedPct(run.Speedup(base)), pct(run.DynamicEnergyRatio(base)), disabled)
 		}
 	}
 	return &Figure{
@@ -321,75 +202,29 @@ func (r *Runner) AblationAdaptive() (*Figure, error) {
 	}, nil
 }
 
-// Ablations regenerates all ablation studies.
-func (r *Runner) Ablations() ([]*Figure, error) {
-	builders := []func() (*Figure, error){
-		r.AblationHash,
-		r.AblationCBFCounters,
-		r.AblationBanks,
-		r.AblationReplacement,
-		r.AblationFills,
-		r.AblationAdaptive,
-		r.AblationMemoryLatency,
-	}
-	var figs []*Figure
-	for _, b := range builders {
-		f, err := b()
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}
-
 // AblationMemoryLatency extends the paper's 0-cycle memory model with
 // real DRAM latencies: the absolute time grows, the relative latency
 // benefit of skipping on-chip lookups shrinks, and the energy savings
 // are untouched — which is exactly why the paper frames ReDHiP as an
 // energy mechanism first.
 func (r *Runner) AblationMemoryLatency() (*Figure, error) {
-	latencies := []uint32{0, 100, 200, 400}
-	mk := func(wl string, lat uint32, s sim.Scheme) job {
-		cfg := r.opts.Base.WithScheme(s)
-		cfg.EnablePrefetch = false
-		cfg.MemoryLatencyCycles = lat
-		return job{workload: wl, cfg: cfg}
-	}
-	var jobs []job
-	for _, wl := range ablationWorkloads {
-		for _, lat := range latencies {
-			jobs = append(jobs, mk(wl, lat, sim.Base), mk(wl, lat, sim.ReDHiP))
-		}
-	}
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Memory-latency ablation (average over "+fmt.Sprint(ablationWorkloads)+"; each vs base at the same latency)",
-		"memory latency (cycles)", "ReDHiP speedup", "ReDHiP dynamic saving")
-	for _, lat := range latencies {
-		var sp, dyn []float64
-		for _, wl := range ablationWorkloads {
-			base, err := r.resultFor(mk(wl, lat, sim.Base))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.resultFor(mk(wl, lat, sim.ReDHiP))
-			if err != nil {
-				return nil, err
-			}
-			sp = append(sp, res.Speedup(base))
-			dyn = append(dyn, 1-res.DynamicEnergyRatio(base))
-		}
+	var rows []variant
+	for _, lat := range []uint32{0, 100, 200, 400} {
 		label := fmt.Sprintf("%d", lat)
 		if lat == 0 {
 			label = "0 (paper)"
 		}
-		t.AddRow(label, stats.Pct(stats.Mean(sp), true), stats.Pct(stats.Mean(dyn), false))
+		rows = append(rows, sameSetting(label, func(c *sim.Config) { c.MemoryLatencyCycles = lat }))
 	}
-	return &Figure{
-		ID:      "Ablation: memory-latency",
-		Caption: "With real DRAM latency the latency benefit dilutes (off-chip time dominates) while the dynamic-energy savings persist unchanged.",
-		Table:   t,
-	}, nil
+	return r.ablationFigure(figure{
+		id:      "Ablation: memory-latency",
+		caption: "With real DRAM latency the latency benefit dilutes (off-chip time dominates) while the dynamic-energy savings persist unchanged.",
+		title:   "Memory-latency ablation (" + averagedOver + "; each vs base at the same latency)",
+		head:    "memory latency (cycles)",
+		rows:    rows,
+		metrics: []metric{
+			{name: "ReDHiP speedup", value: speedup, format: signedPct},
+			{name: "ReDHiP dynamic saving", value: energySaving, format: pct},
+		},
+	})
 }

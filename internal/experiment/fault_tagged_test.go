@@ -12,7 +12,7 @@ import (
 )
 
 // faultOptions is a one-worker runner with the given injector. The
-// figure job pool (run/resultFor) evaluates the injection point once
+// figure job pool (run/results) evaluates the injection point once
 // per job, the granularity the first three contracts are written
 // against; SchemeSweep evaluates it once per pass and fails every
 // pending scheme together — covered by the SinglePass variants below.
@@ -72,7 +72,7 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 	// The runner survived the panic: the un-poisoned schemes are still
 	// runnable on the same instance.
 	last := poolJobs(r.opts.Base, "mcf", sim.Schemes()[len(sim.Schemes())-1:])[0]
-	if _, err := r.resultFor(last); err != nil {
+	if _, err := r.results([]job{last}); err != nil {
 		t.Fatalf("runner unusable after recovered panic: %v", err)
 	}
 }

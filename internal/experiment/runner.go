@@ -205,18 +205,24 @@ func (j job) key() jobKey {
 	return jobKey{workload: j.workload, cfg: j.cfg}
 }
 
-// resultFor returns the memoised result for a job, running it if
-// needed. Prefer prefetching batches with run() for parallelism.
-func (r *Runner) resultFor(j job) (*sim.Result, error) {
-	if err := r.run([]job{j}); err != nil {
+// results runs jobs through the pool and returns their results in
+// input order, or the first failed job's error.
+func (r *Runner) results(jobs []job) ([]*sim.Result, error) {
+	if err := r.run(jobs); err != nil {
 		return nil, err
 	}
+	return r.cached(jobs), nil
+}
+
+// cached returns the memoised results of jobs in input order.
+func (r *Runner) cached(jobs []job) []*sim.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.errs[j.key()]; err != nil {
-		return nil, err
+	out := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		out[i] = r.cache[j.key()]
 	}
-	return r.cache[j.key()], nil
+	return out
 }
 
 // run executes all not-yet-cached jobs on a fixed pool of worker
@@ -419,13 +425,7 @@ func (r *Runner) SchemeSweep(workloadName string, schemes []sim.Scheme) ([]*sim.
 	if err := r.runMultiPass(workloadName, jobs); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*sim.Result, len(jobs))
-	for i, j := range jobs {
-		out[i] = r.cache[j.key()]
-	}
-	return out, nil
+	return r.cached(jobs), nil
 }
 
 // runMultiPass executes the not-yet-cached jobs of one scheme sweep as

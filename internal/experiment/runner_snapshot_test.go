@@ -36,19 +36,7 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 // poolSweep runs one figure-pool job per scheme (each a one-scheme
 // pass) and returns the results in scheme order.
 func poolSweep(r *Runner, wl string, schemes []sim.Scheme) ([]*sim.Result, error) {
-	jobs := poolJobs(r.opts.Base, wl, schemes)
-	if err := r.run(jobs); err != nil {
-		return nil, err
-	}
-	out := make([]*sim.Result, len(jobs))
-	for i, j := range jobs {
-		res, err := r.resultFor(j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
+	return r.results(poolJobs(r.opts.Base, wl, schemes))
 }
 
 // TestRunnerSnapshotBranchBitIdentical pins the runner-level contract:

@@ -24,46 +24,39 @@ type Check struct {
 // Check per claim; a production change that silently breaks the
 // reproduction fails here before it fails a reader.
 func (r *Runner) Verify() ([]Check, error) {
-	if err := r.run(r.headlineJobs()); err != nil {
+	schemes := []sim.Scheme{sim.Base, sim.Phased, sim.CBF, sim.ReDHiP, sim.Oracle}
+	var jobs []job
+	for _, wl := range r.opts.Workloads {
+		for _, s := range schemes {
+			jobs = append(jobs, r.jobFor(wl, scheme(s)))
+		}
+	}
+	res, err := r.results(jobs)
+	if err != nil {
 		return nil, err
 	}
+	type row struct {
+		wl                                string
+		base, phased, cbf, redhip, oracle *sim.Result
+	}
+	rows := make([]row, len(r.opts.Workloads))
+	for i, wl := range r.opts.Workloads {
+		s := res[i*len(schemes):]
+		rows[i] = row{wl, s[0], s[1], s[2], s[3], s[4]}
+	}
+
 	var checks []Check
 	add := func(name string, pass bool, format string, args ...any) {
 		checks = append(checks, Check{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	type row struct {
-		base, phased, cbf, redhip, oracle *sim.Result
-	}
-	rows := map[string]row{}
-	for _, wl := range r.opts.Workloads {
-		var rw row
-		var err error
-		if rw.base, err = r.resultFor(r.schemeJob(wl, sim.Base)); err != nil {
-			return nil, err
-		}
-		if rw.phased, err = r.resultFor(r.schemeJob(wl, sim.Phased)); err != nil {
-			return nil, err
-		}
-		if rw.cbf, err = r.resultFor(r.schemeJob(wl, sim.CBF)); err != nil {
-			return nil, err
-		}
-		if rw.redhip, err = r.resultFor(r.schemeJob(wl, sim.ReDHiP)); err != nil {
-			return nil, err
-		}
-		if rw.oracle, err = r.resultFor(r.schemeJob(wl, sim.Oracle)); err != nil {
-			return nil, err
-		}
-		rows[wl] = rw
-	}
-
 	// Claim: the Oracle is a performance and energy bound on ReDHiP,
 	// per workload (Fig 6/7).
 	boundOK, worst := true, ""
-	for wl, rw := range rows {
+	for _, rw := range rows {
 		if rw.oracle.Cycles > rw.redhip.Cycles || rw.oracle.DynamicNJ() > rw.redhip.DynamicNJ() {
 			boundOK = false
-			worst = wl
+			worst = rw.wl
 		}
 	}
 	if boundOK {
@@ -127,16 +120,16 @@ func (r *Runner) Verify() ([]Check, error) {
 	const hitTol = 0.005
 	hitOK := true
 	detail := ""
-	for wl, rw := range rows {
+	for _, rw := range rows {
 		d := rw.redhip.HitRate(energy.L1) - rw.base.HitRate(energy.L1)
 		if d > hitTol || d < -hitTol {
 			hitOK = false
-			detail = fmt.Sprintf("%s: L1 moved by %+.3f", wl, d)
+			detail = fmt.Sprintf("%s: L1 moved by %+.3f", rw.wl, d)
 		}
 		for l := energy.L2; l <= energy.L4; l++ {
 			if rw.redhip.HitRate(l) < rw.base.HitRate(l)-hitTol {
 				hitOK = false
-				detail = fmt.Sprintf("%s: %v dropped %.3f -> %.3f", wl, l,
+				detail = fmt.Sprintf("%s: %v dropped %.3f -> %.3f", rw.wl, l,
 					rw.base.HitRate(l), rw.redhip.HitRate(l))
 			}
 		}

@@ -618,7 +618,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 	}
 	schemes := make([]sim.Scheme, len(spec.Schemes))
 	for i, name := range spec.Schemes {
-		if schemes[i], err = parseScheme(name); err != nil {
+		if schemes[i], err = sim.ParseScheme(name); err != nil {
 			return nil, err
 		}
 	}

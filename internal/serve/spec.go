@@ -110,20 +110,20 @@ func (s Spec) normalize() (Spec, error) {
 	}
 	s.Schemes = dedupe(s.Schemes)
 	for _, name := range s.Schemes {
-		if _, err := parseScheme(name); err != nil {
+		if _, err := sim.ParseScheme(name); err != nil {
 			return Spec{}, err
 		}
 	}
 	if s.Geometry == "" {
 		s.Geometry = "scaled"
 	}
-	if _, err := configFor(s.Geometry); err != nil {
+	if _, err := sim.Preset(s.Geometry); err != nil {
 		return Spec{}, err
 	}
 	if s.Inclusion == "" {
 		s.Inclusion = "inclusive"
 	}
-	if _, err := parseInclusion(s.Inclusion); err != nil {
+	if _, err := sim.ParseInclusion(s.Inclusion); err != nil {
 		return Spec{}, err
 	}
 	if s.Seed == 0 {
@@ -186,14 +186,14 @@ func (s Spec) CanonicalKey() string { return s.key() }
 // configForScheme builds the full sim.Config one (workload-independent)
 // run of this spec uses. The spec must be normalised.
 func (s Spec) configForScheme(scheme string) (sim.Config, error) {
-	cfg, err := configFor(s.Geometry)
+	cfg, err := sim.Preset(s.Geometry)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if cfg.Scheme, err = parseScheme(scheme); err != nil {
+	if cfg.Scheme, err = sim.ParseScheme(scheme); err != nil {
 		return sim.Config{}, err
 	}
-	if cfg.Inclusion, err = parseInclusion(s.Inclusion); err != nil {
+	if cfg.Inclusion, err = sim.ParseInclusion(s.Inclusion); err != nil {
 		return sim.Config{}, err
 	}
 	if s.RefsPerCore > 0 {
@@ -216,7 +216,7 @@ func (s Spec) runs() int { return len(s.Workloads) * len(s.Schemes) }
 // scheme count does not multiply the estimate. The spec must be
 // normalised; the byte-budget load shedder reserves this at admission.
 func (s Spec) estimateTraceBytes() uint64 {
-	cfg, err := configFor(s.Geometry)
+	cfg, err := sim.Preset(s.Geometry)
 	if err != nil {
 		return 0 // unreachable on a normalised spec
 	}
@@ -258,35 +258,4 @@ func dedupe(in []string) []string {
 		}
 	}
 	return out
-}
-
-func configFor(geometry string) (sim.Config, error) {
-	switch geometry {
-	case "paper":
-		return sim.Paper(), nil
-	case "scaled":
-		return sim.Scaled(), nil
-	case "smoke":
-		return sim.Smoke(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("serve: unknown geometry %q (want paper, scaled or smoke)", geometry)
-	}
-}
-
-func parseScheme(name string) (sim.Scheme, error) {
-	for _, sc := range sim.Schemes() {
-		if sc.String() == name {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown scheme %q", name)
-}
-
-func parseInclusion(name string) (sim.InclusionPolicy, error) {
-	for _, p := range []sim.InclusionPolicy{sim.Inclusive, sim.Hybrid, sim.Exclusive} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown inclusion policy %q", name)
 }

@@ -219,6 +219,40 @@ func Smoke() Config {
 	return c
 }
 
+// Preset returns the named geometry preset: paper, scaled or smoke.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "paper":
+		return Paper(), nil
+	case "scaled":
+		return Scaled(), nil
+	case "smoke":
+		return Smoke(), nil
+	}
+	return Config{}, fmt.Errorf("sim: unknown geometry %q (want paper, scaled or smoke)", name)
+}
+
+// ParseScheme returns the scheme with the given report name.
+func ParseScheme(name string) (Scheme, error) {
+	for _, sc := range Schemes() {
+		if sc.String() == name {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown scheme %q", name)
+}
+
+// ParseInclusion returns the inclusion policy with the given report
+// name.
+func ParseInclusion(name string) (InclusionPolicy, error) {
+	for _, p := range []InclusionPolicy{Inclusive, Hybrid, Exclusive} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown inclusion policy %q", name)
+}
+
 // Validate checks the configuration for consistency.
 func (c *Config) Validate() error {
 	if c.Cores <= 0 {
@@ -294,14 +328,11 @@ func (s Scheme) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON parses a scheme name.
 func (s *Scheme) UnmarshalJSON(b []byte) error {
-	name := strings.Trim(string(b), `"`)
-	for _, sc := range Schemes() {
-		if sc.String() == name {
-			*s = sc
-			return nil
-		}
+	sc, err := ParseScheme(strings.Trim(string(b), `"`))
+	if err == nil {
+		*s = sc
 	}
-	return fmt.Errorf("sim: unknown scheme %q", name)
+	return err
 }
 
 // MarshalJSON renders the policy by name.
@@ -311,12 +342,9 @@ func (p InclusionPolicy) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON parses a policy name.
 func (p *InclusionPolicy) UnmarshalJSON(b []byte) error {
-	name := strings.Trim(string(b), `"`)
-	for _, pol := range []InclusionPolicy{Inclusive, Hybrid, Exclusive} {
-		if pol.String() == name {
-			*p = pol
-			return nil
-		}
+	pol, err := ParseInclusion(strings.Trim(string(b), `"`))
+	if err == nil {
+		*p = pol
 	}
-	return fmt.Errorf("sim: unknown inclusion policy %q", name)
+	return err
 }

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -19,51 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive
-// (0 is returned for an empty slice). Speedup factors are averaged
-// geometrically.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean of non-positive value %v", x)
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
-// Min returns the smallest element (0 for an empty slice).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element (0 for an empty slice).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Table accumulates rows and renders them as aligned text or CSV. The
@@ -87,14 +41,33 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddFloatRow appends a row of a label plus formatted float cells.
-func (t *Table) AddFloatRow(label string, format string, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, fmt.Sprintf(format, v))
+// MeanTable renders a table in which every cell is the mean of the
+// values cell(row, col) returns, printed by format(col, mean). header
+// names the label column and then each data column; rows labels the
+// rows. With average set, a trailing "average" column holds the mean
+// of each row's cell means, printed by format(len(header)-1, mean).
+// The mean of one value is that value exactly, so a table of single
+// values prints them unchanged.
+func MeanTable(title string, header, rows []string, cell func(row, col int) []float64,
+	format func(col int, v float64) string, average bool) *Table {
+	cols := len(header) - 1
+	if average {
+		header = append(header[:len(header):len(header)], "average")
 	}
-	t.AddRow(cells...)
+	t := NewTable(title, header...)
+	for i, label := range rows {
+		cells := []string{label}
+		means := make([]float64, cols)
+		for c := range means {
+			means[c] = Mean(cell(i, c))
+			cells = append(cells, format(c, means[c]))
+		}
+		if average {
+			cells = append(cells, format(cols, Mean(means)))
+		}
+		t.AddRow(cells...)
+	}
+	return t
 }
 
 // String renders the table as aligned monospace text.

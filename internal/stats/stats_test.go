@@ -1,10 +1,10 @@
 package stats
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -16,56 +16,41 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Errorf("geomean = %v, %v", g, err)
+func TestMeanTable(t *testing.T) {
+	vals := [][][]float64{
+		{{0.1}, {0.2, 0.4}},
+		{{1}, {}},
 	}
-	if g, err := GeoMean(nil); err != nil || g != 0 {
-		t.Errorf("empty geomean = %v, %v", g, err)
+	tab := MeanTable("T", []string{"row", "a", "b"}, []string{"x", "y"},
+		func(row, col int) []float64 { return vals[row][col] },
+		func(col int, v float64) string { return fmt.Sprintf("%d:%.2f", col, v) }, true)
+	want := [][]string{
+		{"x", "0:0.10", "1:0.30", "2:0.20"},
+		{"y", "0:1.00", "1:0.00", "2:0.50"},
 	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative accepted")
+	if !reflect.DeepEqual(tab.Columns, []string{"row", "a", "b", "average"}) {
+		t.Fatalf("columns = %v", tab.Columns)
 	}
-	if _, err := GeoMean([]float64{0}); err == nil {
-		t.Error("zero accepted")
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("rows = %v, want %v", tab.Rows, want)
 	}
-}
 
-func TestGeoMeanBetweenMinMax(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r) + 1
-		}
-		g, err := GeoMean(xs)
-		if err != nil {
-			return false
-		}
-		return g >= Min(xs)-1e-9 && g <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Min(xs) != 1 || Max(xs) != 3 {
-		t.Error("min/max")
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty min/max")
+	// Without the average column the header is used as given, and the
+	// mean of one value is that value exactly.
+	header := []string{"row", "a"}
+	v := 0.1 + 0.2
+	tab = MeanTable("", header, []string{"x"},
+		func(int, int) []float64 { return []float64{v} },
+		func(_ int, got float64) string { return fmt.Sprint(got == v) }, false)
+	if len(header) != 2 || !reflect.DeepEqual(tab.Rows, [][]string{{"x", "true"}}) {
+		t.Fatalf("header %v, rows %v", header, tab.Rows)
 	}
 }
 
 func TestTableString(t *testing.T) {
 	tab := NewTable("Title", "a", "bb")
 	tab.AddRow("x", "y")
-	tab.AddFloatRow("z", "%.1f", 3.14159)
+	tab.AddRow("z", fmt.Sprintf("%.1f", 3.14159))
 	s := tab.String()
 	for _, want := range []string{"Title", "a", "bb", "x", "y", "z", "3.1"} {
 		if !strings.Contains(s, want) {

@@ -65,39 +65,46 @@ func Aggregate(g Grid, children []Child, results [][]*sim.Result) (*Artifacts, e
 		}
 	}
 
-	wlIndex := make(map[string]int, len(g.Workloads))
-	for i, wl := range g.Workloads {
-		wlIndex[wl] = i
+	// cells[w] lists the children of workload w in expansion order.
+	cells := make([][]int, len(g.Workloads))
+	for w, wl := range g.Workloads {
+		for i, child := range children {
+			if child.Workload == wl {
+				cells[w] = append(cells[w], i)
+			}
+		}
 	}
-	cellsPerWorkload := len(g.Geometries) * len(g.Cores) * len(g.RefsPerCore) * len(g.Seeds)
+	// mean renders one table whose cells average value over each
+	// workload's grid cells, plus the average across workloads.
+	mean := func(title, head string, rows []string, value func(row, child int) float64,
+		format func(float64) string) *stats.Table {
+		return stats.MeanTable(title, append([]string{head}, g.Workloads...), rows,
+			func(row, w int) []float64 {
+				vals := make([]float64, len(cells[w]))
+				for k, i := range cells[w] {
+					vals[k] = value(row, i)
+				}
+				return vals
+			},
+			func(_ int, v float64) string { return format(v) }, true)
+	}
 
+	cellsPerWorkload := len(g.Geometries) * len(g.Cores) * len(g.RefsPerCore) * len(g.Seeds)
 	a := &Artifacts{Grid: g, Children: len(children), Runs: len(children) * len(g.Schemes)}
 
 	// Fig 9-style tables: per-level hit rates for each scheme, one
 	// column per workload plus the average, each cell the mean over the
 	// workload's grid cells.
-	columns := append([]string{"level"}, g.Workloads...)
-	columns = append(columns, "average")
+	var levels []string
+	for l := energy.L1; l < energy.NumLevels; l++ {
+		levels = append(levels, l.String())
+	}
 	for _, name := range g.Schemes {
-		t := stats.NewTable(fmt.Sprintf("Per-level hit rates (%s), mean over %d grid cells/workload", name, cellsPerWorkload), columns...)
-		for l := energy.L1; l < energy.NumLevels; l++ {
-			cells := []string{l.String()}
-			var all []float64
-			for _, wl := range g.Workloads {
-				var vals []float64
-				for i, child := range children {
-					if child.Workload != wl {
-						continue
-					}
-					vals = append(vals, byScheme[name][i].HitRate(l))
-				}
-				all = append(all, stats.Mean(vals))
-				cells = append(cells, stats.Pct(stats.Mean(vals), false))
-			}
-			cells = append(cells, stats.Pct(stats.Mean(all), false))
-			t.AddRow(cells...)
-		}
-		a.HitRates = append(a.HitRates, t)
+		a.HitRates = append(a.HitRates, mean(
+			fmt.Sprintf("Per-level hit rates (%s), mean over %d grid cells/workload", name, cellsPerWorkload),
+			"level", levels,
+			func(l, i int) float64 { return byScheme[name][i].HitRate(energy.Level(l)) },
+			func(v float64) string { return stats.Pct(v, false) }))
 	}
 
 	// Fig 7-style table: dynamic energy per scheme. When the grid
@@ -106,41 +113,22 @@ func Aggregate(g Grid, children []Child, results [][]*sim.Result) (*Artifacts, e
 	// normalises per workload; without a base the table reports
 	// absolute dynamic nanojoules.
 	base := byScheme[sim.Base.String()]
-	energyCols := append([]string{"scheme"}, g.Workloads...)
-	energyCols = append(energyCols, "average")
-	var et *stats.Table
+	title := "Total dynamic energy (nJ)"
+	value := func(res *sim.Result, _ int) float64 { return res.DynamicNJ() }
+	format := func(v float64) string { return fmt.Sprintf("%.6g", v) }
 	if base != nil {
-		et = stats.NewTable("Dynamic energy normalised to base (lower is better)", energyCols...)
-	} else {
-		et = stats.NewTable("Total dynamic energy (nJ)", energyCols...)
+		title = "Dynamic energy normalised to base (lower is better)"
+		value = func(res *sim.Result, i int) float64 { return res.DynamicEnergyRatio(base[i]) }
+		format = func(v float64) string { return stats.Pct(v, false) }
 	}
+	var schemes []string
 	for _, name := range g.Schemes {
-		if base != nil && name == sim.Base.String() {
-			continue
+		if base == nil || name != sim.Base.String() {
+			schemes = append(schemes, name)
 		}
-		cells := []string{name}
-		var all []float64
-		for _, wl := range g.Workloads {
-			var vals []float64
-			for i, child := range children {
-				if child.Workload != wl {
-					continue
-				}
-				res := byScheme[name][i]
-				if base != nil {
-					vals = append(vals, res.DynamicEnergyRatio(base[i]))
-				} else {
-					vals = append(vals, res.DynamicNJ())
-				}
-			}
-			all = append(all, stats.Mean(vals))
-			cells = append(cells, energyCell(stats.Mean(vals), base != nil))
-		}
-		cells = append(cells, energyCell(stats.Mean(all), base != nil))
-		t := et
-		t.AddRow(cells...)
 	}
-	a.Energy = et
+	a.Energy = mean(title, "scheme", schemes,
+		func(s, i int) float64 { return value(byScheme[schemes[s]][i], i) }, format)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep aggregate: %d children, %d runs\n\n", a.Children, a.Runs)
@@ -151,11 +139,4 @@ func Aggregate(g Grid, children []Child, results [][]*sim.Result) (*Artifacts, e
 	b.WriteString(a.Energy.String())
 	a.Text = b.String()
 	return a, nil
-}
-
-func energyCell(v float64, normalised bool) string {
-	if normalised {
-		return stats.Pct(v, false)
-	}
-	return fmt.Sprintf("%.6g", v)
 }

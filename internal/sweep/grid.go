@@ -90,13 +90,9 @@ func (g Grid) Normalize() (Grid, error) {
 		}
 	}
 	g.Schemes = dedupeStrings(g.Schemes)
-	schemes := make(map[string]bool)
-	for _, sc := range sim.Schemes() {
-		schemes[sc.String()] = true
-	}
 	for _, name := range g.Schemes {
-		if !schemes[name] {
-			return Grid{}, fmt.Errorf("sweep: unknown scheme %q", name)
+		if _, err := sim.ParseScheme(name); err != nil {
+			return Grid{}, err
 		}
 	}
 	if len(g.Geometries) == 0 {
@@ -104,19 +100,15 @@ func (g Grid) Normalize() (Grid, error) {
 	}
 	g.Geometries = dedupeStrings(g.Geometries)
 	for _, geo := range g.Geometries {
-		switch geo {
-		case "paper", "scaled", "smoke":
-		default:
-			return Grid{}, fmt.Errorf("sweep: unknown geometry %q (want paper, scaled or smoke)", geo)
+		if _, err := sim.Preset(geo); err != nil {
+			return Grid{}, err
 		}
 	}
 	if g.Inclusion == "" {
 		g.Inclusion = "inclusive"
 	}
-	switch g.Inclusion {
-	case "inclusive", "hybrid", "exclusive":
-	default:
-		return Grid{}, fmt.Errorf("sweep: unknown inclusion policy %q", g.Inclusion)
+	if _, err := sim.ParseInclusion(g.Inclusion); err != nil {
+		return Grid{}, err
 	}
 	if len(g.Seeds) == 0 {
 		g.Seeds = []uint64{1}
