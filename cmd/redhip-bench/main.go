@@ -43,12 +43,10 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
 		verify    = flag.Bool("verify", false, "check the paper's qualitative claims against the regenerated data and exit nonzero on failure")
 
-		cpuProfile      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile      = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		pprofAddr       = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
-		traceDir        = flag.String("trace-dir", "", "enable the trace store's mmap-backed disk tier: streams evicted from RAM spill to an unlinked temp file in this directory and replay zero-copy")
-		traceBudget     = flag.Uint64("trace-budget", 0, "trace store RAM budget in bytes (default: tracestore.DefaultBudgetBytes); tiny values force every stream through the disk tier")
-		traceDiskBudget = flag.Uint64("trace-disk-budget", 0, "disk tier budget in bytes (default: tracestore.DefaultDiskBudgetBytes); needs -trace-dir")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
+		traceBudget = flag.Uint64("trace-budget", 0, "trace store byte budget (default: tracestore.DefaultBudgetBytes); tiny values regenerate every stream")
 
 		showVer = flag.Bool("version", false, "print build version and exit")
 	)
@@ -109,20 +107,11 @@ func main() {
 	if *refs > 0 {
 		cfg.RefsPerCore = *refs
 	}
-	opts := experiment.Options{Base: cfg, Seed: *seed, Parallelism: *par}
-	if *traceDir != "" || *traceBudget != 0 {
-		store, err := tracestore.NewWithConfig(tracestore.Config{
-			BudgetBytes:     *traceBudget,
-			DiskDir:         *traceDir,
-			DiskBudgetBytes: *traceDiskBudget,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() { _ = store.Close() }()
-		opts.TraceCache = store
-	} else if *traceDiskBudget != 0 {
-		fatal(fmt.Errorf("-trace-disk-budget needs -trace-dir"))
+	opts := experiment.Options{
+		Base:        cfg,
+		Seed:        *seed,
+		Parallelism: *par,
+		TraceCache:  tracestore.New(*traceBudget),
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")

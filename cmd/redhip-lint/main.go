@@ -11,10 +11,11 @@
 // panic messages are package-prefixed), statecov (every field of a
 // snapshot-reachable struct is serialised or //redhip:transient),
 // guarded (//redhip:guardedby mutex discipline, atomic-field
-// discipline, goroutine capture audit), unsafeaudit (unsafe/reflect/
-// mmap confined to analysis.UnsafePackages, each site justified by
-// //redhip:unsafe-ok) and annotations (malformed //redhip: directives
-// are findings, not silently ignored typos).
+// discipline, goroutine capture audit), unsafeaudit (unsafe, reflect
+// and memory-mapping syscalls confined to analysis.UnsafePackages,
+// each site justified by //redhip:unsafe-ok) and annotations
+// (malformed //redhip: directives are findings, not silently ignored
+// typos).
 //
 // The analyzer list lives in internal/analysis/registry, sorted by
 // name, so -list output and the run order are deterministic.

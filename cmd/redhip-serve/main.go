@@ -41,11 +41,9 @@
 // footprint against -memory-budget and oversized load is shed at the
 // door.
 //
-// Performance: -trace-dir enables the trace store's mmap-backed disk
-// tier (evicted streams spill to an unlinked temp file and replay
-// zero-copy, bounded by -trace-disk-budget); -snapshot-cache-bytes
-// enables the warm-state snapshot store, so jobs that share a warmup
-// prefix warm once and branch their measure phases bit-identically.
+// Performance: -snapshot-cache-bytes enables the warm-state snapshot
+// store, so jobs that share a warmup prefix warm once and branch their
+// measure phases bit-identically.
 //
 // Cluster mode: -router (with -advertise, optional -name and
 // -lease-timeout) registers this instance with a redhip-router and
@@ -85,8 +83,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent job executors (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 64, "max queued jobs before 429")
 		cacheBytes = flag.Uint64("cache-bytes", 0, "trace store byte budget (0 = default 256 MiB)")
-		traceDir   = flag.String("trace-dir", "", "enable the trace store's mmap-backed disk tier: streams evicted from RAM spill to an unlinked temp file here and replay zero-copy")
-		diskBudget = flag.Uint64("trace-disk-budget", 0, "disk tier byte budget (0 = default 1 GiB); needs -trace-dir")
 		snapBytes  = flag.Uint64("snapshot-cache-bytes", 0, "warm-state snapshot store byte budget (0 disables; jobs with warmup_refs_per_core warm once and branch)")
 		maxJobs    = flag.Int("max-jobs", 1024, "max resident jobs (LRU result cache size)")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job execution timeout")
@@ -118,24 +114,22 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Options{
-		Workers:              *workers,
-		QueueDepth:           *queueDepth,
-		TraceCacheBytes:      *cacheBytes,
-		TraceDir:             *traceDir,
-		TraceDiskBudgetBytes: *diskBudget,
-		SnapshotCacheBytes:   *snapBytes,
-		MaxStoredJobs:        *maxJobs,
-		DefaultTimeout:       *jobTimeout,
-		MaxTimeout:           *maxTimeout,
-		RetryMaxAttempts:     *retryMax,
-		BreakerThreshold:     *brkThresh,
-		BreakerCooldown:      *brkCool,
-		MemoryBudgetBytes:    *memBudget,
-		Fault:                injector,
-		RouterURL:            *routerURL,
-		AdvertiseURL:         *advertise,
-		ReplicaName:          *name,
-		LeaseTimeout:         *leaseTO,
+		Workers:            *workers,
+		QueueDepth:         *queueDepth,
+		TraceCacheBytes:    *cacheBytes,
+		SnapshotCacheBytes: *snapBytes,
+		MaxStoredJobs:      *maxJobs,
+		DefaultTimeout:     *jobTimeout,
+		MaxTimeout:         *maxTimeout,
+		RetryMaxAttempts:   *retryMax,
+		BreakerThreshold:   *brkThresh,
+		BreakerCooldown:    *brkCool,
+		MemoryBudgetBytes:  *memBudget,
+		Fault:              injector,
+		RouterURL:          *routerURL,
+		AdvertiseURL:       *advertise,
+		ReplicaName:        *name,
+		LeaseTimeout:       *leaseTO,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "redhip-serve:", err)

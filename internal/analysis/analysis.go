@@ -583,19 +583,17 @@ func IsSerializationPackage(path string) bool {
 }
 
 // UnsafePackages is the unsafeaudit allowlist: the only packages in
-// which `unsafe`, `reflect` and mmap syscalls are legal at all. The
-// tracestore disk tier reinterprets mmap'd bytes as records
-// (zero-copy replay), and simstate is the serialisation boundary that
-// may need the same treatment; everywhere else those imports are a
-// finding, not a waiver candidate — the set is the single documented
-// escape.
+// which `unsafe`, `reflect` and memory-mapping syscalls are legal at
+// all. tracestore imports `unsafe` for the unsafe.Sizeof behind
+// RecordBytes; everywhere else those imports are a finding, not a
+// waiver candidate — the set is the single documented escape.
 var UnsafePackages = map[string]bool{
 	"tracestore": true,
-	"simstate":   true,
 }
 
 // IsUnsafePackage reports whether the package at path may legally use
-// unsafe/reflect/mmap (each unsafe site still needs //redhip:unsafe-ok).
+// unsafe, reflect and memory-mapping syscalls (each unsafe site still
+// needs //redhip:unsafe-ok).
 func IsUnsafePackage(path string) bool {
 	return UnsafePackages[PathTail(path)]
 }

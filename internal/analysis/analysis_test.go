@@ -328,12 +328,12 @@ func TestMalformedDirectivesAreErrors(t *testing.T) {
 }
 
 func TestUnsafePackagesAllowlist(t *testing.T) {
-	for _, p := range []string{"redhip/internal/tracestore", "simstate"} {
+	for _, p := range []string{"redhip/internal/tracestore", "tracestore"} {
 		if !IsUnsafePackage(p) {
 			t.Errorf("IsUnsafePackage(%q) = false, want true", p)
 		}
 	}
-	for _, p := range []string{"redhip/internal/sim", "serve", "redhip/internal/core"} {
+	for _, p := range []string{"redhip/internal/simstate", "simstate", "redhip/internal/sim", "serve", "redhip/internal/core"} {
 		if IsUnsafePackage(p) {
 			t.Errorf("IsUnsafePackage(%q) = true, want false", p)
 		}

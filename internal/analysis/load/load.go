@@ -97,8 +97,8 @@ func NewLoader(cfg Config) (*Loader, error) {
 	tags := map[string]bool{"gc": true, runtime.GOOS: true, runtime.GOARCH: true}
 	if unixGOOS[runtime.GOOS] {
 		// "unix" is a derived tag the toolchain implies for these GOOS
-		// values; without it a //go:build !unix shim (tracestore's
-		// non-mmap fallback) would wrongly load alongside the real one.
+		// values; without it a //go:build !unix file would wrongly load
+		// alongside its //go:build unix counterpart.
 		tags["unix"] = true
 	}
 	l := &Loader{

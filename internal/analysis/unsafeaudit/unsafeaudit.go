@@ -2,12 +2,12 @@
 // analyzer: containment for the escape hatches the type system cannot
 // see through. The policy has two tiers:
 //
-//   - Outside the analysis.UnsafePackages allowlist (the tracestore
-//     disk tier and simstate), importing `unsafe` or `reflect`, or
-//     calling an mmap-family syscall (Mmap, Munmap, Madvise, ...), is
-//     a finding. There is no annotation that waives this — widening
-//     the blast radius means editing the allowlist in analysis.go,
-//     which is a reviewed, documented change.
+//   - Outside the analysis.UnsafePackages allowlist (tracestore),
+//     importing `unsafe` or `reflect`, or calling an mmap-family
+//     syscall (Mmap, Munmap, Madvise, ...), is a finding. There is no
+//     annotation that waives this — widening the blast radius means
+//     editing the allowlist in analysis.go, which is a reviewed,
+//     documented change.
 //   - Inside the allowlist, every pointer-reinterpretation site —
 //     unsafe.Pointer conversions, unsafe.Slice/SliceData,
 //     unsafe.String/StringData, unsafe.Add — must carry a
@@ -68,7 +68,7 @@ func run(pass *analysis.Pass) error {
 				}
 				if path == "unsafe" || path == "reflect" {
 					pass.Reportf(imp.Pos(),
-						"import %q outside the analysis.UnsafePackages allowlist (tracestore, simstate); widen the allowlist only via a reviewed analysis.go change",
+						"import %q outside the analysis.UnsafePackages allowlist (tracestore); widen the allowlist only via a reviewed analysis.go change",
 						path)
 				}
 			}
@@ -115,7 +115,7 @@ func checkNode(pass *analysis.Pass, allowed bool, decl *ast.FuncDecl, root ast.N
 		case "syscall", "golang.org/x/sys/unix":
 			if !allowed && mmapFuncs[sel.Sel.Name] {
 				pass.Reportf(sel.Pos(),
-					"%s.%s outside the analysis.UnsafePackages allowlist (tracestore, simstate)",
+					"%s.%s outside the analysis.UnsafePackages allowlist (tracestore)",
 					pkg.Name(), sel.Sel.Name)
 			}
 		}

@@ -226,13 +226,6 @@ func (m *metrics) writeProm(w io.Writer, g gauges, ts tracestore.Stats, tsOK boo
 		p.Gauge("redhip_tracestore_hit_ratio", "Fraction of trace store gets served from cache.", ts.HitRate())
 		p.Counter("redhip_tracestore_materialize_nanos_total", "Cumulative nanoseconds spent materialising streams.", uint64(ts.MaterializeNanos))
 		p.Counter("redhip_tracestore_materializations_total", "Trace store materialisations completed.", ts.Materializations)
-		p.Counter("redhip_tracestore_spills_total", "Trace blocks spilled from RAM to the disk tier.", ts.Spills)
-		p.Counter("redhip_tracestore_spilled_bytes_total", "Bytes written to the disk tier's spill file.", ts.SpilledBytes)
-		p.Counter("redhip_tracestore_disk_hits_total", "Trace store gets served zero-copy from the disk tier.", ts.DiskHits)
-		p.Counter("redhip_tracestore_disk_evictions_total", "Blocks evicted from the disk tier's budget.", ts.DiskEvictions)
-		p.Gauge("redhip_tracestore_disk_entries", "Blocks resident in the disk tier.", float64(ts.DiskEntries))
-		p.Gauge("redhip_tracestore_disk_bytes", "Disk tier resident bytes (separate from RAM bytes).", float64(ts.DiskBytes))
-		p.Gauge("redhip_tracestore_disk_budget_bytes", "Disk tier byte budget (0 = tier disabled).", float64(ts.DiskBudgetBytes))
 	}
 
 	if ssOK {

@@ -57,8 +57,6 @@ func TestWritePromGolden(t *testing.T) {
 	ts := tracestore.Stats{
 		Hits: 30, Misses: 10, Evictions: 2, Entries: 5, Bytes: 4096,
 		BudgetBytes: 1 << 26, MaterializeNanos: 123456789, Materializations: 9,
-		Spills: 3, SpilledBytes: 2048, DiskHits: 4, DiskEvictions: 1,
-		DiskEntries: 2, DiskBytes: 1024, DiskBudgetBytes: 1 << 28,
 	}
 	ss := simstate.StoreStats{
 		Hits: 7, Misses: 3, Puts: 3, Evictions: 1, Restores: 7,

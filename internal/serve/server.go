@@ -34,13 +34,6 @@ type Options struct {
 	// TraceCacheBytes bounds the process-wide materialise-once trace
 	// store shared by every job (default tracestore.DefaultBudgetBytes).
 	TraceCacheBytes uint64
-	// TraceDir, when set, enables the trace store's mmap-backed disk
-	// tier: streams evicted from RAM spill to an unlinked temp file in
-	// this directory and replay zero-copy instead of regenerating.
-	TraceDir string
-	// TraceDiskBudgetBytes bounds the disk tier (default
-	// tracestore.DefaultDiskBudgetBytes). Requires TraceDir.
-	TraceDiskBudgetBytes uint64
 	// SnapshotCacheBytes, when > 0, enables the process-wide warm-state
 	// snapshot store: jobs with a warmup window warm each (config,
 	// workload, seed) lineage once and branch measure runs from the
@@ -175,9 +168,6 @@ func (o *Options) fill() error {
 	if o.MemoryBudgetBytes == 0 {
 		o.MemoryBudgetBytes = 1 << 30
 	}
-	if o.TraceDiskBudgetBytes != 0 && o.TraceDir == "" {
-		return fmt.Errorf("serve: TraceDiskBudgetBytes requires TraceDir")
-	}
 	if o.RouterURL != "" {
 		if o.AdvertiseURL == "" {
 			return fmt.Errorf("serve: RouterURL requires AdvertiseURL")
@@ -243,21 +233,13 @@ func New(opts Options) (*Server, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	traces, err := tracestore.NewWithConfig(tracestore.Config{
-		BudgetBytes:     opts.TraceCacheBytes,
-		DiskDir:         opts.TraceDir,
-		DiskBudgetBytes: opts.TraceDiskBudgetBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:     opts,
 		queue:    newJobQueue(opts.QueueDepth),
 		store:    NewTable[*Job]("job-%06d", opts.MaxStoredJobs),
 		sweeps:   NewTable[*sweepRun]("sweep-%06d", opts.MaxStoredSweeps),
-		traces:   traces,
+		traces:   tracestore.New(opts.TraceCacheBytes),
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
 		baseCtx:  ctx,
@@ -417,22 +399,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.sweepWG.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		// Deadline: cancel in-flight job contexts and keep
 		// draining — workers exit as soon as their runner
 		// returns.
 		s.baseStop()
 		<-done
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	// Workers are drained, so no runner is replaying from the disk
-	// tier; release the spill file. (Mappings pinned by still-resident
-	// Materialized blocks stay readable until they are collected.)
-	_ = s.traces.Close()
-	return err
 }
 
 // --- workers -------------------------------------------------------------------

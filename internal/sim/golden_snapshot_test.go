@@ -193,102 +193,6 @@ func TestGoldenSnapshotBranchMulti(t *testing.T) {
 	}
 }
 
-// TestGoldenSnapshotBranchDiskTier forces the replayed traces through
-// the trace store's mmap-backed disk tier and pins that the full
-// snapshot->restore->measure contract still holds bit-for-bit for every
-// golden case: spilled blocks replay exactly like resident ones.
-func TestGoldenSnapshotBranchDiskTier(t *testing.T) {
-	for _, g := range goldenGroups() {
-		name := fmt.Sprintf("%s/prefetch=%v", g.incl, g.prefetch)
-		t.Run(name, func(t *testing.T) {
-			cfg, wl := snapCfg(g.schemes[0], g.incl, g.prefetch)
-			key := tracestore.Key{
-				Workload:    wl,
-				Cores:       cfg.Cores,
-				Scale:       cfg.WorkloadScale,
-				Seed:        1,
-				RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
-			}
-
-			ram := tracestore.New(0)
-			ramMat, err := ram.Get(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			straight, err := RunMultiOpt(cfg, g.schemes, ramMat.Sources(), MultiOptions{Parallelism: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]string, len(g.schemes))
-			for i := range straight {
-				want[i] = goldenFingerprint(t, straight[i])
-			}
-
-			// A store whose RAM budget holds nothing forces every stream
-			// through the spill file; the reload is mmap-backed.
-			disk, err := tracestore.NewWithConfig(tracestore.Config{
-				BudgetBytes: 1,
-				DiskDir:     t.TempDir(),
-			})
-			if err != nil {
-				t.Skip("disk tier unavailable:", err)
-			}
-			defer disk.Close()
-			if _, err := disk.Get(key); err != nil { // generate + spill
-				t.Fatal(err)
-			}
-			mat, err := disk.Get(key) // reload from disk
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := disk.Stats(); st.DiskHits == 0 || st.Spills == 0 {
-				t.Fatalf("trace not forced through the disk tier: %+v", st)
-			}
-
-			var mu sync.Mutex
-			blobs := make([][]byte, len(g.schemes))
-			captured, err := RunMultiOpt(cfg, g.schemes, mat.Sources(), MultiOptions{
-				Parallelism:  2,
-				SnapshotSeed: 1,
-				SnapshotSink: func(sc Scheme, blob []byte) {
-					mu.Lock()
-					defer mu.Unlock()
-					for i, s := range g.schemes {
-						if s == sc {
-							blobs[i] = blob
-						}
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range captured {
-				if got := goldenFingerprint(t, captured[i]); got != want[i] {
-					t.Errorf("%s: disk-tier capture pass fingerprint %s, want %s", g.schemes[i], got, want[i])
-				}
-				if blobs[i] == nil {
-					t.Fatalf("%s: SnapshotSink never fired over disk-tier sources", g.schemes[i])
-				}
-			}
-
-			restored, err := RunMultiOpt(cfg, g.schemes, mat.Sources(), MultiOptions{
-				Parallelism:  2,
-				Snapshots:    blobs,
-				SnapshotSeed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range restored {
-				if got := goldenFingerprint(t, restored[i]); got != want[i] {
-					t.Errorf("%s: disk-tier restored pass fingerprint %s, want %s", g.schemes[i], got, want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestSnapshotRejections pins the ErrSnapshot classification: unusable
 // blobs must be recoverable (fall back to a cold run), never applied.
 func TestSnapshotRejections(t *testing.T) {
