@@ -205,3 +205,47 @@ func TestGoldenFingerprints(t *testing.T) {
 		})
 	}
 }
+
+// goldenMix is the mix fingerprint: the one workload whose cores run
+// different benchmarks at different CPIs, so it pins that every core
+// keeps its own source metadata. Recorded from live generation like
+// goldenCases; the store replay must reproduce it.
+const goldenMix = "6cc19ab51d93c55d"
+
+func TestGoldenFingerprintMix(t *testing.T) {
+	cfg := Smoke()
+	cfg.Scheme = ReDHiP
+	live, err := workload.Sources("mix", cfg.Cores, cfg.WorkloadScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenFingerprint(t, res)
+	if *captureGolden {
+		t.Logf("golden mix: %q", got)
+		return
+	}
+	if got != goldenMix {
+		t.Errorf("live fingerprint %s, want %s — sim.Run output changed for mix", got, goldenMix)
+	}
+	mat, err := tracestore.New(0).Get(tracestore.Key{
+		Workload:    "mix",
+		Cores:       cfg.Cores,
+		Scale:       cfg.WorkloadScale,
+		Seed:        1,
+		RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Run(cfg, mat.Sources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenFingerprint(t, res); got != goldenMix {
+		t.Errorf("replayed fingerprint %s, want %s — materialised replay diverged from live generation", got, goldenMix)
+	}
+}
