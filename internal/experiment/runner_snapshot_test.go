@@ -42,9 +42,12 @@ func poolSweep(r *Runner, wl string, schemes []sim.Scheme) ([]*sim.Result, error
 // TestRunnerSnapshotBranchBitIdentical pins the runner-level contract:
 // enabling the snapshot store changes nothing about the results, on
 // both the single-pass sweep and the figure job pool's one-scheme
-// passes.
+// passes. bwaves runs before mix, whose core 0 also runs bwaves, so a
+// warm key taken from the first source instead of the workload would
+// hand mix bwaves' warm state.
 func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	schemes := []sim.Scheme{sim.Base, sim.ReDHiP, sim.Oracle}
+	workloads := []string{"mcf", "bwaves", "mix"}
 	for _, tc := range []struct {
 		name  string
 		sweep func(r *Runner, wl string, schemes []sim.Scheme) ([]*sim.Result, error)
@@ -54,21 +57,24 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := mustRunner(t, snapshotOpts())
-			want, err := tc.sweep(plain, "mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			snapOpts := snapshotOpts()
 			snapOpts.SnapshotCache = simstate.NewStore(64 << 20)
 			snap := mustRunner(t, snapOpts)
-			got, err := tc.sweep(snap, "mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if a, b := resultJSON(t, want[i]), resultJSON(t, got[i]); a != b {
-					t.Errorf("%s: snapshot-branched result diverged\n got %s\nwant %s", schemes[i], b, a)
+			want := make(map[string][]*sim.Result)
+			for _, wl := range workloads {
+				res, err := tc.sweep(plain, wl, schemes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[wl] = res
+				got, err := tc.sweep(snap, wl, schemes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range res {
+					if a, b := resultJSON(t, res[i]), resultJSON(t, got[i]); a != b {
+						t.Errorf("%s/%s: snapshot-branched result diverged\n got %s\nwant %s", wl, schemes[i], b, a)
+					}
 				}
 			}
 			st, ok := snap.SnapshotStats()
@@ -84,13 +90,15 @@ func TestRunnerSnapshotBranchBitIdentical(t *testing.T) {
 			reuseOpts := snapshotOpts()
 			reuseOpts.SnapshotCache = snap.snaps
 			reuse := mustRunner(t, reuseOpts)
-			again, err := tc.sweep(reuse, "mcf", schemes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if a, b := resultJSON(t, want[i]), resultJSON(t, again[i]); a != b {
-					t.Errorf("%s: restored-from-shared-store result diverged", schemes[i])
+			for _, wl := range workloads {
+				again, err := tc.sweep(reuse, wl, schemes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range want[wl] {
+					if a, b := resultJSON(t, res), resultJSON(t, again[i]); a != b {
+						t.Errorf("%s/%s: restored-from-shared-store result diverged", wl, schemes[i])
+					}
 				}
 			}
 			st2, _ := reuse.SnapshotStats()
