@@ -94,7 +94,7 @@ func poolJobs(base sim.Config, wl string, schemes []sim.Scheme) []job {
 // TestContextCancellationMidSweep: cancelling from the OnRun hook stops
 // the remaining jobs of the same figure-pool batch. Each pool job is a
 // one-scheme pass; the multi-scheme sweep runs as one pass, so its
-// cancellation granularity is the pass round, covered by
+// cancellation granularity is the engine's refill block, covered by
 // TestContextCancellationSinglePass and sim's interrupt test.
 func TestContextCancellationMidSweep(t *testing.T) {
 	cfg := sim.Smoke()

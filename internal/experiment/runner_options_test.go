@@ -58,8 +58,8 @@ func TestSchemeSweepSharesOneGeneration(t *testing.T) {
 		t.Errorf("trace cache misses = %d, want 1 (one generation per key)", st.Misses)
 	}
 	// The single-pass engine pulls the materialised trace once for the
-	// whole sweep (every scheme shares the one front), so no replay
-	// hits.
+	// whole sweep (every scheme forks cursors over the one replay), so
+	// no replay hits.
 	if st.Hits != 0 {
 		t.Errorf("trace cache hits = %d, want 0 (one Get per single-pass sweep)", st.Hits)
 	}

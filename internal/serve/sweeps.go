@@ -332,8 +332,8 @@ func (sw *sweepRun) snapshot(withChildren bool) SweepStatus {
 // --- orchestrator --------------------------------------------------------------
 
 // childSpec builds the job spec for one grid cell: a single workload
-// under the grid's full scheme list, so the engine runs the schemes in
-// lockstep over one materialised trace and per-job dedup shares cells
+// under the grid's full scheme list, so one engine pass replays one
+// materialised trace under every scheme and per-job dedup shares cells
 // across sweeps and direct submissions.
 func childSpec(g sweep.Grid, c sweep.Child) (Spec, error) {
 	spec := Spec{

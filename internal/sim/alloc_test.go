@@ -21,41 +21,22 @@ func skipUnderAsserts(t *testing.T) {
 	}
 }
 
-// rewind returns the front to block 0 for another pass over the same
-// (rewound) sources: live blocks retire — generated-mode slabs back to
-// the free list — and the exhaustion latch clears.
-func (f *traceFront) rewind() {
-	for c := range f.streams {
-		st := &f.streams[c]
-		f.retire(c, st.head)
-		st.retired, st.head, st.exhausted = 0, 0, false
-	}
-}
-
 // assertWindowAllocFree builds a one-slot engine over the replays (srcs
 // may wrap them) and pins the steady-state contract of the simulation
-// core: once the engine and front are built, replaying a measurement
-// window — the driver's generate phase alternating with runWindow —
-// performs zero heap allocations. AllocsPerRun warms up with one
-// untimed call, which absorbs lazy first-use growth (front slabs, ring
-// and free list); the measured windows must then allocate nothing.
+// core: once the engine is built and its sources attached, replaying a
+// measurement window — refills and runWindow — performs zero heap
+// allocations. AllocsPerRun warms up with one untimed call, which
+// absorbs any lazy first-use growth; the measured windows must then
+// allocate nothing.
 func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource) {
 	t.Helper()
-	front, e := newSoloEngine(t, cfg, srcs)
-	feeds := []*multiFeed{e.feed}
+	e := newSoloEngine(t, cfg, srcs)
 	if n := testing.AllocsPerRun(3, func() {
 		e.beginWindow(cfg.RefsPerCore)
-		for {
-			front.advance(feeds)
-			if e.runWindow() {
-				break
-			}
-		}
+		e.runWindow()
 		for _, r := range replays {
 			r.Rewind()
 		}
-		front.rewind()
-		clear(e.feed.cur)
 	}); n != 0 {
 		t.Errorf("%s steady-state window allocated %.0f times per run, want 0", cfg.Scheme, n)
 	}
@@ -77,9 +58,9 @@ func captureReplays(t *testing.T, cfg Config, wl string) []*workload.TraceSource
 }
 
 // TestRunLoopAllocationFree pins zero allocations per steady-state
-// window for every scheme, in the front's stable mode (zero-copy views
-// of in-memory trace replays, so workload generation can neither hide
-// an engine allocation nor contribute one of its own).
+// window for every scheme over zero-copy views of in-memory trace
+// replays, so workload generation can neither hide an engine
+// allocation nor contribute one of its own.
 func TestRunLoopAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	for _, scheme := range []Scheme{Base, ReDHiP, CBF, Oracle} {
@@ -97,7 +78,7 @@ func TestRunLoopAllocationFree(t *testing.T) {
 	}
 }
 
-// batchOnlySource hides TraceSource's Window method, forcing the front
+// batchOnlySource hides TraceSource's Window method, forcing the engine
 // onto the copying NextBatch path that live generators use.
 type batchOnlySource struct{ ts *workload.TraceSource }
 
@@ -106,12 +87,12 @@ func (b batchOnlySource) CPI() float64                     { return b.ts.CPI() }
 func (b batchOnlySource) Next(rec *trace.Record) bool      { return b.ts.Next(rec) }
 func (b batchOnlySource) NextBatch(buf []trace.Record) int { return b.ts.NextBatch(buf) }
 
-// TestBatchRefillAllocationFree pins the front's generated mode: once
-// its slabs exist, bulk-generating blocks through NextBatch into
-// recycled slabs performs zero heap allocations per window. The
-// sources deliberately do not expose Window, so this exercises exactly
-// the path live generator sources take. The window spans several
-// driver rounds, so slabs retire and recycle mid-window.
+// TestBatchRefillAllocationFree pins the copying refill path:
+// bulk-generating blocks through NextBatch into the engine's per-core
+// buffers performs zero heap allocations per window. The sources
+// deliberately do not expose Window, so this exercises exactly the
+// path live generator sources take. The window spans many blocks, so
+// every buffer is refilled mid-window.
 func TestBatchRefillAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	cfg := Smoke()

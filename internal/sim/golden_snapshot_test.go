@@ -28,9 +28,8 @@ func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool) (Config, string
 
 // replaySources returns fresh replay cursors over wl's materialised
 // stream, sized for cfg's warmup plus measure windows. Warm-state
-// capture needs replays: a front reads ahead of its engines, so only a
-// source that can state its cursor at an un-simulated offset
-// (workload.StateSource) can label the blob.
+// capture needs replays: only a source that can state its cursor at an
+// un-simulated offset (workload.StateSource) can label the blob.
 func replaySources(t *testing.T, store *tracestore.Store, cfg Config, wl string) []workload.Source {
 	t.Helper()
 	mat, err := store.Get(tracestore.Key{

@@ -126,10 +126,10 @@ func goldenGroups() []goldenGroup {
 // TestGoldenFingerprintsMulti extends the sixteen golden fingerprints
 // to the single-pass multi-scheme engine: every golden case, grouped
 // into RunMulti passes, must reproduce its recorded fingerprint exactly
-// — at parallelism 1, 2 and NumCPU, and through both front modes
-// (streaming live generation with slab recycling, and zero-copy stable
-// windows from the trace store). Bit-identity across parallelism is
-// the deterministic-parallelism contract: worker count may change wall
+// — at parallelism 1, 2 and NumCPU, over both live generators
+// (materialised once per multi-scheme pass) and trace-store replays
+// (forked zero-copy cursors). Bit-identity across parallelism is the
+// deterministic-parallelism contract: worker count may change wall
 // time, never results.
 func TestGoldenFingerprintsMulti(t *testing.T) {
 	if *captureGolden {

@@ -11,42 +11,33 @@ import (
 	"redhip/internal/workload"
 )
 
-// runWhiteBox runs one engine to completion through the same front and
-// feed a one-slot RunMultiOpt pass uses, and returns it for white-box
-// inspection of the hierarchy state.
+// runWhiteBox runs one engine to completion exactly as a one-slot
+// RunMultiOpt pass does, and returns it for white-box inspection of
+// the hierarchy state.
 func runWhiteBox(t *testing.T, cfg Config, wl string, seed uint64) *engine {
 	t.Helper()
 	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front, e := newSoloEngine(t, cfg, srcs)
-	e.start()
-	for {
-		front.advance([]*multiFeed{e.feed})
-		if e.runChunk() {
-			break
-		}
-	}
+	e := newSoloEngine(t, cfg, srcs)
+	e.run()
 	if e.runErr != nil {
 		t.Fatal(e.runErr)
 	}
 	return e
 }
 
-// newSoloEngine builds one back half and its private front over srcs,
-// exactly as RunMultiOpt builds a one-scheme pass.
-func newSoloEngine(t testing.TB, cfg Config, srcs []workload.Source) (*traceFront, *engine) {
+// newSoloEngine builds one engine reading srcs directly, exactly as
+// RunMultiOpt builds a one-scheme pass.
+func newSoloEngine(t testing.TB, cfg Config, srcs []workload.Source) *engine {
 	t.Helper()
-	front, err := newTraceFront(&cfg, srcs)
+	e, err := newMultiEngine(cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newMultiEngine(cfg, front)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return front, e
+	e.attach(srcs, false)
+	return e
 }
 
 func TestHybridInvariants(t *testing.T) {

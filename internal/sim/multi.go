@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"redhip/internal/simstate"
+	"redhip/internal/trace"
 	"redhip/internal/workload"
 )
 
@@ -16,27 +17,30 @@ import (
 // simulated outcome is pinned by the golden fingerprint suite to be
 // bit-identical to sequential per-scheme Run calls at any parallelism.
 type MultiOptions struct {
-	// Parallelism bounds the worker goroutines that advance per-scheme
-	// back halves (0 = GOMAXPROCS). It is clamped to the scheme count;
+	// Parallelism bounds the worker goroutines that run per-scheme
+	// engines (0 = GOMAXPROCS). It is clamped to the scheme count;
 	// when it exceeds the scheme count the surplus is granted to the
 	// engines as set-partitioned recalibration fan-out instead.
 	Parallelism int
-	// Interrupt, when non-nil, is polled between rounds; a non-nil
-	// error aborts the pass (no results). The experiment runner feeds
-	// its context's Err here so serve job timeouts cut long passes
-	// short at the next barrier instead of waiting out the full pass.
+	// Interrupt, when non-nil, is polled by every engine once per
+	// refill block (batchRefs references of one core); a non-nil error
+	// aborts the pass (no results). Engines run on worker goroutines,
+	// so the poll may run concurrently and must be safe for concurrent
+	// use, as ctx.Err is. The experiment runner feeds its context's Err
+	// here so serve job timeouts cut long passes short within a block
+	// instead of waiting out the full pass.
 	Interrupt func() error
 	// Snapshots, when non-nil, replays each scheme's measure phase from
 	// a warm-state blob (Snapshots[i] pairs with schemes[i]) instead of
 	// simulating the warmup: the sources are re-seated at the boundary,
-	// the front generates measure blocks only, and each back half is
+	// the engines read measure records only, and each engine is
 	// restored before its first reference. Results are bit-identical to
 	// the straight-through pass. Unusable blobs fail their slot with an
 	// ErrSnapshot-wrapped error so callers can fall back to a cold pass.
 	Snapshots [][]byte
 	// SnapshotSink, when non-nil on a cold pass with a warmup window,
-	// receives each scheme's warm-state blob as its back half crosses
-	// the warmup/measure boundary. The callback runs on worker
+	// receives each scheme's warm-state blob as its engine crosses the
+	// warmup/measure boundary. The callback runs on worker
 	// goroutines and may fire concurrently for different schemes; it
 	// must be safe for concurrent use. Capture, like restore, requires
 	// every source to implement workload.StateSource (trace replays do;
@@ -60,14 +64,13 @@ func Run(cfg Config, sources []workload.Source) (*Result, error) {
 	return res[0], nil
 }
 
-// RunMulti simulates one trace pass under every requested scheme in
-// lockstep: the shared front half decodes/generates each core's
-// reference stream once, and one back half per scheme (hierarchy
-// state, predictor state, energy accounting) consumes the shared
-// blocks. Results are returned in schemes order and are bit-identical
-// to len(schemes) independent Run calls over equivalent sources —
-// per-scheme clocks mean the schemes share the trace, never hierarchy
-// state, so lockstep cannot couple them.
+// RunMulti simulates one trace pass under every requested scheme: one
+// engine per scheme (hierarchy state, predictor state, energy
+// accounting), each reading its own cursor over the same per-core
+// reference streams, run to completion on a fixed worker pool. Results
+// are returned in schemes order and are bit-identical to len(schemes)
+// independent Run calls over equivalent sources — the schemes share
+// trace records, never hierarchy state.
 //
 // On error the returned slice still holds results for the schemes that
 // completed; failed slots are nil and the error joins the per-scheme
@@ -99,8 +102,7 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 
 	// Restored mode: decode and cross-check the per-scheme warm blobs,
 	// re-seat the shared sources at the warmup/measure boundary, and
-	// strip the warmup window from the pass — the front then generates
-	// measure blocks only.
+	// strip the warmup window from the pass.
 	snaps, err := decodeMultiSnapshots(&cfg, schemes, sources, &opt)
 	if err != nil {
 		return nil, err
@@ -110,15 +112,11 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		runCfg.WarmupRefsPerCore = 0
 	}
 
-	front, err := newTraceFront(&runCfg, sources)
-	if err != nil {
-		return nil, err
-	}
 	engines := make([]*engine, len(schemes))
 	errs := make([]error, len(schemes))
 	built := 0
 	for i, sc := range schemes {
-		e, err := newMultiEngine(runCfg.WithScheme(sc), front)
+		e, err := newMultiEngine(runCfg.WithScheme(sc), sources, opt.Interrupt)
 		if err != nil {
 			// One invalid combination (e.g. CBF under Exclusive) fails
 			// its own slot, like the independent per-scheme runs did.
@@ -136,7 +134,21 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		engines[i] = e
 		built++
 	}
-	armSnapshotCapture(&cfg, schemes, engines, sources, front, snaps == nil, &opt)
+	armSnapshotCapture(&cfg, schemes, engines, sources, snaps == nil, &opt)
+
+	// A lone engine reads the caller's sources directly, so a solo run
+	// streams live generators at bounded memory. Wider passes give each
+	// engine forked cursors over one replay per core, materialising
+	// live sources once first.
+	feed := sources
+	if built > 1 {
+		feed = replayFeed(sources, runCfg.WarmupRefsPerCore+runCfg.RefsPerCore)
+	}
+	for _, e := range engines {
+		if e != nil {
+			e.attach(feed, built > 1)
+		}
+	}
 
 	workers := opt.Parallelism
 	if workers <= 0 {
@@ -155,63 +167,33 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		workers = built
 	}
 
-	// Round-based lockstep: a single-threaded generate/retire phase
-	// alternates with a parallel simulate phase over the still-active
-	// engines. The barrier between phases is what makes the lock-free
-	// block sharing sound — storage is written only while no engine
-	// runs, and engines only read blocks the previous phase published.
-	active := make([]*engine, 0, built)
-	feeds := make([]*multiFeed, 0, built)
-	for _, e := range engines {
-		if e != nil {
-			e.start()
-			active = append(active, e)
-			feeds = append(feeds, e.feed)
-		}
-	}
+	// Engines share nothing mutable, so each runs to completion on
+	// whichever worker takes it; done.Wait publishes their results.
 	work := make(chan *engine)
 	var done sync.WaitGroup
-	for len(active) > 0 {
-		if opt.Interrupt != nil {
-			if err := opt.Interrupt(); err != nil {
-				return nil, err
+	done.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer done.Done()
+			for e := range work {
+				t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
+				e.run()
+				//redhip:phase-exclusive each engine is handed to exactly one worker; done.Wait publishes the write
+				e.simNanos = time.Since(t0).Nanoseconds() - e.genNanos //redhip:allow wallclock -- Perf simulate-time attribution only
 			}
-		}
-		front.advance(feeds)
-		spawn := workers
-		if spawn > len(active) {
-			spawn = len(active)
-		}
-		done.Add(spawn)
-		for w := 0; w < spawn; w++ {
-			go func() {
-				defer done.Done()
-				for e := range work {
-					t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
-					e.runChunk()
-					//redhip:phase-exclusive each engine is handed to exactly one worker per round; done.Wait publishes the write
-					e.simNanos += time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf simulate-time attribution only
-				}
-			}()
-		}
-		for _, e := range active {
+		}()
+	}
+	for _, e := range engines {
+		if e != nil {
 			work <- e
 		}
-		// Close-and-remake per round: the WaitGroup barrier is the
-		// happens-before edge between this simulate phase and the next
-		// generate phase.
-		close(work)
-		done.Wait()
-		work = make(chan *engine)
-		next := active[:0]
-		nextFeeds := feeds[:0]
-		for _, e := range active {
-			if e.phase != phaseDone {
-				next = append(next, e)
-				nextFeeds = append(nextFeeds, e.feed)
-			}
+	}
+	close(work)
+	done.Wait()
+	for _, e := range engines {
+		if e != nil && e.halt != nil {
+			return nil, e.halt
 		}
-		active, feeds = next, nextFeeds
 	}
 
 	var memAfter runtime.MemStats
@@ -219,18 +201,15 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 
 	// Deterministic reduction: results are assembled in schemes order,
 	// each from its own engine's independently accumulated state, so
-	// neither worker count nor chunk interleaving can reorder anything.
-	// The shared costs (generation wall time, allocation counters) are
-	// split evenly with the remainder on the first slot.
+	// the worker count cannot reorder anything. The process-wide
+	// allocation counters are split evenly across the pass.
 	out := make([]*Result, len(schemes))
-	n := int64(built)
+	n := uint64(built)
 	if n == 0 {
 		return out, errors.Join(errs...)
 	}
-	genShare, genRem := front.genNanos/n, front.genNanos%n
-	allocShare := (memAfter.TotalAlloc - memBefore.TotalAlloc) / uint64(n)
-	mallocShare := (memAfter.Mallocs - memBefore.Mallocs) / uint64(n)
-	first := true
+	allocShare := (memAfter.TotalAlloc - memBefore.TotalAlloc) / n
+	mallocShare := (memAfter.Mallocs - memBefore.Mallocs) / n
 	failed := false
 	for i, e := range engines {
 		if e == nil {
@@ -242,14 +221,9 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 			failed = true
 			continue
 		}
-		gen := genShare
-		if first {
-			gen += genRem
-			first = false
-		}
 		e.res.Perf = PerfStats{
-			WallNanos:     e.simNanos + gen + e.restoreNanos,
-			GenerateNanos: gen,
+			WallNanos:     e.simNanos + e.genNanos + e.restoreNanos,
+			GenerateNanos: e.genNanos,
 			SimulateNanos: e.simNanos,
 			RestoreNanos:  e.restoreNanos,
 			AllocBytes:    allocShare,
@@ -260,7 +234,7 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 			// to return, and build/driver overhead counts as simulate.
 			wall := time.Since(start).Nanoseconds() //redhip:allow wallclock -- Perf wall-time reporting
 			e.res.Perf.WallNanos = wall
-			e.res.Perf.SimulateNanos = wall - gen - e.restoreNanos
+			e.res.Perf.SimulateNanos = wall - e.genNanos - e.restoreNanos
 		}
 		if secs := float64(e.res.Perf.WallNanos) / 1e9; secs > 0 {
 			e.res.Perf.RefsPerSec = float64(e.res.Refs) / secs
@@ -271,6 +245,21 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		return out, errors.Join(errs...)
 	}
 	return out, nil
+}
+
+// replayFeed returns one trace replay per core for a pass's engines
+// to fork: the caller's own replays as they stand, and live sources
+// materialised once for refs records from their current position.
+func replayFeed(sources []workload.Source, refs uint64) []workload.Source {
+	out := make([]workload.Source, len(sources))
+	for c, s := range sources {
+		if _, ok := s.(*workload.TraceSource); ok {
+			out[c] = s
+		} else {
+			out[c] = workload.FromTrace(workload.Capture(s, int(refs)))
+		}
+	}
+	return out
 }
 
 // decodeMultiSnapshots validates opt.Snapshots against the pass and
@@ -343,11 +332,10 @@ func sourceStatesEqual(a, b [][]uint64) bool {
 // armSnapshotCapture installs per-engine warm-state capture hooks on a
 // cold pass when the caller asked for them and every source is a
 // replay that can state its cursor at the warmup boundary
-// (workload.StateSource — the front reads ahead of engine consumption,
-// so the live cursor is useless).
-// The hooks fire inside worker goroutines as each back half crosses its
+// (workload.StateSource; live generators cannot).
+// The hooks fire inside worker goroutines as each engine crosses its
 // boundary; opt.SnapshotSink's concurrency contract covers that.
-func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, sources []workload.Source, front *traceFront, cold bool, opt *MultiOptions) {
+func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, sources []workload.Source, cold bool, opt *MultiOptions) {
 	if !cold || opt.SnapshotSink == nil || cfg.WarmupRefsPerCore == 0 {
 		return
 	}
@@ -369,7 +357,7 @@ func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, source
 		}
 		sc := schemes[i]
 		scfg := cfg.WithScheme(sc)
-		meta := warmMeta(&scfg, front.name, opt.SnapshotSeed)
+		meta := warmMeta(&scfg, sources[0].Name(), opt.SnapshotSeed)
 		ee := e
 		e.snapSink = func() {
 			snap := ee.captureSnapshot()
@@ -380,9 +368,9 @@ func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, source
 	}
 }
 
-// newMultiEngine validates cfg and builds a back half fed from the
-// shared front.
-func newMultiEngine(cfg Config, front *traceFront) (*engine, error) {
+// newMultiEngine validates cfg and builds one scheme's engine over the
+// pass's per-core sources; attach gives it its read cursors.
+func newMultiEngine(cfg Config, sources []workload.Source, interrupt func() error) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -390,15 +378,37 @@ func newMultiEngine(cfg Config, front *traceFront) (*engine, error) {
 		cfg: &cfg,
 		par: &cfg.Energy,
 		res: &Result{
-			Workload:  front.name,
+			Workload:  sources[0].Name(),
 			Scheme:    cfg.Scheme,
 			Inclusion: cfg.Inclusion,
 		},
-		feed: newMultiFeed(front),
+		interrupt: interrupt,
 	}
 	if err := e.build(); err != nil {
 		return nil, err
 	}
-	copy(e.cpi, front.cpi)
+	for c, s := range sources {
+		e.cpi[c] = s.CPI()
+	}
 	return e, nil
+}
+
+// attach sets the engine's per-core read cursors: trace replays (forked
+// when several engines share them) serve zero-copy windows, and any
+// other source bulk-generates into an engine-owned buffer.
+func (e *engine) attach(sources []workload.Source, fork bool) {
+	e.replay = make([]*workload.TraceSource, len(sources))
+	e.batch = make([]workload.BatchSource, len(sources))
+	e.buf = make([][]trace.Record, len(sources))
+	for c, s := range sources {
+		if r, ok := s.(*workload.TraceSource); ok {
+			if fork {
+				r = r.Fork()
+			}
+			e.replay[c] = r
+			continue
+		}
+		e.batch[c] = workload.AsBatch(s)
+		e.buf[c] = make([]trace.Record, batchRefs)
+	}
 }

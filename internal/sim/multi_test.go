@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"redhip/internal/workload"
@@ -11,8 +13,8 @@ import (
 
 // multiTestGeometries returns the two geometries the RunMulti property
 // test sweeps: plain smoke, and a warmup-bearing two-core variant that
-// exercises the phase machine (warmup window → measurement window
-// reset) through the shared front.
+// exercises the warmup window → measurement window reset in every
+// engine of the pass.
 func multiTestGeometries() map[string]Config {
 	warm := Smoke()
 	warm.Cores = 2
@@ -117,34 +119,40 @@ func TestRunMultiInvalidSlot(t *testing.T) {
 }
 
 // TestRunMultiInterrupt pins the abort path: a failing Interrupt poll
-// stops the pass before completion with no results.
+// stops the pass before completion with no results, both for a solo
+// pass (what serve job timeouts rely on) and for a two-scheme pass,
+// whose engines poll from concurrent workers.
 func TestRunMultiInterrupt(t *testing.T) {
 	cfg := Smoke()
-	srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErr := fmt.Errorf("deadline exceeded")
-	polls := 0
-	results, err := RunMultiOpt(cfg, []Scheme{Base, ReDHiP}, srcs, MultiOptions{
-		Interrupt: func() error {
-			polls++
-			if polls > 1 {
-				return wantErr
+	wantErr := errors.New("deadline exceeded")
+	for _, schemes := range [][]Scheme{{ReDHiP}, {Base, ReDHiP}} {
+		t.Run(fmt.Sprintf("width=%d", len(schemes)), func(t *testing.T) {
+			srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	})
-	if err == nil || results != nil {
-		t.Fatalf("interrupted pass returned results=%v err=%v", results, err)
+			var polls atomic.Int64
+			results, err := RunMultiOpt(cfg, schemes, srcs, MultiOptions{
+				Parallelism: 2,
+				Interrupt: func() error {
+					if polls.Add(1) > 1 {
+						return wantErr
+					}
+					return nil
+				},
+			})
+			if !errors.Is(err, wantErr) || results != nil {
+				t.Fatalf("interrupted pass returned results=%v err=%v", results, err)
+			}
+		})
 	}
 }
 
 // TestRunMultiRaceAtNumCPU drives RunMulti at full machine parallelism
-// over live sources; under -race (the CI pass) this checks the
-// barrier discipline of the lock-free block sharing, and in any mode
-// it re-checks bit-identity against the sequential engine at whatever
-// worker count the host provides.
+// over live sources; under -race (the CI pass) this checks that the
+// engines' forked cursors over one materialisation share nothing
+// mutable, and in any mode it re-checks bit-identity against the
+// sequential engine at whatever worker count the host provides.
 func TestRunMultiRaceAtNumCPU(t *testing.T) {
 	cfg := Smoke()
 	schemes := validSchemes(cfg)

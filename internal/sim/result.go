@@ -87,10 +87,11 @@ type PerfStats struct {
 	// for a one-scheme call (sim.Run), this scheme's share of the pass
 	// for a multi-scheme RunMulti.
 	WallNanos int64
-	// GenerateNanos is the slice of WallNanos spent generating the
-	// front's blocks from the workload sources (trace generation or
-	// replay; split evenly across a pass's schemes); SimulateNanos is
-	// the hierarchy walk itself. Restore + Generate + Simulate == Wall,
+	// GenerateNanos is the slice of WallNanos this scheme's engine
+	// spent in its own refills: generating blocks from live sources or
+	// taking windows of a trace replay. Nothing is shared or split
+	// across a pass's schemes. SimulateNanos is the hierarchy walk
+	// itself. Restore + Generate + Simulate == Wall,
 	// with a solo run's construction overhead folded into SimulateNanos.
 	GenerateNanos int64
 	SimulateNanos int64

@@ -21,9 +21,9 @@ import (
 )
 
 // Grid is the request body of POST /v1/sweeps: the axes of a parameter
-// sweep. Schemes are evaluated together within each cell (the engine
-// runs them in lockstep over one trace), so they multiply runs but not
-// child jobs; every other axis multiplies children.
+// sweep. Schemes are evaluated together within each cell (one engine
+// pass replays one trace under every scheme), so they multiply runs but
+// not child jobs; every other axis multiplies children.
 type Grid struct {
 	// Workloads to sweep; required.
 	Workloads []string `json:"workloads"`
