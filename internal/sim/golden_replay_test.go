@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"redhip/internal/tracestore"
@@ -13,7 +12,7 @@ import (
 // replay is required to be bit-identical to generation, not merely
 // statistically equivalent, or the sweep cache would silently change
 // results. The store must also materialise exactly once per distinct
-// stream — the sixteen cases share two (mcf for the non-prefetch runs,
+// stream — the golden cases share two (mcf for the non-prefetch runs,
 // milc for the prefetch runs).
 func TestGoldenFingerprintsReplayed(t *testing.T) {
 	if *captureGolden {
@@ -21,15 +20,8 @@ func TestGoldenFingerprintsReplayed(t *testing.T) {
 	}
 	store := tracestore.New(0)
 	for _, tc := range goldenCases {
-		name := fmt.Sprintf("%s/%s/prefetch=%v", tc.scheme, tc.incl, tc.prefetch)
-		cfg := Smoke()
-		cfg.Scheme = tc.scheme
-		cfg.Inclusion = tc.incl
-		cfg.EnablePrefetch = tc.prefetch
-		wl := "mcf"
-		if tc.prefetch {
-			wl = "milc"
-		}
+		name := tc.name()
+		cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal)
 		mat, err := store.Get(tracestore.Key{
 			Workload:    wl,
 			Cores:       cfg.Cores,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -10,19 +9,12 @@ import (
 	"redhip/internal/workload"
 )
 
-// snapCfg is the smoke geometry with a warmup window: the snapshot
-// layer's contract only exists at a warmup/measure boundary.
-func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool) (Config, string) {
-	cfg := Smoke()
-	cfg.Scheme = scheme
-	cfg.Inclusion = incl
-	cfg.EnablePrefetch = prefetch
+// snapCfg is the golden smoke geometry with a warmup window: the
+// snapshot layer's contract only exists at a warmup/measure boundary.
+func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64) (Config, string) {
+	cfg, wl := goldenConfig(scheme, incl, prefetch, recal)
 	cfg.WarmupRefsPerCore = 10_000
 	cfg.RefsPerCore = 20_000
-	wl := "mcf"
-	if prefetch {
-		wl = "milc"
-	}
 	return cfg, wl
 }
 
@@ -83,9 +75,8 @@ func restoreSolo(cfg Config, blob []byte, srcs []workload.Source, seed uint64) (
 func TestGoldenSnapshotBranch(t *testing.T) {
 	store := tracestore.New(0)
 	for _, tc := range goldenCases {
-		name := fmt.Sprintf("%s/%s/prefetch=%v", tc.scheme, tc.incl, tc.prefetch)
-		t.Run(name, func(t *testing.T) {
-			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch)
+		t.Run(tc.name(), func(t *testing.T) {
+			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch, tc.recal)
 			live, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -123,9 +114,8 @@ func TestGoldenSnapshotBranch(t *testing.T) {
 func TestGoldenSnapshotBranchMulti(t *testing.T) {
 	store := tracestore.New(0)
 	for _, g := range goldenGroups() {
-		name := fmt.Sprintf("%s/prefetch=%v", g.incl, g.prefetch)
-		t.Run(name, func(t *testing.T) {
-			cfg, wl := snapCfg(g.schemes[0], g.incl, g.prefetch)
+		t.Run(goldenAxes(g.incl, g.prefetch, g.recal), func(t *testing.T) {
+			cfg, wl := snapCfg(g.schemes[0], g.incl, g.prefetch, g.recal)
 			mat, err := store.Get(tracestore.Key{
 				Workload:    wl,
 				Cores:       cfg.Cores,
@@ -196,7 +186,7 @@ func TestGoldenSnapshotBranchMulti(t *testing.T) {
 // blobs must be recoverable (fall back to a cold run), never applied.
 func TestSnapshotRejections(t *testing.T) {
 	store := tracestore.New(0)
-	cfg, wl := snapCfg(ReDHiP, Inclusive, false)
+	cfg, wl := snapCfg(ReDHiP, Inclusive, false, 0)
 	_, blob := captureSolo(t, cfg, replaySources(t, store, cfg, wl))
 	if blob == nil {
 		t.Fatal("SnapshotSink never fired")

@@ -27,20 +27,47 @@ func goldenFingerprint(t *testing.T, res *Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenRun executes one smoke-geometry run of the named scheme and
-// inclusion policy. Non-prefetch cases use mcf; prefetch cases use
-// milc, whose strided components actually drive the stride prefetcher
-// (mcf issues zero prefetches at smoke scale).
-func goldenRun(t *testing.T, scheme Scheme, incl InclusionPolicy, prefetch bool) *Result {
-	t.Helper()
+// goldenConfig is the smoke geometry for one golden axis combination,
+// and the workload it runs. Non-prefetch cases use mcf; prefetch cases
+// use milc, whose strided components actually drive the stride
+// prefetcher (mcf issues zero prefetches at smoke scale). A nonzero
+// recal overrides the recalibration period (1 selects the mirror).
+func goldenConfig(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64) (Config, string) {
 	cfg := Smoke()
 	cfg.Scheme = scheme
 	cfg.Inclusion = incl
 	cfg.EnablePrefetch = prefetch
+	if recal != 0 {
+		cfg.RecalPeriod = recal
+	}
 	wl := "mcf"
 	if prefetch {
 		wl = "milc"
 	}
+	return cfg, wl
+}
+
+// goldenAxes names an (inclusion, prefetch, recal) combination; the
+// recal suffix appears only on the cases that override it, so the
+// original sixteen keep their names.
+func goldenAxes(incl InclusionPolicy, prefetch bool, recal uint64) string {
+	name := fmt.Sprintf("%s/prefetch=%v", incl, prefetch)
+	if recal != 0 {
+		name += fmt.Sprintf("/recal=%d", recal)
+	}
+	return name
+}
+
+// name is the case's subtest name.
+func (tc goldenCase) name() string {
+	return fmt.Sprintf("%s/%s", tc.scheme, goldenAxes(tc.incl, tc.prefetch, tc.recal))
+}
+
+// goldenRun executes one smoke-geometry run of a golden case over live
+// generated sources.
+func goldenRun(t *testing.T, tc goldenCase) *Result {
+	t.Helper()
+	cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal)
 	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +80,14 @@ func goldenRun(t *testing.T, scheme Scheme, incl InclusionPolicy, prefetch bool)
 }
 
 // goldenCases enumerates every valid scheme x inclusion combination
-// (CBF is rejected under Exclusive) plus two prefetch-enabled runs.
+// (CBF is rejected under Exclusive), then prefetch-enabled runs that
+// cover each predictor's prefetch consult: every predicting scheme
+// under Inclusive and Hybrid, and the per-miss mirror (recal 1).
 type goldenCase struct {
 	scheme   Scheme
 	incl     InclusionPolicy
 	prefetch bool
+	recal    uint64 // RecalPeriod override; 0 keeps Smoke()'s
 	want     string
 }
 
@@ -71,42 +101,52 @@ type goldenCase struct {
 var captureGolden = flag.Bool("capture", false, "print golden fingerprints instead of asserting")
 
 var goldenCases = []goldenCase{
-	{Base, Inclusive, false, "f7fdb92bd63f4919"},
-	{Base, Hybrid, false, "58a601afbc20116f"},
-	{Base, Exclusive, false, "06be6574033cf6ce"},
-	{Phased, Inclusive, false, "d9ee6451d3cda0ca"},
-	{Phased, Hybrid, false, "143ef9f0a646a4d4"},
-	{Phased, Exclusive, false, "08bea1e329ca46f9"},
-	{CBF, Inclusive, false, "918a4164e5113dce"},
-	{CBF, Hybrid, false, "b79a63f640b075a9"},
-	{ReDHiP, Inclusive, false, "d6c150e5572db98c"},
-	{ReDHiP, Hybrid, false, "32c7528a50213c54"},
-	{ReDHiP, Exclusive, false, "66f955623bc23c7b"},
-	{Oracle, Inclusive, false, "9425832655b42508"},
-	{Oracle, Hybrid, false, "14b68a42361de2c1"},
-	{Oracle, Exclusive, false, "adef0ec4a2be439e"},
-	{ReDHiP, Inclusive, true, "639076d8eaf051c2"},
-	{Base, Exclusive, true, "9953b3574608eb78"},
+	{Base, Inclusive, false, 0, "f7fdb92bd63f4919"},
+	{Base, Hybrid, false, 0, "58a601afbc20116f"},
+	{Base, Exclusive, false, 0, "06be6574033cf6ce"},
+	{Phased, Inclusive, false, 0, "d9ee6451d3cda0ca"},
+	{Phased, Hybrid, false, 0, "143ef9f0a646a4d4"},
+	{Phased, Exclusive, false, 0, "08bea1e329ca46f9"},
+	{CBF, Inclusive, false, 0, "918a4164e5113dce"},
+	{CBF, Hybrid, false, 0, "b79a63f640b075a9"},
+	{ReDHiP, Inclusive, false, 0, "d6c150e5572db98c"},
+	{ReDHiP, Hybrid, false, 0, "32c7528a50213c54"},
+	{ReDHiP, Exclusive, false, 0, "66f955623bc23c7b"},
+	{Oracle, Inclusive, false, 0, "9425832655b42508"},
+	{Oracle, Hybrid, false, 0, "14b68a42361de2c1"},
+	{Oracle, Exclusive, false, 0, "adef0ec4a2be439e"},
+	{ReDHiP, Inclusive, true, 0, "639076d8eaf051c2"},
+	{Base, Exclusive, true, 0, "9953b3574608eb78"},
+	{CBF, Inclusive, true, 0, "af07b704fac78170"},
+	{Oracle, Inclusive, true, 0, "e2fec7a4ee2c3225"},
+	{CBF, Hybrid, true, 0, "a574c800595efa67"},
+	{ReDHiP, Hybrid, true, 0, "5d4ffed9e254f684"},
+	{Oracle, Hybrid, true, 0, "4696fcfa73f4968f"},
+	// At smoke scale the L4 never evicts and no periodic recalibration
+	// fires, so the mirror reproduces the periodic table's results.
+	{ReDHiP, Inclusive, true, 1, "639076d8eaf051c2"},
+	{ReDHiP, Hybrid, true, 1, "5d4ffed9e254f684"},
 }
 
-// goldenGroup is one (inclusion, prefetch) slice of the golden cases:
-// the schemes that can share a single RunMulti pass (scheme is the only
-// config axis RunMulti varies).
+// goldenGroup is one (inclusion, prefetch, recal) slice of the golden
+// cases: the schemes that can share a single RunMulti pass (scheme is
+// the only config axis RunMulti varies).
 type goldenGroup struct {
 	incl     InclusionPolicy
 	prefetch bool
+	recal    uint64
 	schemes  []Scheme
 	want     []string
 }
 
-// goldenGroups partitions goldenCases by (inclusion, prefetch),
+// goldenGroups partitions goldenCases by (inclusion, prefetch, recal),
 // preserving case order within each group.
 func goldenGroups() []goldenGroup {
 	var groups []goldenGroup
 	for _, tc := range goldenCases {
 		found := false
 		for i := range groups {
-			if groups[i].incl == tc.incl && groups[i].prefetch == tc.prefetch {
+			if groups[i].incl == tc.incl && groups[i].prefetch == tc.prefetch && groups[i].recal == tc.recal {
 				groups[i].schemes = append(groups[i].schemes, tc.scheme)
 				groups[i].want = append(groups[i].want, tc.want)
 				found = true
@@ -115,7 +155,7 @@ func goldenGroups() []goldenGroup {
 		}
 		if !found {
 			groups = append(groups, goldenGroup{
-				incl: tc.incl, prefetch: tc.prefetch,
+				incl: tc.incl, prefetch: tc.prefetch, recal: tc.recal,
 				schemes: []Scheme{tc.scheme}, want: []string{tc.want},
 			})
 		}
@@ -123,7 +163,7 @@ func goldenGroups() []goldenGroup {
 	return groups
 }
 
-// TestGoldenFingerprintsMulti extends the sixteen golden fingerprints
+// TestGoldenFingerprintsMulti extends the golden fingerprints
 // to the single-pass multi-scheme engine: every golden case, grouped
 // into RunMulti passes, must reproduce its recorded fingerprint exactly
 // — at parallelism 1, 2 and NumCPU, over both live generators
@@ -139,15 +179,9 @@ func TestGoldenFingerprintsMulti(t *testing.T) {
 	for _, par := range []int{1, 2, runtime.NumCPU()} {
 		for _, mode := range []string{"live", "stable"} {
 			for _, g := range goldenGroups() {
-				name := fmt.Sprintf("par=%d/%s/%s/prefetch=%v", par, mode, g.incl, g.prefetch)
+				name := fmt.Sprintf("par=%d/%s/%s", par, mode, goldenAxes(g.incl, g.prefetch, g.recal))
 				t.Run(name, func(t *testing.T) {
-					cfg := Smoke()
-					cfg.Inclusion = g.incl
-					cfg.EnablePrefetch = g.prefetch
-					wl := "mcf"
-					if g.prefetch {
-						wl = "milc"
-					}
+					cfg, wl := goldenConfig(g.schemes[0], g.incl, g.prefetch, g.recal)
 					var srcs []workload.Source
 					if mode == "live" {
 						var err error
@@ -185,12 +219,12 @@ func TestGoldenFingerprintsMulti(t *testing.T) {
 
 func TestGoldenFingerprints(t *testing.T) {
 	for _, tc := range goldenCases {
-		name := fmt.Sprintf("%s/%s/prefetch=%v", tc.scheme, tc.incl, tc.prefetch)
+		name := tc.name()
 		t.Run(name, func(t *testing.T) {
-			res := goldenRun(t, tc.scheme, tc.incl, tc.prefetch)
+			res := goldenRun(t, tc)
 			got := goldenFingerprint(t, res)
 			if *captureGolden {
-				t.Logf("golden: {%s, %s, %v, \"%s\"},", tc.scheme, tc.incl, tc.prefetch, got)
+				t.Logf("golden: {%s, %s, %v, %d, \"%s\"},", tc.scheme, tc.incl, tc.prefetch, tc.recal, got)
 				return
 			}
 			if got != tc.want {
@@ -198,7 +232,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			}
 			// Run-to-run determinism: a second run from fresh sources
 			// must reproduce the same fingerprint.
-			again := goldenFingerprint(t, goldenRun(t, tc.scheme, tc.incl, tc.prefetch))
+			again := goldenFingerprint(t, goldenRun(t, tc))
 			if again != got {
 				t.Errorf("second run fingerprint %s != first %s", again, got)
 			}
