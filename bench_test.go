@@ -204,7 +204,7 @@ func BenchmarkPredictionTableSet(b *testing.B) {
 }
 
 func BenchmarkCBFLookup(b *testing.B) {
-	cbf, err := redhip.NewCBF(512<<10, 4, 6, 0.02)
+	cbf, err := redhip.NewCBF(512<<10, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,8 +20,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"redhip/internal/memaddr"
 	"redhip/internal/redhipassert"
@@ -123,8 +121,6 @@ func NewForCache(cacheSizeBytes uint64, banks int) (*Table, error) {
 func (t *Table) PBits() uint { return t.pBits }
 
 // SizeBytes returns the table capacity in bytes.
-//
-//redhip:phase-exclusive geometry read; len(words) is fixed at construction and never changes
 func (t *Table) SizeBytes() uint64 { return uint64(len(t.words)) * LineBits / 8 }
 
 // Banks returns the recalibration banking factor.
@@ -156,7 +152,6 @@ func (t *Table) Index(block memaddr.Addr) uint64 {
 // "definitely absent" (skip every level below L1).
 //
 //redhip:hotpath
-//redhip:phase-exclusive simulate-phase access; each engine drives its own table from one goroutine, recalibration never overlaps lookups
 func (t *Table) PredictPresent(block memaddr.Addr) bool {
 	t.lookups++
 	idx := t.Index(block)
@@ -175,7 +170,6 @@ func (t *Table) PredictPresent(block memaddr.Addr) bool {
 // when an entry is added, but it is not updated to reflect eviction").
 //
 //redhip:hotpath
-//redhip:phase-exclusive simulate-phase access; each engine drives its own table from one goroutine, recalibration never overlaps fills
 func (t *Table) Set(block memaddr.Addr) {
 	idx := t.Index(block)
 	w := &t.words[idx/LineBits]
@@ -189,10 +183,8 @@ func (t *Table) Set(block memaddr.Addr) {
 	}
 }
 
-// Clear zeroes the whole table (used by tests, at simulation start, and
-// as the pre-fan-out reset inside the recalibration sweeps).
-//
-//redhip:phase-exclusive runs before any recalibration worker is spawned (or outside recalibration entirely)
+// Clear zeroes the whole table (used by tests and as the reset at the
+// start of each recalibration sweep).
 func (t *Table) Clear() {
 	for i := range t.words {
 		t.words[i] = 0
@@ -203,8 +195,6 @@ func (t *Table) Clear() {
 }
 
 // PopCount returns the number of set bits.
-//
-//redhip:phase-exclusive diagnostics read; callers invoke it between sweeps, never while workers run
 func (t *Table) PopCount() uint64 {
 	var n uint64
 	for _, w := range t.words {
@@ -236,8 +226,6 @@ func (t *Table) Stats() Stats {
 // SnapshotState copies out the table's warm state: the bit-map words
 // and the lifetime counters (the counters matter because recalibration
 // cadence and PredStats derive from their absolute values).
-//
-//redhip:phase-exclusive snapshot capture runs on the coordinator with every engine quiesced
 func (t *Table) SnapshotState() (words []uint64, counters [4]uint64) {
 	words = append([]uint64(nil), t.words...)
 	counters = [4]uint64{t.lookups, t.predHits, t.sets, t.recals}
@@ -247,8 +235,6 @@ func (t *Table) SnapshotState() (words []uint64, counters [4]uint64) {
 // RestoreSnapshotState overwrites the table's words and counters with a
 // previously-snapshotted state. The word count must match this table's
 // size exactly.
-//
-//redhip:phase-exclusive restore runs on the coordinator before the engine is handed to any worker
 func (t *Table) RestoreSnapshotState(words []uint64, counters [4]uint64) error {
 	if len(words) != len(t.words) {
 		return fmt.Errorf("core: snapshot has %d table words, table needs %d", len(words), len(t.words))
@@ -285,8 +271,6 @@ type RecalCost struct {
 // because the rebuild happens atomically with respect to fills in the
 // simulator). tagReadNJ is charged once per set swept; lineWriteNJ once
 // per table word rewritten.
-//
-//redhip:phase-exclusive sequential sweep; the caller's goroutine owns the table for the whole rebuild
 func (t *Table) Recalibrate(tags TagArray, tagReadNJ, lineWriteNJ float64) RecalCost {
 	t.Clear()
 	k := tags.SetBits()
@@ -328,104 +312,9 @@ func (t *Table) Recalibrate(tags TagArray, tagReadNJ, lineWriteNJ float64) Recal
 	return cost
 }
 
-// minParallelSets is the sweep size below which partitioning cannot
-// pay for its goroutines; smaller tag arrays recalibrate sequentially
-// whatever fan-out the caller asks for.
-const minParallelSets = 256
-
-// RecalibrateParallel is Recalibrate with the set sweep partitioned
-// into `workers` contiguous set ranges executed concurrently. The
-// result is bit-identical to the sequential sweep whatever the worker
-// count or interleaving, which is what lets the multi-scheme engine
-// use it under the golden-fingerprint determinism contract:
-//
-//   - the rebuilt words are a disjunction of per-tag bits, and OR is
-//     commutative, associative and idempotent — every schedule
-//     produces the same bit map (cross-partition word sharing is
-//     resolved with atomic read-OR-CAS, exact, not approximate);
-//   - EnergyNJ is closed-form in the set and word counts, never
-//     accumulated across partitions;
-//   - Cycles is closed-form for the bits-hash and an integer tag total
-//     for the xor-hash, reduced over partitions in partition order.
-//
-// workers <= 1 (or a sweep too small to split) delegates to the
-// sequential, allocation-free Recalibrate.
-func (t *Table) RecalibrateParallel(tags TagArray, tagReadNJ, lineWriteNJ float64, workers int) RecalCost {
-	sets := tags.NumSets()
-	if workers <= 1 || sets < minParallelSets {
-		return t.Recalibrate(tags, tagReadNJ, lineWriteNJ)
-	}
-	if workers > sets {
-		workers = sets
-	}
-	t.Clear()
-	k := tags.SetBits()
-	counts := make([]uint64, workers)
-	chunk := (sets + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > sets {
-			hi = sets
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]uint64, 0, 32)
-			var n uint64
-			for s := lo; s < hi; s++ {
-				buf = tags.TagsInSet(s, buf[:0])
-				n += uint64(len(buf))
-				for _, tag := range buf {
-					block := memaddr.BlockFromSetTag(uint64(s), tag, k)
-					idx := t.Index(block)
-					wi := idx / LineBits
-					bit := uint64(1) << (idx % LineBits)
-					// Atomic OR via CAS: partitions sharing a word (k <
-					// 6 under the bits-hash, always under the xor-hash)
-					// must not lose each other's bits.
-					for {
-						old := atomic.LoadUint64(&t.words[wi])
-						if old&bit != 0 || atomic.CompareAndSwapUint64(&t.words[wi], old, old|bit) {
-							break
-						}
-					}
-				}
-			}
-			counts[w] = n
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Partition-order reduction: identical to the sequential tag total
-	// because integer addition over a fixed partition order is exact.
-	var totalTags uint64
-	for _, n := range counts {
-		totalTags += n
-	}
-	t.recals++
-	if redhipassert.Enabled {
-		redhipassert.Check(t.FalsePositiveCount(tags) == 0, "core: false positives survived parallel recalibration")
-	}
-	cost := RecalCost{
-		//redhip:phase-exclusive post-Wait costing read; every worker joined at wg.Wait above
-		EnergyNJ: float64(sets)*tagReadNJ + float64(len(t.words))*lineWriteNJ,
-	}
-	if t.hash == HashBits {
-		cost.Cycles = (uint64(sets) + uint64(t.banks) - 1) / uint64(t.banks)
-	} else {
-		cost.Cycles = totalTags
-	}
-	return cost
-}
-
 // FalsePositiveCount compares the table against the true cache contents
 // and returns how many set bits have no resident block mapping to them.
 // Used by tests and the accuracy diagnostics; not part of the hardware.
-//
-//redhip:phase-exclusive diagnostics read; runs after the sweep's workers have joined, or between sweeps
 func (t *Table) FalsePositiveCount(tags TagArray) uint64 {
 	truth := make([]uint64, len(t.words))
 	k := tags.SetBits()

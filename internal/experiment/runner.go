@@ -74,9 +74,8 @@ type Options struct {
 	// builds without the tag the field is inert.
 	Fault *faultinject.Injector
 	// IntraParallelism bounds the worker goroutines inside one
-	// simulation pass (sim.RunMultiOpt per-scheme engines plus
-	// recalibration fan-out), whether a multi-scheme sweep or a
-	// one-scheme pool job. Zero means "auto": divide GOMAXPROCS by the
+	// simulation pass (sim.RunMultiOpt runs one per-scheme engine per
+	// worker), whether a multi-scheme sweep or a one-scheme pool job. Zero means "auto": divide GOMAXPROCS by the
 	// job-level Parallelism so the two layers combined never
 	// oversubscribe the machine (see intraWorkers). Negative values are
 	// a configuration error. Results are unaffected either way — the

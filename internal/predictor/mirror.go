@@ -3,7 +3,6 @@ package predictor
 import (
 	"fmt"
 
-	"redhip/internal/core"
 	"redhip/internal/memaddr"
 )
 
@@ -16,41 +15,33 @@ import (
 // bookkeeping, not proposed hardware), which is vastly cheaper than
 // re-sweeping the tag array on every miss.
 type MirrorTable struct {
-	refs  []uint32
-	mask  uint64  //redhip:transient derived from pBits, rebuilt by NewMirrorTable
-	pBits uint    //redhip:transient construction-time size config
-	delay uint32  //redhip:transient construction-time latency config
-	nj    float64 //redhip:transient construction-time energy config
+	refs []uint32
+	mask uint64 //redhip:transient derived from the entry count, rebuilt by NewMirrorTable
 }
 
 // NewMirrorTable builds a mirror of a ReDHiP table of the given size.
-func NewMirrorTable(sizeBytes uint64, delay uint32, nj float64) (*MirrorTable, error) {
+func NewMirrorTable(sizeBytes uint64) (*MirrorTable, error) {
 	entries := sizeBytes * 8
-	pBits, err := memaddr.CheckedLog2("mirror table entries", entries)
-	if err != nil {
+	if _, err := memaddr.CheckedLog2("mirror table entries", entries); err != nil {
 		return nil, err
 	}
 	return &MirrorTable{
-		refs:  make([]uint32, entries),
-		mask:  entries - 1,
-		pBits: pBits,
-		delay: delay,
-		nj:    nj,
+		refs: make([]uint32, entries),
+		mask: entries - 1,
 	}, nil
 }
 
-// Name implements Predictor.
-func (m *MirrorTable) Name() string { return "redhip-recal-every-miss" }
-
-// PredictPresent implements Predictor.
+// PredictPresent reports whether any resident block maps to the
+// block's entry.
 func (m *MirrorTable) PredictPresent(b memaddr.Addr) bool {
 	return m.refs[uint64(b)&m.mask] != 0
 }
 
-// OnFill implements Predictor.
+// OnFill counts a block inserted into the covered cache.
 func (m *MirrorTable) OnFill(b memaddr.Addr) { m.refs[uint64(b)&m.mask]++ }
 
-// OnEvict implements Predictor.
+// OnEvict uncounts a block evicted from the covered cache; evicting a
+// block that was never filled is an engine bug and panics.
 func (m *MirrorTable) OnEvict(b memaddr.Addr) {
 	r := &m.refs[uint64(b)&m.mask]
 	if *r == 0 {
@@ -58,12 +49,6 @@ func (m *MirrorTable) OnEvict(b memaddr.Addr) {
 	}
 	*r--
 }
-
-// LookupDelay implements Predictor.
-func (m *MirrorTable) LookupDelay() uint32 { return m.delay }
-
-// LookupNJ implements Predictor.
-func (m *MirrorTable) LookupNJ() float64 { return m.nj }
 
 // SnapshotRefs copies out the mirror's reference counts for warm-state
 // serialisation.
@@ -79,19 +64,4 @@ func (m *MirrorTable) RestoreRefs(refs []uint32) error {
 	}
 	copy(m.refs, refs)
 	return nil
-}
-
-// Recalibrate implements Recalibrator as a no-op that still reports the
-// hardware cost one rebuild would have, so overhead accounting stays
-// honest if a caller insists on charging it.
-func (m *MirrorTable) Recalibrate(tags core.TagArray, tagReadNJ, lineWriteNJ float64) core.RecalCost {
-	sets := uint64(tags.NumSets())
-	lines := uint64(len(m.refs)) / core.LineBits
-	if lines == 0 {
-		lines = 1
-	}
-	return core.RecalCost{
-		Cycles:   sets, // unbanked single-ported sweep
-		EnergyNJ: float64(sets)*tagReadNJ + float64(lines)*lineWriteNJ,
-	}
 }

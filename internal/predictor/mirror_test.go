@@ -9,23 +9,19 @@ import (
 )
 
 func TestMirrorTableConstruction(t *testing.T) {
-	if _, err := NewMirrorTable(0, 6, 0.02); err == nil {
+	if _, err := NewMirrorTable(0); err == nil {
 		t.Fatal("zero size accepted")
 	}
-	if _, err := NewMirrorTable(1000, 6, 0.02); err == nil {
+	if _, err := NewMirrorTable(1000); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
-	m, err := NewMirrorTable(4096, 6, 0.02)
-	if err != nil {
+	if _, err := NewMirrorTable(4096); err != nil {
 		t.Fatal(err)
-	}
-	if m.Name() == "" || m.LookupDelay() != 6 || m.LookupNJ() != 0.02 {
-		t.Fatal("metadata")
 	}
 }
 
 func TestMirrorTracksFillEvict(t *testing.T) {
-	m, _ := NewMirrorTable(4096, 6, 0.02)
+	m, _ := NewMirrorTable(4096)
 	b := memaddr.Addr(0x1234).Block()
 	if m.PredictPresent(b) {
 		t.Fatal("fresh mirror predicted present")
@@ -41,7 +37,7 @@ func TestMirrorTracksFillEvict(t *testing.T) {
 }
 
 func TestMirrorAliasedRefcounts(t *testing.T) {
-	m, _ := NewMirrorTable(64, 6, 0.02) // 512 entries; easy to alias
+	m, _ := NewMirrorTable(64) // 512 entries; easy to alias
 	a := memaddr.Addr(0).Block()
 	alias := a + 512 // same index
 	m.OnFill(a)
@@ -58,7 +54,7 @@ func TestMirrorAliasedRefcounts(t *testing.T) {
 }
 
 func TestMirrorUnderflowPanics(t *testing.T) {
-	m, _ := NewMirrorTable(4096, 6, 0.02)
+	m, _ := NewMirrorTable(4096)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("underflow did not panic")
@@ -74,7 +70,7 @@ func TestMirrorExactlyMirrorsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := NewMirrorTable(256, 6, 0.02) // 2048 entries
+	m, _ := NewMirrorTable(256) // 2048 entries
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 30000; i++ {
 		b := memaddr.Addr(rng.Uint64() % (1 << 22)).Block()
@@ -98,21 +94,5 @@ func TestMirrorExactlyMirrorsCache(t *testing.T) {
 				t.Fatalf("mirror disagrees with aliased ground truth at step %d", i)
 			}
 		}
-	}
-}
-
-func TestMirrorRecalibrateReportsCost(t *testing.T) {
-	llc, _ := cache.New(cache.Geometry{Name: "L4", SizeBytes: 64 << 10, Ways: 4, Banks: 1})
-	m, _ := NewMirrorTable(256, 6, 0.02)
-	cost := m.Recalibrate(llc, 1, 1)
-	if cost.Cycles == 0 || cost.EnergyNJ == 0 {
-		t.Fatal("mirror recalibration cost must be nonzero for honest accounting")
-	}
-	// And it must not disturb the refcounts.
-	b := memaddr.Addr(0x40).Block()
-	m.OnFill(b)
-	m.Recalibrate(llc, 1, 1)
-	if !m.PredictPresent(b) {
-		t.Fatal("recalibrate disturbed the mirror state")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // fail loudly — with a message that names its package, per the project
 // rule redhip-lint's invariant pass machine-checks.
 func TestMirrorEvictUnderflowPanics(t *testing.T) {
-	m, err := predictor.NewMirrorTable(1024, 1, 0.1)
+	m, err := predictor.NewMirrorTable(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMirrorEvictUnderflowPanics(t *testing.T) {
 // never trip the underflow check, including aliased blocks sharing one
 // counter.
 func TestMirrorFillEvictBalanced(t *testing.T) {
-	m, err := predictor.NewMirrorTable(1024, 1, 0.1)
+	m, err := predictor.NewMirrorTable(1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,145 +1,19 @@
-// Package predictor defines the LLC-presence predictor interface the
-// simulator consults on every L1 miss, and the baseline predictors the
-// paper compares ReDHiP against (Section II and Section IV): a no-op
-// predictor (the Base configuration), a perfect Oracle, and the
-// counting-Bloom-filter scheme of Ghosh et al. at equal area budget.
+// Package predictor holds the LLC-presence baselines and the
+// simulation-only table the paper compares ReDHiP against (Section II
+// and Section IV): the counting-Bloom-filter scheme of Ghosh et al. at
+// equal area budget, and the mirror table that stands in for a ReDHiP
+// table recalibrated after every miss. Both must be conservative:
+// PredictPresent may return true for an absent block (a false positive
+// wastes lookups) but never false for a resident one. The simulator
+// dispatches on their concrete types and charges their lookup cost
+// itself; Base needs no predictor and the Oracle reads the LLC directly.
 package predictor
 
 import (
 	"fmt"
 
-	"redhip/internal/core"
 	"redhip/internal/memaddr"
 )
-
-// Predictor predicts whether a block may reside in the covered cache.
-// Implementations must be conservative: PredictPresent may return true
-// for an absent block (a false positive wastes lookups) but must never
-// return false for a resident one (a false negative would send an
-// on-chip access to memory).
-type Predictor interface {
-	// Name identifies the scheme in reports.
-	Name() string
-	// PredictPresent returns false only if the block is certainly not
-	// in the covered cache.
-	PredictPresent(block memaddr.Addr) bool
-	// OnFill notifies that a block was inserted into the covered cache.
-	OnFill(block memaddr.Addr)
-	// OnEvict notifies that a block was evicted from the covered cache.
-	OnEvict(block memaddr.Addr)
-	// LookupDelay is the cycles an L1 miss spends consulting the
-	// predictor (table access + wire, Table I).
-	LookupDelay() uint32
-	// LookupNJ is the dynamic energy of one consultation.
-	LookupNJ() float64
-}
-
-// Recalibrator is implemented by predictors that support ReDHiP-style
-// periodic recalibration from the covered cache's tag array.
-type Recalibrator interface {
-	Recalibrate(tags core.TagArray, tagReadNJ, lineWriteNJ float64) core.RecalCost
-}
-
-// --- None -------------------------------------------------------------------
-
-// None is the Base configuration: no prediction, every L1 miss walks
-// the hierarchy.
-type None struct{}
-
-// Name implements Predictor.
-func (None) Name() string { return "none" }
-
-// PredictPresent implements Predictor; it always predicts present.
-func (None) PredictPresent(memaddr.Addr) bool { return true }
-
-// OnFill implements Predictor.
-func (None) OnFill(memaddr.Addr) {}
-
-// OnEvict implements Predictor.
-func (None) OnEvict(memaddr.Addr) {}
-
-// LookupDelay implements Predictor.
-func (None) LookupDelay() uint32 { return 0 }
-
-// LookupNJ implements Predictor.
-func (None) LookupNJ() float64 { return 0 }
-
-// --- Oracle -----------------------------------------------------------------
-
-// Oracle predicts LLC presence perfectly and for free — the theoretical
-// upper bound of Figures 6 and 7. It is "not the same as constant
-// recalibration" (Section IV): a recalibrated 1-bit table still aliases
-// multiple blocks onto one entry, while the Oracle does not.
-type Oracle struct {
-	contains func(memaddr.Addr) bool
-}
-
-// NewOracle wraps a ground-truth residency query (cache.Cache.Contains).
-func NewOracle(contains func(memaddr.Addr) bool) *Oracle {
-	return &Oracle{contains: contains}
-}
-
-// Name implements Predictor.
-func (o *Oracle) Name() string { return "oracle" }
-
-// PredictPresent implements Predictor.
-func (o *Oracle) PredictPresent(b memaddr.Addr) bool { return o.contains(b) }
-
-// OnFill implements Predictor.
-func (o *Oracle) OnFill(memaddr.Addr) {}
-
-// OnEvict implements Predictor.
-func (o *Oracle) OnEvict(memaddr.Addr) {}
-
-// LookupDelay implements Predictor.
-func (o *Oracle) LookupDelay() uint32 { return 0 }
-
-// LookupNJ implements Predictor.
-func (o *Oracle) LookupNJ() float64 { return 0 }
-
-// --- ReDHiP adapter -----------------------------------------------------------
-
-// ReDHiP adapts a core.Table to the Predictor interface. Evictions are
-// deliberately ignored (the 1-bit entries cannot be decremented); the
-// simulator recalibrates the table periodically through the
-// Recalibrator interface.
-type ReDHiP struct {
-	Table *core.Table
-	Delay uint32
-	NJ    float64
-}
-
-// NewReDHiP builds the adapter with the given lookup cost.
-func NewReDHiP(t *core.Table, delay uint32, nj float64) *ReDHiP {
-	return &ReDHiP{Table: t, Delay: delay, NJ: nj}
-}
-
-// Name implements Predictor.
-func (r *ReDHiP) Name() string { return "redhip" }
-
-// PredictPresent implements Predictor.
-func (r *ReDHiP) PredictPresent(b memaddr.Addr) bool { return r.Table.PredictPresent(b) }
-
-// OnFill implements Predictor.
-func (r *ReDHiP) OnFill(b memaddr.Addr) { r.Table.Set(b) }
-
-// OnEvict implements Predictor; it is a no-op by design.
-func (r *ReDHiP) OnEvict(memaddr.Addr) {}
-
-// LookupDelay implements Predictor.
-func (r *ReDHiP) LookupDelay() uint32 { return r.Delay }
-
-// LookupNJ implements Predictor.
-func (r *ReDHiP) LookupNJ() float64 { return r.NJ }
-
-// Recalibrate implements Recalibrator.
-func (r *ReDHiP) Recalibrate(tags core.TagArray, tagReadNJ, lineWriteNJ float64) core.RecalCost {
-	return r.Table.Recalibrate(tags, tagReadNJ, lineWriteNJ)
-}
-
-var _ Recalibrator = (*ReDHiP)(nil)
-
-// --- Counting Bloom Filter ------------------------------------------------------
 
 // CBF is the counting-Bloom-filter predictor of Ghosh et al. [9] given
 // the same area budget as ReDHiP (Section IV): one xor-hash function
@@ -148,11 +22,9 @@ var _ Recalibrator = (*ReDHiP)(nil)
 // which is exactly the paper's "accuracy per bit" argument.
 type CBF struct {
 	counters []uint8
-	idxBits  uint    //redhip:transient construction-time size config
-	maxVal   uint8   //redhip:transient derived from ctrBits, rebuilt by NewCBF
-	ctrBits  uint    //redhip:transient construction-time counter-width config
-	delay    uint32  //redhip:transient construction-time latency config
-	nj       float64 //redhip:transient construction-time energy config
+	idxBits  uint  //redhip:transient construction-time size config
+	maxVal   uint8 //redhip:transient derived from ctrBits, rebuilt by NewCBF
+	ctrBits  uint  //redhip:transient construction-time counter-width config
 
 	lookups   uint64
 	present   uint64
@@ -163,7 +35,7 @@ type CBF struct {
 // NewCBF builds a counting Bloom filter within sizeBytes of storage
 // using counterBits-wide counters (2..8). The entry count is the
 // largest power of two that fits the budget.
-func NewCBF(sizeBytes uint64, counterBits uint, delay uint32, nj float64) (*CBF, error) {
+func NewCBF(sizeBytes uint64, counterBits uint) (*CBF, error) {
 	if counterBits < 2 || counterBits > 8 {
 		return nil, fmt.Errorf("predictor: CBF counter width %d outside [2,8]", counterBits)
 	}
@@ -183,8 +55,6 @@ func NewCBF(sizeBytes uint64, counterBits uint, delay uint32, nj float64) (*CBF,
 		idxBits:  idxBits,
 		maxVal:   uint8(1<<counterBits - 1),
 		ctrBits:  counterBits,
-		delay:    delay,
-		nj:       nj,
 	}, nil
 }
 
@@ -210,10 +80,8 @@ func (c *CBF) Index(block memaddr.Addr) uint64 {
 	return h
 }
 
-// Name implements Predictor.
-func (c *CBF) Name() string { return "cbf" }
-
-// PredictPresent implements Predictor: present iff the counter is nonzero.
+// PredictPresent reports whether the block may be resident: present iff
+// its counter is nonzero.
 func (c *CBF) PredictPresent(b memaddr.Addr) bool {
 	c.lookups++
 	if c.counters[c.Index(b)] != 0 {
@@ -223,7 +91,8 @@ func (c *CBF) PredictPresent(b memaddr.Addr) bool {
 	return false
 }
 
-// OnFill implements Predictor: increments the counter, saturating at
+// OnFill notes a block inserted into the covered cache: it increments
+// the block's counter, saturating at
 // the maximum. A saturated counter is disabled — it never decrements
 // again, so it conservatively reads "present" forever (Section II).
 func (c *CBF) OnFill(b memaddr.Addr) {
@@ -237,8 +106,8 @@ func (c *CBF) OnFill(b memaddr.Addr) {
 	}
 }
 
-// OnEvict implements Predictor: decrements the counter unless it is
-// saturated (disabled) or already zero.
+// OnEvict notes a block evicted from the covered cache: it decrements
+// the counter unless it is saturated (disabled) or already zero.
 func (c *CBF) OnEvict(b memaddr.Addr) {
 	ctr := &c.counters[c.Index(b)]
 	switch *ctr {
@@ -250,12 +119,6 @@ func (c *CBF) OnEvict(b memaddr.Addr) {
 		*ctr--
 	}
 }
-
-// LookupDelay implements Predictor.
-func (c *CBF) LookupDelay() uint32 { return c.delay }
-
-// LookupNJ implements Predictor.
-func (c *CBF) LookupNJ() float64 { return c.nj }
 
 // SnapshotState copies out the filter's counters and lifetime stats
 // for warm-state serialisation.

@@ -5,97 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"redhip/internal/cache"
 	"redhip/internal/core"
 	"redhip/internal/memaddr"
 )
 
-func TestNone(t *testing.T) {
-	var p None
-	if p.Name() != "none" {
-		t.Error("name")
-	}
-	for i := 0; i < 100; i++ {
-		if !p.PredictPresent(memaddr.Addr(i)) {
-			t.Fatal("None must always predict present")
-		}
-	}
-	if p.LookupDelay() != 0 || p.LookupNJ() != 0 {
-		t.Fatal("None must be free")
-	}
-	p.OnFill(0)
-	p.OnEvict(0)
-}
-
-func TestOracleTracksGroundTruth(t *testing.T) {
-	llc, err := cache.New(cache.Geometry{Name: "L4", SizeBytes: 64 << 10, Ways: 4, Banks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewOracle(llc.Contains)
-	b := memaddr.Addr(0x4000).Block()
-	if o.PredictPresent(b) {
-		t.Fatal("oracle predicted present in empty cache")
-	}
-	llc.Fill(b)
-	if !o.PredictPresent(b) {
-		t.Fatal("oracle missed resident block")
-	}
-	llc.Invalidate(b)
-	if o.PredictPresent(b) {
-		t.Fatal("oracle predicted evicted block present")
-	}
-	if o.LookupDelay() != 0 || o.LookupNJ() != 0 {
-		t.Fatal("oracle must be free (Section IV)")
-	}
-}
-
-func TestReDHiPAdapter(t *testing.T) {
-	tb, err := core.NewTable(4096, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReDHiP(tb, 6, 0.02)
-	if r.Name() != "redhip" {
-		t.Error("name")
-	}
-	b := memaddr.Addr(0x1234).Block()
-	if r.PredictPresent(b) {
-		t.Fatal("fresh table predicted present")
-	}
-	r.OnFill(b)
-	if !r.PredictPresent(b) {
-		t.Fatal("filled block predicted absent")
-	}
-	r.OnEvict(b) // must be a no-op
-	if !r.PredictPresent(b) {
-		t.Fatal("eviction cleared a ReDHiP bit — 1-bit entries cannot do that")
-	}
-	if r.LookupDelay() != 6 || r.LookupNJ() != 0.02 {
-		t.Fatalf("cost %d/%v", r.LookupDelay(), r.LookupNJ())
-	}
-}
-
-func TestReDHiPRecalibratorInterface(t *testing.T) {
-	tb, _ := core.NewTable(4096, 4)
-	var p Predictor = NewReDHiP(tb, 6, 0.02)
-	rc, ok := p.(Recalibrator)
-	if !ok {
-		t.Fatal("ReDHiP does not implement Recalibrator")
-	}
-	llc, _ := cache.New(cache.Geometry{Name: "L4", SizeBytes: 64 << 10, Ways: 4, Banks: 1})
-	llc.Fill(memaddr.Addr(0x40).Block())
-	cost := rc.Recalibrate(llc, 1, 1)
-	if cost.Cycles == 0 {
-		t.Fatal("recalibration cost zero cycles")
-	}
-	if !p.PredictPresent(memaddr.Addr(0x40).Block()) {
-		t.Fatal("recalibrated table lost resident block")
-	}
-}
-
 func TestCBFConstruction(t *testing.T) {
-	c, err := NewCBF(512*1024, 4, 6, 0.02)
+	c, err := NewCBF(512*1024, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +29,20 @@ func TestCBFConstruction(t *testing.T) {
 }
 
 func TestCBFConstructionErrors(t *testing.T) {
-	if _, err := NewCBF(0, 4, 6, 0.02); err == nil {
+	if _, err := NewCBF(0, 4); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := NewCBF(1024, 1, 6, 0.02); err == nil {
+	if _, err := NewCBF(1024, 1); err == nil {
 		t.Error("1-bit counters accepted")
 	}
-	if _, err := NewCBF(1024, 9, 6, 0.02); err == nil {
+	if _, err := NewCBF(1024, 9); err == nil {
 		t.Error("9-bit counters accepted")
 	}
 }
 
 func TestCBFNonPowerOfTwoBudget(t *testing.T) {
 	// 3-bit counters in 512KB: floor to the largest power of two.
-	c, err := NewCBF(512*1024, 3, 6, 0.02)
+	c, err := NewCBF(512*1024, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +52,7 @@ func TestCBFNonPowerOfTwoBudget(t *testing.T) {
 }
 
 func TestCBFFillEvictBalance(t *testing.T) {
-	c, _ := NewCBF(64*1024, 4, 6, 0.02)
+	c, _ := NewCBF(64*1024, 4)
 	b := memaddr.Addr(0xdeadbe00).Block()
 	if c.PredictPresent(b) {
 		t.Fatal("empty filter predicted present")
@@ -156,7 +71,7 @@ func TestCBFNoFalseNegatives(t *testing.T) {
 	// Conservative property under arbitrary fill/evict interleavings
 	// that mirror real cache behaviour (evict only resident blocks).
 	f := func(seed int64) bool {
-		c, _ := NewCBF(4*1024, 4, 6, 0.02)
+		c, _ := NewCBF(4*1024, 4)
 		rng := rand.New(rand.NewSource(seed))
 		resident := map[memaddr.Addr]bool{}
 		order := []memaddr.Addr{}
@@ -189,7 +104,7 @@ func TestCBFNoFalseNegatives(t *testing.T) {
 }
 
 func TestCBFSaturationSticks(t *testing.T) {
-	c, _ := NewCBF(64, 2, 6, 0.02) // max counter value 3
+	c, _ := NewCBF(64, 2) // max counter value 3
 	b := memaddr.Addr(0).Block()
 	for i := 0; i < 10; i++ {
 		c.OnFill(b)
@@ -207,7 +122,7 @@ func TestCBFSaturationSticks(t *testing.T) {
 }
 
 func TestCBFXorHashStaysInRange(t *testing.T) {
-	c, _ := NewCBF(8*1024, 4, 6, 0.02)
+	c, _ := NewCBF(8*1024, 4)
 	f := func(raw uint64) bool {
 		return c.Index(memaddr.Addr(raw).Block()) < c.Entries()
 	}
@@ -219,7 +134,7 @@ func TestCBFXorHashStaysInRange(t *testing.T) {
 func TestCBFXorHashMixesHighBits(t *testing.T) {
 	// Unlike bits-hash, xor-hash must distinguish some blocks that
 	// agree in their low bits.
-	c, _ := NewCBF(8*1024, 4, 6, 0.02)
+	c, _ := NewCBF(8*1024, 4)
 	base := memaddr.Addr(0x1000).Block()
 	diff := 0
 	for i := uint(20); i < 40; i++ {
@@ -234,7 +149,7 @@ func TestCBFXorHashMixesHighBits(t *testing.T) {
 }
 
 func TestCBFStatsCounts(t *testing.T) {
-	c, _ := NewCBF(1024, 4, 6, 0.02)
+	c, _ := NewCBF(1024, 4)
 	b := memaddr.Addr(0x40).Block()
 	c.PredictPresent(b)
 	c.OnFill(b)
@@ -246,19 +161,9 @@ func TestCBFStatsCounts(t *testing.T) {
 }
 
 func TestCBFEvictUnknownCountsUnderflow(t *testing.T) {
-	c, _ := NewCBF(1024, 4, 6, 0.02)
+	c, _ := NewCBF(1024, 4)
 	c.OnEvict(memaddr.Addr(0x40).Block())
 	if c.Stats().Underflows != 1 {
 		t.Fatal("underflow not counted")
-	}
-}
-
-func TestPredictorInterfaceCompliance(t *testing.T) {
-	tb, _ := core.NewTable(4096, 4)
-	cbf, _ := NewCBF(1024, 4, 6, 0.02)
-	for _, p := range []Predictor{None{}, NewOracle(func(memaddr.Addr) bool { return false }), NewReDHiP(tb, 6, 0.02), cbf} {
-		if p.Name() == "" {
-			t.Errorf("%T has empty name", p)
-		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"redhip/internal/sim"
+	"redhip/internal/sweep"
 	"redhip/internal/tracestore"
 	"redhip/internal/workload"
 )
@@ -97,7 +98,7 @@ func (s Spec) normalize() (Spec, error) {
 	for _, name := range workload.BenchmarkNames() {
 		known[name] = true
 	}
-	s.Workloads = dedupe(s.Workloads)
+	s.Workloads = sweep.Dedupe(s.Workloads)
 	for _, w := range s.Workloads {
 		if !known[w] {
 			return Spec{}, fmt.Errorf("serve: unknown workload %q", w)
@@ -108,7 +109,7 @@ func (s Spec) normalize() (Spec, error) {
 			s.Schemes = append(s.Schemes, sc.String())
 		}
 	}
-	s.Schemes = dedupe(s.Schemes)
+	s.Schemes = sweep.Dedupe(s.Schemes)
 	for _, name := range s.Schemes {
 		if _, err := sim.ParseScheme(name); err != nil {
 			return Spec{}, err
@@ -245,17 +246,4 @@ func (s Spec) key() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
-}
-
-// dedupe removes duplicates preserving first-occurrence order.
-func dedupe(in []string) []string {
-	out := make([]string, 0, len(in))
-	seen := make(map[string]bool, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

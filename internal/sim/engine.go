@@ -15,16 +15,15 @@ import (
 	"redhip/internal/workload"
 )
 
-// predKind caches the dynamic type of the LLC predictor so the per-miss
-// consultation dispatches through a switch on concrete types instead of
-// three interface calls (PredictPresent/LookupDelay/LookupNJ per miss).
+// predKind names the engine's LLC predictor; every consultation, fill
+// and eviction notice dispatches on it to the concrete type.
 type predKind uint8
 
 const (
 	predNone   predKind = iota // Base/Phased, or Exclusive (per-level tables)
 	predOracle                 // perfect: prediction == l4.Contains
 	predMirror                 // *predictor.MirrorTable (RecalPeriod == 1)
-	predTable                  // *core.Table via predictor.ReDHiP
+	predTable                  // *core.Table, recalibrated periodically
 	predCBF                    // *predictor.CBF
 )
 
@@ -47,17 +46,15 @@ type engine struct {
 	l1, l2, l3 []*cache.Cache
 	l4         *cache.Cache
 
-	// LLC predictor for CBF/ReDHiP/Oracle under Inclusive/Hybrid.
-	// pred is the interface used on cold paths (recalibration, prefetch
-	// issue); the kind + concrete pointers below serve the per-miss
-	// fast path without interface dispatch.
-	pred      predictor.Predictor //redhip:transient interface view over the concrete predictors below, re-wired by build
-	kind      predKind            //redhip:transient derived from cfg.Scheme at build
+	// LLC predictor for CBF/ReDHiP/Oracle under Inclusive/Hybrid: kind
+	// selects which concrete pointer is live. predDelay and predNJ are
+	// the per-consultation cost (zero for the Oracle).
+	kind      predKind //redhip:transient derived from cfg.Scheme at build
 	mirror    *predictor.MirrorTable
 	ptable    *core.Table
 	cbf       *predictor.CBF
-	predDelay float64 //redhip:transient LookupDelay as float64 (config-derived), added to the core clock
-	predNJ    float64 //redhip:transient LookupNJ per consultation, config-derived
+	predDelay float64 //redhip:transient PT lookup + wire delay (config-derived), added to the core clock
+	predNJ    float64 //redhip:transient PT access energy per consultation, config-derived
 
 	// Per-level tables for ReDHiP under Exclusive (Section III-C):
 	// exL2/exL3 per core, exL4 shared.
@@ -101,14 +98,12 @@ type engine struct {
 	// Driver wiring: interrupt is MultiOptions.Interrupt, polled once
 	// per refill; halt holds the error that aborted the run; runErr and
 	// the wall-time counters carry the outcome back to the RunMulti
-	// driver. recalWorkers is the set-partitioned recalibration fan-out
-	// (1 = the sequential sweep).
-	interrupt    func() error //redhip:transient driver wiring, re-attached per run
-	halt         error        //redhip:transient driver wiring, re-attached per run
-	runErr       error        //redhip:transient driver wiring, re-attached per run
-	simNanos     int64        //redhip:transient wall-time accounting, not simulated state
-	genNanos     int64        //redhip:transient wall-time accounting, not simulated state
-	recalWorkers int          //redhip:transient parallelism config, set by the driver per run
+	// driver.
+	interrupt func() error //redhip:transient driver wiring, re-attached per run
+	halt      error        //redhip:transient driver wiring, re-attached per run
+	runErr    error        //redhip:transient driver wiring, re-attached per run
+	simNanos  int64        //redhip:transient wall-time accounting, not simulated state
+	genNanos  int64        //redhip:transient wall-time accounting, not simulated state
 	// snapSink, when non-nil, fires exactly once at the warmup/measure
 	// boundary (after resetMeasurement, before the measure window) so
 	// the RunMulti driver can capture this engine's warm state;
@@ -167,29 +162,26 @@ func (e *engine) build() error {
 		return err
 	}
 
-	ptDelay := cfg.Energy.PTDelay + cfg.Energy.PTWireDelay
+	ptDelay := float64(cfg.Energy.PTDelay + cfg.Energy.PTWireDelay)
 	ptNJ := cfg.Energy.PTAccessNJ
 	if cfg.IgnorePredictionOverhead {
 		ptDelay, ptNJ = 0, 0
 	}
 	switch cfg.Scheme {
 	case Base, Phased:
-		e.pred = nil
+		// No predictor: every L1 miss walks the hierarchy.
 	case Oracle:
-		if cfg.Inclusion == Exclusive {
-			e.pred = nil // per-level oracle handled inline in the walk
-		} else {
-			e.pred = predictor.NewOracle(e.l4.Contains)
+		// Free (Section IV), so it carries no lookup cost. Under
+		// Exclusive the per-level oracle is handled inline in the walk.
+		if cfg.Inclusion != Exclusive {
 			e.kind = predOracle
 		}
 	case CBF:
-		cbf, err := predictor.NewCBF(cfg.PTBytes, cfg.CBFCounterBits, ptDelay, ptNJ)
-		if err != nil {
+		if e.cbf, err = predictor.NewCBF(cfg.PTBytes, cfg.CBFCounterBits); err != nil {
 			return err
 		}
-		e.pred = cbf
 		e.kind = predCBF
-		e.cbf = cbf
+		e.predDelay, e.predNJ = ptDelay, ptNJ
 	case ReDHiP:
 		if cfg.Inclusion == Exclusive {
 			// Per-level tables at the same 0.78% overhead ratio.
@@ -206,32 +198,22 @@ func (e *engine) build() error {
 			if e.exL4, err = core.NewTable(cfg.PTBytes, cfg.PTBanks); err != nil {
 				return err
 			}
-			if !cfg.IgnorePredictionOverhead {
-				e.exDelay = float64(cfg.Energy.PTDelay + cfg.Energy.PTWireDelay)
-			}
+			e.exDelay = ptDelay
 		} else if cfg.RecalPeriod == 1 {
 			// Recalibrating after every miss == exactly mirroring the
 			// LLC contents modulo hash aliasing; simulate that directly.
-			m, err := predictor.NewMirrorTable(cfg.PTBytes, ptDelay, ptNJ)
-			if err != nil {
+			if e.mirror, err = predictor.NewMirrorTable(cfg.PTBytes); err != nil {
 				return err
 			}
-			e.pred = m
 			e.kind = predMirror
-			e.mirror = m
+			e.predDelay, e.predNJ = ptDelay, ptNJ
 		} else {
-			tb, err := core.NewTableHash(cfg.PTBytes, cfg.PTBanks, cfg.PTHash)
-			if err != nil {
+			if e.ptable, err = core.NewTableHash(cfg.PTBytes, cfg.PTBanks, cfg.PTHash); err != nil {
 				return err
 			}
-			e.pred = predictor.NewReDHiP(tb, ptDelay, ptNJ)
 			e.kind = predTable
-			e.ptable = tb
+			e.predDelay, e.predNJ = ptDelay, ptNJ
 		}
-	}
-	if e.pred != nil {
-		e.predDelay = float64(e.pred.LookupDelay())
-		e.predNJ = e.pred.LookupNJ()
 	}
 	for l := energy.L1; l < energy.NumLevels; l++ {
 		lv := &e.par.Levels[l]
@@ -246,7 +228,6 @@ func (e *engine) build() error {
 	e.pos = perCore[int](cfg.Cores)
 
 	e.adaptOn = true
-	e.recalWorkers = 1 // sequential recalibration unless the multi driver grants spare workers
 	if cfg.EnablePrefetch {
 		e.pf = make([]*prefetch.Prefetcher, cfg.Cores)
 		for c := 0; c < cfg.Cores; c++ {
@@ -614,8 +595,8 @@ func (e *engine) recalibrate() {
 	var nj float64
 	if e.cfg.Inclusion == Exclusive {
 		for c := 0; c < e.cfg.Cores; c++ {
-			c2 := e.exL2[c].RecalibrateParallel(e.l2[c], e.tagReadNJ(energy.L2), lineNJ, e.recalWorkers)
-			c3 := e.exL3[c].RecalibrateParallel(e.l3[c], e.tagReadNJ(energy.L3), lineNJ, e.recalWorkers)
+			c2 := e.exL2[c].Recalibrate(e.l2[c], e.tagReadNJ(energy.L2), lineNJ)
+			c3 := e.exL3[c].Recalibrate(e.l3[c], e.tagReadNJ(energy.L3), lineNJ)
 			nj += c2.EnergyNJ + c3.EnergyNJ
 			if c2.Cycles > cycles {
 				cycles = c2.Cycles
@@ -624,24 +605,13 @@ func (e *engine) recalibrate() {
 				cycles = c3.Cycles
 			}
 		}
-		c4 := e.exL4.RecalibrateParallel(e.l4, e.tagReadNJ(energy.L4), lineNJ, e.recalWorkers)
+		c4 := e.exL4.Recalibrate(e.l4, e.tagReadNJ(energy.L4), lineNJ)
 		nj += c4.EnergyNJ
 		if c4.Cycles > cycles {
 			cycles = c4.Cycles
 		}
-	} else if e.kind == predTable {
-		// Direct table access skips the Recalibrator indirection and lets
-		// the multi-scheme driver's spare workers sweep set partitions in
-		// parallel (bit-identical to the sequential sweep; see
-		// core.Table.RecalibrateParallel).
-		cost := e.ptable.RecalibrateParallel(e.l4, e.tagReadNJ(energy.L4), lineNJ, e.recalWorkers)
-		cycles, nj = cost.Cycles, cost.EnergyNJ
 	} else {
-		rc, ok := e.pred.(predictor.Recalibrator)
-		if !ok {
-			return
-		}
-		cost := rc.Recalibrate(e.l4, e.tagReadNJ(energy.L4), lineNJ)
+		cost := e.ptable.Recalibrate(e.l4, e.tagReadNJ(energy.L4), lineNJ)
 		cycles, nj = cost.Cycles, cost.EnergyNJ
 	}
 	e.res.Pred.Recalibrations++
@@ -666,11 +636,27 @@ func (e *engine) tagReadNJ(l energy.Level) float64 {
 	return e.par.Levels[l].DataNJ
 }
 
+// predictPresent asks the LLC predictor whether a block may be in the
+// LLC. Callers check for predNone first; the Oracle reads the LLC.
+//
+//redhip:hotpath
+func (e *engine) predictPresent(block memaddr.Addr) bool {
+	switch e.kind {
+	case predOracle:
+		return e.l4.Contains(block)
+	case predMirror:
+		return e.mirror.PredictPresent(block)
+	case predTable:
+		return e.ptable.PredictPresent(block)
+	case predCBF:
+		return e.cbf.PredictPresent(block)
+	}
+	return true
+}
+
 // consultLLC asks the LLC predictor about a block after an L1 miss,
 // charging the lookup and scoring it against ground truth. It returns
-// true when the walk below L1 can be skipped. The predictor is
-// dispatched through the cached concrete type — one predictable branch
-// instead of three interface calls on every L1 miss.
+// true when the walk below L1 can be skipped.
 //
 //redhip:hotpath
 func (e *engine) consultLLC(c int, block memaddr.Addr) (skip bool) {
@@ -679,18 +665,8 @@ func (e *engine) consultLLC(c int, block memaddr.Addr) (skip bool) {
 	}
 	e.clock[c] += e.predDelay
 	e.meter.AddPT(e.predNJ)
+	present := e.predictPresent(block)
 	truth := e.l4.Contains(block)
-	var present bool
-	switch e.kind {
-	case predOracle:
-		present = truth
-	case predMirror:
-		present = e.mirror.PredictPresent(block)
-	case predTable:
-		present = e.ptable.PredictPresent(block)
-	default:
-		present = e.cbf.PredictPresent(block)
-	}
 	e.res.Pred.Lookups++
 	switch {
 	case present && truth:

@@ -18,9 +18,8 @@ import (
 // bit-identical to sequential per-scheme Run calls at any parallelism.
 type MultiOptions struct {
 	// Parallelism bounds the worker goroutines that run per-scheme
-	// engines (0 = GOMAXPROCS). It is clamped to the scheme count;
-	// when it exceeds the scheme count the surplus is granted to the
-	// engines as set-partitioned recalibration fan-out instead.
+	// engines (0 = GOMAXPROCS). It is clamped to the number of engines
+	// built, since each engine runs to completion on one worker.
 	Parallelism int
 	// Interrupt, when non-nil, is polled by every engine once per
 	// refill block (batchRefs references of one core); a non-nil error
@@ -155,15 +154,6 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if built > 0 && workers > built {
-		// Surplus workers sweep recalibration set partitions instead of
-		// idling; results stay bit-identical (RecalibrateParallel's
-		// contract), so the grant only changes wall time.
-		recal := workers / built
-		for _, e := range engines {
-			if e != nil {
-				e.recalWorkers = recal
-			}
-		}
 		workers = built
 	}
 

@@ -90,18 +90,27 @@ func (e *engine) fillL3Incl(c int, block memaddr.Addr) {
 // fillL4Incl inserts into the shared L4, notifying the predictor and
 // back-invalidating the victim from every core's private levels. The
 // caller must have established that the block is absent from L4 (a
-// lookup or prediction cross-checked against ground truth), so OnFill
-// fires exactly once per resident block.
+// lookup or prediction cross-checked against ground truth), so the
+// fill notice fires exactly once per resident block. The ReDHiP table
+// only sets bits; its evictions wait for the next recalibration.
 func (e *engine) fillL4Incl(block memaddr.Addr) {
 	ev, was := e.l4.Fill(block)
 	e.chargeFill(energy.L4)
-	if e.pred != nil {
-		e.pred.OnFill(block)
+	switch e.kind {
+	case predTable:
+		e.ptable.Set(block)
+	case predMirror:
+		e.mirror.OnFill(block)
+		if was {
+			e.mirror.OnEvict(ev)
+		}
+	case predCBF:
+		e.cbf.OnFill(block)
+		if was {
+			e.cbf.OnEvict(ev)
+		}
 	}
 	if was {
-		if e.pred != nil {
-			e.pred.OnEvict(ev)
-		}
 		for c := 0; c < e.cfg.Cores; c++ {
 			e.l3[c].Invalidate(ev)
 			e.l2[c].Invalidate(ev)
@@ -331,9 +340,9 @@ func (e *engine) prefetchProbe(l energy.Level, contains func(memaddr.Addr) bool,
 func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 	switch e.cfg.Inclusion {
 	case Inclusive:
-		if e.pred != nil {
-			e.meter.AddPT(e.pred.LookupNJ())
-			if !e.pred.PredictPresent(block) {
+		if e.kind != predNone {
+			e.meter.AddPT(e.predNJ)
+			if !e.predictPresent(block) {
 				e.fetchMemoryAsync()
 				e.fillL4Incl(block)
 				e.fillL3Incl(c, block)
@@ -361,9 +370,9 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 		e.fillL2Incl(c, block)
 		e.notePrefetched(block)
 	case Hybrid:
-		if e.pred != nil {
-			e.meter.AddPT(e.pred.LookupNJ())
-			if !e.pred.PredictPresent(block) {
+		if e.kind != predNone {
+			e.meter.AddPT(e.predNJ)
+			if !e.predictPresent(block) {
 				e.fetchMemoryAsync()
 				e.fillL4Incl(block)
 				e.demoteToL2(c, block)

@@ -78,7 +78,7 @@ func (g Grid) Normalize() (Grid, error) {
 	for _, name := range workload.BenchmarkNames() {
 		known[name] = true
 	}
-	g.Workloads = dedupeStrings(g.Workloads)
+	g.Workloads = Dedupe(g.Workloads)
 	for _, w := range g.Workloads {
 		if !known[w] {
 			return Grid{}, fmt.Errorf("sweep: unknown workload %q", w)
@@ -89,7 +89,7 @@ func (g Grid) Normalize() (Grid, error) {
 			g.Schemes = append(g.Schemes, sc.String())
 		}
 	}
-	g.Schemes = dedupeStrings(g.Schemes)
+	g.Schemes = Dedupe(g.Schemes)
 	for _, name := range g.Schemes {
 		if _, err := sim.ParseScheme(name); err != nil {
 			return Grid{}, err
@@ -98,7 +98,7 @@ func (g Grid) Normalize() (Grid, error) {
 	if len(g.Geometries) == 0 {
 		g.Geometries = []string{"scaled"}
 	}
-	g.Geometries = dedupeStrings(g.Geometries)
+	g.Geometries = Dedupe(g.Geometries)
 	for _, geo := range g.Geometries {
 		if _, err := sim.Preset(geo); err != nil {
 			return Grid{}, err
@@ -113,7 +113,7 @@ func (g Grid) Normalize() (Grid, error) {
 	if len(g.Seeds) == 0 {
 		g.Seeds = []uint64{1}
 	}
-	g.Seeds = dedupeUint64(g.Seeds)
+	g.Seeds = Dedupe(g.Seeds)
 	for _, s := range g.Seeds {
 		if s == 0 {
 			return Grid{}, fmt.Errorf("sweep: seed must be >= 1")
@@ -122,7 +122,7 @@ func (g Grid) Normalize() (Grid, error) {
 	if len(g.Cores) == 0 {
 		g.Cores = []int{0}
 	}
-	g.Cores = dedupeInts(g.Cores)
+	g.Cores = Dedupe(g.Cores)
 	for _, c := range g.Cores {
 		if c < 0 {
 			return Grid{}, fmt.Errorf("sweep: cores must be >= 0, got %d", c)
@@ -131,7 +131,7 @@ func (g Grid) Normalize() (Grid, error) {
 	if len(g.RefsPerCore) == 0 {
 		g.RefsPerCore = []uint64{0}
 	}
-	g.RefsPerCore = dedupeUint64(g.RefsPerCore)
+	g.RefsPerCore = Dedupe(g.RefsPerCore)
 	if g.TimeoutSeconds < 0 {
 		return Grid{}, fmt.Errorf("sweep: timeout_seconds must be >= 0, got %g", g.TimeoutSeconds)
 	}
@@ -181,33 +181,12 @@ func (g Grid) Expand() []Child {
 	return children
 }
 
-func dedupeStrings(in []string) []string {
-	out := make([]string, 0, len(in))
-	seen := make(map[string]bool, len(in))
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupeUint64(in []uint64) []uint64 {
-	out := make([]uint64, 0, len(in))
-	seen := make(map[uint64]bool, len(in))
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupeInts(in []int) []int {
-	out := make([]int, 0, len(in))
-	seen := make(map[int]bool, len(in))
+// Dedupe removes duplicates preserving first-occurrence order. Grid and
+// serve job-spec normalisation both use it, so equal lists normalise
+// alike.
+func Dedupe[T comparable](in []T) []T {
+	out := make([]T, 0, len(in))
+	seen := make(map[T]bool, len(in))
 	for _, v := range in {
 		if !seen[v] {
 			seen[v] = true

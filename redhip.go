@@ -193,17 +193,13 @@ func NewPredictionTableForCache(cacheSizeBytes uint64, banks int) (*PredictionTa
 	return core.NewForCache(cacheSizeBytes, banks)
 }
 
-// Predictor is the LLC-presence predictor interface; implementations
-// must never produce false negatives.
-type Predictor = predictor.Predictor
-
 // CountingBloomFilter is the equal-area baseline predictor.
 type CountingBloomFilter = predictor.CBF
 
 // NewCBF builds a counting Bloom filter within sizeBytes using
-// counterBits-wide saturating counters and the given lookup cost.
-func NewCBF(sizeBytes uint64, counterBits uint, delay uint32, nj float64) (*CountingBloomFilter, error) {
-	return predictor.NewCBF(sizeBytes, counterBits, delay, nj)
+// counterBits-wide saturating counters.
+func NewCBF(sizeBytes uint64, counterBits uint) (*CountingBloomFilter, error) {
+	return predictor.NewCBF(sizeBytes, counterBits)
 }
 
 // PrefetchConfig parameterises the stride prefetcher of Section V-C.
