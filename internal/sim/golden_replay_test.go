@@ -12,23 +12,26 @@ import (
 // replay is required to be bit-identical to generation, not merely
 // statistically equivalent, or the sweep cache would silently change
 // results. The store must also materialise exactly once per distinct
-// stream — the golden cases share two (mcf for the non-prefetch runs,
-// milc for the prefetch runs).
+// stream — one per (workload, core count): mcf for the non-prefetch
+// runs, milc for the prefetch runs, at each machine width.
 func TestGoldenFingerprintsReplayed(t *testing.T) {
 	if *captureGolden {
 		t.Skip("-capture regenerates fingerprints from live generation")
 	}
 	store := tracestore.New(0)
+	streams := map[tracestore.Key]bool{}
 	for _, tc := range goldenCases {
 		name := tc.name()
-		cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal)
-		mat, err := store.Get(tracestore.Key{
+		cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal, tc.cores)
+		key := tracestore.Key{
 			Workload:    wl,
 			Cores:       cfg.Cores,
 			Scale:       cfg.WorkloadScale,
 			Seed:        1,
 			RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
-		})
+		}
+		streams[key] = true
+		mat, err := store.Get(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +44,8 @@ func TestGoldenFingerprintsReplayed(t *testing.T) {
 		}
 	}
 	st := store.Stats()
-	wantMisses, wantHits := uint64(2), uint64(len(goldenCases)-2)
+	wantMisses := uint64(len(streams))
+	wantHits := uint64(len(goldenCases)) - wantMisses
 	if st.Misses != wantMisses || st.Hits != wantHits {
 		t.Errorf("store stats %d misses / %d hits, want %d / %d — each distinct stream must materialise exactly once",
 			st.Misses, st.Hits, wantMisses, wantHits)

@@ -11,8 +11,8 @@ import (
 
 // snapCfg is the golden smoke geometry with a warmup window: the
 // snapshot layer's contract only exists at a warmup/measure boundary.
-func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64) (Config, string) {
-	cfg, wl := goldenConfig(scheme, incl, prefetch, recal)
+func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64, cores int) (Config, string) {
+	cfg, wl := goldenConfig(scheme, incl, prefetch, recal, cores)
 	cfg.WarmupRefsPerCore = 10_000
 	cfg.RefsPerCore = 20_000
 	return cfg, wl
@@ -76,7 +76,7 @@ func TestGoldenSnapshotBranch(t *testing.T) {
 	store := tracestore.New(0)
 	for _, tc := range goldenCases {
 		t.Run(tc.name(), func(t *testing.T) {
-			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch, tc.recal)
+			cfg, wl := snapCfg(tc.scheme, tc.incl, tc.prefetch, tc.recal, tc.cores)
 			live, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -114,8 +114,8 @@ func TestGoldenSnapshotBranch(t *testing.T) {
 func TestGoldenSnapshotBranchMulti(t *testing.T) {
 	store := tracestore.New(0)
 	for _, g := range goldenGroups() {
-		t.Run(goldenAxes(g.incl, g.prefetch, g.recal), func(t *testing.T) {
-			cfg, wl := snapCfg(g.schemes[0], g.incl, g.prefetch, g.recal)
+		t.Run(goldenAxes(g.incl, g.prefetch, g.recal, g.cores), func(t *testing.T) {
+			cfg, wl := snapCfg(g.schemes[0], g.incl, g.prefetch, g.recal, g.cores)
 			mat, err := store.Get(tracestore.Key{
 				Workload:    wl,
 				Cores:       cfg.Cores,
@@ -186,7 +186,7 @@ func TestGoldenSnapshotBranchMulti(t *testing.T) {
 // blobs must be recoverable (fall back to a cold run), never applied.
 func TestSnapshotRejections(t *testing.T) {
 	store := tracestore.New(0)
-	cfg, wl := snapCfg(ReDHiP, Inclusive, false, 0)
+	cfg, wl := snapCfg(ReDHiP, Inclusive, false, 0, 0)
 	_, blob := captureSolo(t, cfg, replaySources(t, store, cfg, wl))
 	if blob == nil {
 		t.Fatal("SnapshotSink never fired")

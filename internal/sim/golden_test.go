@@ -31,14 +31,18 @@ func goldenFingerprint(t *testing.T, res *Result) string {
 // and the workload it runs. Non-prefetch cases use mcf; prefetch cases
 // use milc, whose strided components actually drive the stride
 // prefetcher (mcf issues zero prefetches at smoke scale). A nonzero
-// recal overrides the recalibration period (1 selects the mirror).
-func goldenConfig(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64) (Config, string) {
+// recal overrides the recalibration period (1 selects the mirror); a
+// nonzero cores overrides Smoke()'s four.
+func goldenConfig(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64, cores int) (Config, string) {
 	cfg := Smoke()
 	cfg.Scheme = scheme
 	cfg.Inclusion = incl
 	cfg.EnablePrefetch = prefetch
 	if recal != 0 {
 		cfg.RecalPeriod = recal
+	}
+	if cores != 0 {
+		cfg.Cores = cores
 	}
 	wl := "mcf"
 	if prefetch {
@@ -47,27 +51,30 @@ func goldenConfig(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint
 	return cfg, wl
 }
 
-// goldenAxes names an (inclusion, prefetch, recal) combination; the
-// recal suffix appears only on the cases that override it, so the
-// original sixteen keep their names.
-func goldenAxes(incl InclusionPolicy, prefetch bool, recal uint64) string {
+// goldenAxes names an (inclusion, prefetch, recal, cores) combination;
+// the recal and cores suffixes appear only on the cases that override
+// them, so the original sixteen keep their names.
+func goldenAxes(incl InclusionPolicy, prefetch bool, recal uint64, cores int) string {
 	name := fmt.Sprintf("%s/prefetch=%v", incl, prefetch)
 	if recal != 0 {
 		name += fmt.Sprintf("/recal=%d", recal)
+	}
+	if cores != 0 {
+		name += fmt.Sprintf("/cores=%d", cores)
 	}
 	return name
 }
 
 // name is the case's subtest name.
 func (tc goldenCase) name() string {
-	return fmt.Sprintf("%s/%s", tc.scheme, goldenAxes(tc.incl, tc.prefetch, tc.recal))
+	return fmt.Sprintf("%s/%s", tc.scheme, goldenAxes(tc.incl, tc.prefetch, tc.recal, tc.cores))
 }
 
 // goldenRun executes one smoke-geometry run of a golden case over live
 // generated sources.
 func goldenRun(t *testing.T, tc goldenCase) *Result {
 	t.Helper()
-	cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal)
+	cfg, wl := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal, tc.cores)
 	srcs, err := workload.Sources(wl, cfg.Cores, cfg.WorkloadScale, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +89,14 @@ func goldenRun(t *testing.T, tc goldenCase) *Result {
 // goldenCases enumerates every valid scheme x inclusion combination
 // (CBF is rejected under Exclusive), then prefetch-enabled runs that
 // cover each predictor's prefetch consult: every predicting scheme
-// under Inclusive and Hybrid, and the per-miss mirror (recal 1).
+// under Inclusive and Hybrid, and the per-miss mirror (recal 1); then
+// wider machines that run the core scheduler past four cores.
 type goldenCase struct {
 	scheme   Scheme
 	incl     InclusionPolicy
 	prefetch bool
 	recal    uint64 // RecalPeriod override; 0 keeps Smoke()'s
+	cores    int    // Cores override; 0 keeps Smoke()'s 4
 	want     string
 }
 
@@ -101,52 +110,65 @@ type goldenCase struct {
 var captureGolden = flag.Bool("capture", false, "print golden fingerprints instead of asserting")
 
 var goldenCases = []goldenCase{
-	{Base, Inclusive, false, 0, "f7fdb92bd63f4919"},
-	{Base, Hybrid, false, 0, "58a601afbc20116f"},
-	{Base, Exclusive, false, 0, "06be6574033cf6ce"},
-	{Phased, Inclusive, false, 0, "d9ee6451d3cda0ca"},
-	{Phased, Hybrid, false, 0, "143ef9f0a646a4d4"},
-	{Phased, Exclusive, false, 0, "08bea1e329ca46f9"},
-	{CBF, Inclusive, false, 0, "918a4164e5113dce"},
-	{CBF, Hybrid, false, 0, "b79a63f640b075a9"},
-	{ReDHiP, Inclusive, false, 0, "d6c150e5572db98c"},
-	{ReDHiP, Hybrid, false, 0, "32c7528a50213c54"},
-	{ReDHiP, Exclusive, false, 0, "66f955623bc23c7b"},
-	{Oracle, Inclusive, false, 0, "9425832655b42508"},
-	{Oracle, Hybrid, false, 0, "14b68a42361de2c1"},
-	{Oracle, Exclusive, false, 0, "adef0ec4a2be439e"},
-	{ReDHiP, Inclusive, true, 0, "639076d8eaf051c2"},
-	{Base, Exclusive, true, 0, "9953b3574608eb78"},
-	{CBF, Inclusive, true, 0, "af07b704fac78170"},
-	{Oracle, Inclusive, true, 0, "e2fec7a4ee2c3225"},
-	{CBF, Hybrid, true, 0, "a574c800595efa67"},
-	{ReDHiP, Hybrid, true, 0, "5d4ffed9e254f684"},
-	{Oracle, Hybrid, true, 0, "4696fcfa73f4968f"},
+	{Base, Inclusive, false, 0, 0, "f7fdb92bd63f4919"},
+	{Base, Hybrid, false, 0, 0, "58a601afbc20116f"},
+	{Base, Exclusive, false, 0, 0, "06be6574033cf6ce"},
+	{Phased, Inclusive, false, 0, 0, "d9ee6451d3cda0ca"},
+	{Phased, Hybrid, false, 0, 0, "143ef9f0a646a4d4"},
+	{Phased, Exclusive, false, 0, 0, "08bea1e329ca46f9"},
+	{CBF, Inclusive, false, 0, 0, "918a4164e5113dce"},
+	{CBF, Hybrid, false, 0, 0, "b79a63f640b075a9"},
+	{ReDHiP, Inclusive, false, 0, 0, "d6c150e5572db98c"},
+	{ReDHiP, Hybrid, false, 0, 0, "32c7528a50213c54"},
+	{ReDHiP, Exclusive, false, 0, 0, "66f955623bc23c7b"},
+	{Oracle, Inclusive, false, 0, 0, "9425832655b42508"},
+	{Oracle, Hybrid, false, 0, 0, "14b68a42361de2c1"},
+	{Oracle, Exclusive, false, 0, 0, "adef0ec4a2be439e"},
+	{ReDHiP, Inclusive, true, 0, 0, "639076d8eaf051c2"},
+	{Base, Exclusive, true, 0, 0, "9953b3574608eb78"},
+	{CBF, Inclusive, true, 0, 0, "af07b704fac78170"},
+	{Oracle, Inclusive, true, 0, 0, "e2fec7a4ee2c3225"},
+	{CBF, Hybrid, true, 0, 0, "a574c800595efa67"},
+	{ReDHiP, Hybrid, true, 0, 0, "5d4ffed9e254f684"},
+	{Oracle, Hybrid, true, 0, 0, "4696fcfa73f4968f"},
 	// At smoke scale the L4 never evicts and no periodic recalibration
 	// fires, so the mirror reproduces the periodic table's results.
-	{ReDHiP, Inclusive, true, 1, "639076d8eaf051c2"},
-	{ReDHiP, Hybrid, true, 1, "5d4ffed9e254f684"},
+	{ReDHiP, Inclusive, true, 1, 0, "639076d8eaf051c2"},
+	{ReDHiP, Hybrid, true, 1, 0, "5d4ffed9e254f684"},
+	// The paper's eight cores and a count that is not a power of two,
+	// both wider than the four-core smoke machine. The ReDHiP cases
+	// recalibrate every 2000 L1 misses, so the uniform recalibration
+	// stall lands many times inside each window.
+	{Base, Inclusive, false, 0, 8, "2900ea5a1f99ffff"},
+	{Base, Hybrid, false, 0, 8, "152e61cc071bb75f"},
+	{ReDHiP, Inclusive, false, 2000, 8, "6468d973a9271939"},
+	{ReDHiP, Hybrid, false, 2000, 8, "2333c07affcb67c6"},
+	{Base, Inclusive, false, 0, 6, "2fbb67fb2bd012b0"},
+	{Base, Hybrid, false, 0, 6, "2612bf5b510d1625"},
+	{ReDHiP, Inclusive, false, 2000, 6, "afd113b22c9076f8"},
+	{ReDHiP, Hybrid, false, 2000, 6, "856a281ba52d9632"},
 }
 
-// goldenGroup is one (inclusion, prefetch, recal) slice of the golden
-// cases: the schemes that can share a single RunMulti pass (scheme is
-// the only config axis RunMulti varies).
+// goldenGroup is one (inclusion, prefetch, recal, cores) slice of the
+// golden cases: the schemes that can share a single RunMulti pass
+// (scheme is the only config axis RunMulti varies).
 type goldenGroup struct {
 	incl     InclusionPolicy
 	prefetch bool
 	recal    uint64
+	cores    int
 	schemes  []Scheme
 	want     []string
 }
 
-// goldenGroups partitions goldenCases by (inclusion, prefetch, recal),
+// goldenGroups partitions goldenCases by (inclusion, prefetch, recal, cores),
 // preserving case order within each group.
 func goldenGroups() []goldenGroup {
 	var groups []goldenGroup
 	for _, tc := range goldenCases {
 		found := false
 		for i := range groups {
-			if groups[i].incl == tc.incl && groups[i].prefetch == tc.prefetch && groups[i].recal == tc.recal {
+			if groups[i].incl == tc.incl && groups[i].prefetch == tc.prefetch && groups[i].recal == tc.recal && groups[i].cores == tc.cores {
 				groups[i].schemes = append(groups[i].schemes, tc.scheme)
 				groups[i].want = append(groups[i].want, tc.want)
 				found = true
@@ -155,7 +177,7 @@ func goldenGroups() []goldenGroup {
 		}
 		if !found {
 			groups = append(groups, goldenGroup{
-				incl: tc.incl, prefetch: tc.prefetch, recal: tc.recal,
+				incl: tc.incl, prefetch: tc.prefetch, recal: tc.recal, cores: tc.cores,
 				schemes: []Scheme{tc.scheme}, want: []string{tc.want},
 			})
 		}
@@ -179,9 +201,9 @@ func TestGoldenFingerprintsMulti(t *testing.T) {
 	for _, par := range []int{1, 2, runtime.NumCPU()} {
 		for _, mode := range []string{"live", "stable"} {
 			for _, g := range goldenGroups() {
-				name := fmt.Sprintf("par=%d/%s/%s", par, mode, goldenAxes(g.incl, g.prefetch, g.recal))
+				name := fmt.Sprintf("par=%d/%s/%s", par, mode, goldenAxes(g.incl, g.prefetch, g.recal, g.cores))
 				t.Run(name, func(t *testing.T) {
-					cfg, wl := goldenConfig(g.schemes[0], g.incl, g.prefetch, g.recal)
+					cfg, wl := goldenConfig(g.schemes[0], g.incl, g.prefetch, g.recal, g.cores)
 					var srcs []workload.Source
 					if mode == "live" {
 						var err error
@@ -224,7 +246,7 @@ func TestGoldenFingerprints(t *testing.T) {
 			res := goldenRun(t, tc)
 			got := goldenFingerprint(t, res)
 			if *captureGolden {
-				t.Logf("golden: {%s, %s, %v, %d, \"%s\"},", tc.scheme, tc.incl, tc.prefetch, tc.recal, got)
+				t.Logf("golden: {%s, %s, %v, %d, %d, \"%s\"},", tc.scheme, tc.incl, tc.prefetch, tc.recal, tc.cores, got)
 				return
 			}
 			if got != tc.want {
