@@ -224,12 +224,14 @@ type rewinder interface{ Rewind() }
 // replaying pre-captured in-memory traces, so workload generation cost
 // is excluded and the metric isolates the simulation core. It is a
 // quick local check; `bash benchmark/run.sh` is the performance
-// harness that tracks throughput across changes.
-func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string) {
+// harness that tracks throughput across changes. cores overrides the
+// smoke machine's four.
+func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string, cores int) {
 	b.Helper()
 	cfg := redhip.SmokeConfig()
 	cfg.RefsPerCore = 50_000
 	cfg.Scheme = scheme
+	cfg.Cores = cores
 	gen, err := redhip.WorkloadSources(workloadName, cfg.Cores, cfg.WorkloadScale, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -258,10 +260,12 @@ func engineLoopBench(b *testing.B, scheme redhip.Scheme, workloadName string) {
 }
 
 func BenchmarkEngineLoop(b *testing.B) {
-	b.Run("base", func(b *testing.B) { engineLoopBench(b, redhip.Base, "mcf") })
-	b.Run("redhip", func(b *testing.B) { engineLoopBench(b, redhip.ReDHiP, "mcf") })
-	b.Run("cbf", func(b *testing.B) { engineLoopBench(b, redhip.CBF, "mcf") })
-	b.Run("oracle", func(b *testing.B) { engineLoopBench(b, redhip.Oracle, "mcf") })
+	b.Run("base", func(b *testing.B) { engineLoopBench(b, redhip.Base, "mcf", 4) })
+	b.Run("redhip", func(b *testing.B) { engineLoopBench(b, redhip.ReDHiP, "mcf", 4) })
+	b.Run("cbf", func(b *testing.B) { engineLoopBench(b, redhip.CBF, "mcf", 4) })
+	b.Run("oracle", func(b *testing.B) { engineLoopBench(b, redhip.Oracle, "mcf", 4) })
+	// The paper's eight cores: the scheduler's path is one level deeper.
+	b.Run("cores=8", func(b *testing.B) { engineLoopBench(b, redhip.ReDHiP, "mcf", 8) })
 }
 
 func BenchmarkSimulatorThroughput(b *testing.B) {

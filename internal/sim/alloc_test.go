@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"redhip/internal/redhipassert"
@@ -60,13 +61,26 @@ func captureReplays(t *testing.T, cfg Config, wl string) []*workload.TraceSource
 // TestRunLoopAllocationFree pins zero allocations per steady-state
 // window for every scheme over zero-copy views of in-memory trace
 // replays, so workload generation can neither hide an engine
-// allocation nor contribute one of its own.
+// allocation nor contribute one of its own. The eight-core ReDHiP case
+// recalibrates every 2000 L1 misses, so the scheduler rebuild runs many
+// times inside each window.
 func TestRunLoopAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
-	for _, scheme := range []Scheme{Base, ReDHiP, CBF, Oracle} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := Smoke()
-			cfg.Scheme = scheme
+	cases := []struct {
+		name   string
+		scheme Scheme
+		cores  int
+		recal  uint64
+	}{
+		{"base", Base, 4, 0},
+		{"redhip", ReDHiP, 4, 0},
+		{"cbf", CBF, 4, 0},
+		{"oracle", Oracle, 4, 0},
+		{"redhip/cores=8", ReDHiP, 8, 2000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, _ := goldenConfig(tc.scheme, Inclusive, false, tc.recal, tc.cores)
 			cfg.RefsPerCore = 20_000
 			replays := captureReplays(t, cfg, "mcf")
 			srcs := make([]workload.Source, len(replays))
@@ -95,14 +109,19 @@ func (b batchOnlySource) NextBatch(buf []trace.Record) int { return b.ts.NextBat
 // every buffer is refilled mid-window.
 func TestBatchRefillAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
-	cfg := Smoke()
-	cfg.RefsPerCore = 20 * batchRefs
-	replays := captureReplays(t, cfg, "mcf")
-	srcs := make([]workload.Source, len(replays))
-	for c, r := range replays {
-		srcs[c] = batchOnlySource{r}
+	for _, cores := range []int{4, 8} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			cfg := Smoke()
+			cfg.Cores = cores
+			cfg.RefsPerCore = 20 * batchRefs
+			replays := captureReplays(t, cfg, "mcf")
+			srcs := make([]workload.Source, len(replays))
+			for c, r := range replays {
+				srcs[c] = batchOnlySource{r}
+			}
+			assertWindowAllocFree(t, cfg, srcs, replays)
+		})
 	}
-	assertWindowAllocFree(t, cfg, srcs, replays)
 }
 
 // TestMaterializedReplayAllocationFree pins the zero-copy replay path:

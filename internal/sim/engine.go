@@ -84,16 +84,13 @@ type engine struct {
 	buf    [][]trace.Record        //redhip:transient generation buffers for batch sources, per-run scratch
 	pf     []*prefetch.Prefetcher
 
-	// Scheduler state: heap is a 4-ary min-heap of (clock, core id)
-	// entries; remaining counts references left per core. Both are
-	// allocated once in build so runWindow is allocation-free. Entries
-	// carry their own clock copy so heap comparisons stay inside one
-	// cache line instead of chasing e.clock through a second slice;
-	// heapDirty flags the one event (recalibration) that bumps every
-	// core's clock behind the heap's back.
-	heap      []coreEnt //redhip:transient scheduler state, rebuilt at run start
-	remaining []uint64  //redhip:transient scheduler state, rebuilt at run start
-	heapDirty bool      //redhip:transient scheduler state, rebuilt at run start
+	// Scheduler state: sched picks the next core to run; remaining
+	// counts references left per core. Both are allocated once in build
+	// so runWindow is allocation-free. schedDirty flags the one event
+	// (recalibration) that bumps every core's clock behind sched's back.
+	sched      coreSched //redhip:transient scheduler state, rebuilt at window start
+	remaining  []uint64  //redhip:transient scheduler state, rebuilt at window start
+	schedDirty bool      //redhip:transient scheduler state, rebuilt at window start
 
 	// Driver wiring: interrupt is MultiOptions.Interrupt, polled once
 	// per refill; halt holds the error that aborted the run; runErr and
@@ -222,7 +219,7 @@ func (e *engine) build() error {
 		e.dataDelay[l] = float64(lv.DataDelay)
 	}
 	e.memLatency = float64(cfg.MemoryLatencyCycles)
-	e.heap = perCore[coreEnt](cfg.Cores)[:0]
+	e.sched = newCoreSched(cfg.Cores)
 	e.remaining = perCore[uint64](cfg.Cores)
 	e.win = perCore[[]trace.Record](cfg.Cores)
 	e.pos = perCore[int](cfg.Cores)
@@ -256,22 +253,35 @@ func perCore[T any](n int) []T {
 }
 
 // beginWindow arms a new window of refsPerCore references per core and
-// (re)builds the scheduler heap over the cores with work left.
+// rebuilds the scheduler over the cores with work left.
 func (e *engine) beginWindow(refsPerCore uint64) {
 	for c := range e.remaining {
 		e.remaining[c] = refsPerCore
 	}
-	e.heapInit()
+	e.reseat()
+}
+
+// reseat reloads every scheduler key from e.clock — +Inf for a core
+// with no work left — and rebuilds the tree.
+func (e *engine) reseat() {
+	for c, clk := range e.clock {
+		if e.remaining[c] == 0 {
+			clk = math.Inf(1)
+		}
+		e.sched.key[c] = clk
+	}
+	e.sched.rebuild()
+	e.schedDirty = false
 }
 
 // runWindow runs the deterministic min-time interleaving until the
 // armed window completes: the core with the smallest local clock
 // executes its next reference (ties break toward the lower core
-// index). Cores are scheduled through an indexed 4-ary min-heap keyed
-// on (clock, core id) — a total order, so the heap selects exactly the
-// core the previous linear scan did, in O(log cores) per reference.
-// The loop performs no allocations: the heap and remaining counters
-// are built once per engine.
+// index). The scheduler is a loser tree keyed on (clock, core id) — a
+// total order, so it selects exactly the core a linear scan would, and
+// after each reference only the running core's leaf-to-root path is
+// replayed: log2(cores) compares. The loop performs no allocations:
+// the tree and remaining counters are built once per engine.
 //
 // It returns false when the Interrupt poll aborted the window (e.halt
 // holds why), and true once every core has run its window.
@@ -281,25 +291,19 @@ func (e *engine) runWindow() bool {
 	cfg := e.cfg
 	adaptive := cfg.AdaptiveDisable
 	incl := cfg.Inclusion
-	// second caches the best key among the root's children: the minimum
-	// of everything except the running core (heap property makes the
-	// overall runner-up one of the root's children). While the running
-	// core's updated key stays strictly below it, the core is still the
-	// unique minimum and the next reference dispatches with a single
-	// compare — the heap is only restructured when the lead actually
-	// changes hands. Stalls (cache misses, recalibration) push a core
-	// hundreds of cycles back, so the cores that are ahead execute long
-	// runs of references on this fast path.
-	second := e.rootSecond()
-	for len(e.heap) > 0 {
-		c := int(e.heap[0].id)
+	inf := math.Inf(1)
+	for {
+		w := e.sched.tree[0]
+		if w.key == inf {
+			return true
+		}
+		c := w.id
 		if e.pos[c] == len(e.win[c]) && !e.refill(c) {
 			if e.halt != nil {
 				return false
 			}
 			e.remaining[c] = 0
-			e.heapPop()
-			second = e.rootSecond()
+			e.sched.replay(c, inf)
 			continue
 		}
 		rec := &e.win[c][e.pos[c]]
@@ -319,25 +323,20 @@ func (e *engine) runWindow() bool {
 		case Exclusive:
 			e.accessExclusive(c, block, rec)
 		}
-		// Recalibration stalls every core by the same amount — order-
-		// preserving, but the cached keys (and second) go stale, so
-		// they are refreshed before the next dispatch decision.
-		if e.heapDirty {
-			e.heapRefresh()
-			second = e.rootSecond()
-		}
-		if e.remaining[c] == 0 {
-			e.heapPop()
-			second = e.rootSecond()
+		// Recalibration stalled every core behind the tree's back, so
+		// rebuild it from the clocks and dispatch afresh. Replaying c's
+		// path after the rebuild would be wrong: c need no longer be the
+		// winner, and replaying a non-winner's path corrupts the tree.
+		if e.schedDirty {
+			e.reseat()
 			continue
 		}
-		key := coreEnt{clk: e.clock[c], id: int32(c)} //redhip:allow alloc -- stack value struct, never escapes
-		e.heap[0] = key
-		if !entLess(key, second) {
-			second = e.leadChange(key)
+		k := e.clock[c]
+		if e.remaining[c] == 0 {
+			k = inf
 		}
+		e.sched.replay(c, k)
 	}
-	return true
 }
 
 // run drives the engine through its windows: warmup, the boundary
@@ -390,143 +389,92 @@ func (e *engine) refill(c int) bool {
 	return len(w) > 0
 }
 
-// leadChange re-seats the leader after its key grew to or past the
-// cached runner-up, restoring the heap invariant and returning the new
-// runner-up. When the whole heap fits in the root plus one child level
-// (n <= 5), a single pass over the children finds both the new leader
-// and the new runner-up — cheaper than a general sift followed by a
-// separate runner-up scan. Deeper heaps fall back to exactly that.
-func (e *engine) leadChange(key coreEnt) coreEnt {
-	h := e.heap
-	n := len(h)
-	if n <= 5 {
-		mi := 1
-		m2 := coreEnt{clk: math.Inf(1), id: int32(len(e.clock))}
-		for j := 2; j < n; j++ {
-			if entLess(h[j], h[mi]) {
-				m2 = h[mi]
-				mi = j
-			} else if entLess(h[j], m2) {
-				m2 = h[j]
-			}
-		}
-		// key >= the old runner-up, which was the minimum child, so
-		// swapping it with that child keeps the level ordered.
-		h[0], h[mi] = h[mi], key
-		if entLess(key, m2) {
-			return key
-		}
-		return m2
-	}
-	e.siftDown(0)
-	return e.rootSecond()
+// --- core scheduler -----------------------------------------------------------
+
+// coreSched is the min-time core scheduler: a loser (tournament) tree
+// over per-core keys. key[c] is core c's clock while it has work left
+// and +Inf once it is done; the padding leaves up to the next power of
+// two hold +Inf for good. Leaf c is node len(key)+c; tree[i], for an
+// internal node i, holds the loser of the match played there, and
+// tree[0] the overall winner — the core a lowest-index-wins linear scan
+// would pick. Entries carry their core's key, so a replay compares
+// inside the tree and never chases a core id into key.
+type coreSched struct {
+	key  []float64
+	tree []schedEnt
 }
 
-// rootSecond returns the minimum key among the root's children — the
-// overall runner-up — or a +Inf sentinel when the heap has at most one
-// element (a lone core always wins the fast-path compare).
-func (e *engine) rootSecond() coreEnt {
-	h := e.heap
-	n := len(h)
-	if n <= 1 {
-		return coreEnt{clk: math.Inf(1), id: int32(len(e.clock))}
-	}
-	end := 5
-	if end > n {
-		end = n
-	}
-	m := h[1]
-	for j := 2; j < end; j++ {
-		if entLess(h[j], m) {
-			m = h[j]
-		}
-	}
-	return m
+// schedEnt is one core's entry in the tree: its id and key.
+type schedEnt struct {
+	key float64
+	id  int
 }
 
-// --- core scheduler heap -------------------------------------------------------
-
-// coreEnt is one scheduler-heap entry: a core id with a cached copy of
-// its clock, kept inline so heap comparisons never touch e.clock.
-type coreEnt struct {
-	clk float64
-	id  int32
+// beats orders entries by (key, id), a total order.
+func (a schedEnt) beats(b schedEnt) bool {
+	return a.key < b.key || (a.key == b.key && a.id < b.id)
 }
 
-// entLess orders entries by (clock, id): the unique minimum under this
-// total order is the core a lowest-index-wins linear scan would pick.
-func entLess(a, b coreEnt) bool {
-	return a.clk < b.clk || (a.clk == b.clk && a.id < b.id)
-}
-
-// heapInit (re)builds the scheduler heap over every core with work
-// left. Called at the start of each measurement window.
-func (e *engine) heapInit() {
-	e.heap = e.heap[:0]
-	for c := 0; c < e.cfg.Cores; c++ {
-		if e.remaining[c] > 0 {
-			e.heap = append(e.heap, coreEnt{clk: e.clock[c], id: int32(c)})
-		}
+func newCoreSched(cores int) coreSched {
+	n := 1
+	for n < cores {
+		n <<= 1
 	}
-	if n := len(e.heap); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
+	s := coreSched{key: perCore[float64](n), tree: perCore[schedEnt](n)}
+	for c := range s.key {
+		s.key[c] = math.Inf(1)
 	}
-	e.heapDirty = false
+	return s
 }
 
-// heapRefresh reloads every cached key from e.clock after an
-// order-preserving uniform bump (recalibration stalls all cores by the
-// same amount, so the heap shape is still valid — only the values
-// moved).
-func (e *engine) heapRefresh() {
-	h := e.heap
-	for i := range h {
-		h[i].clk = e.clock[h[i].id]
+// side returns the entry that comes up to a match from node i: the
+// leaf's core, or the winner stored at an internal node during rebuild.
+func (s *coreSched) side(i int) schedEnt {
+	if n := len(s.key); i >= n {
+		return schedEnt{key: s.key[i-n], id: i - n}
 	}
-	e.heapDirty = false
+	return s.tree[i]
 }
 
-// siftDown restores the heap invariant below position i after the
-// element there grew (core clocks only ever increase). The heap is
-// 4-ary: at the common 4–16 core counts the sift finishes in one or
-// two levels, and the four children share a cache line, so the wider
-// fan-out costs nothing extra to scan.
-func (e *engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
-	for {
-		base := 4*i + 1
-		if base >= n {
-			return
+// rebuild plays every match afresh from key in O(cores), with no
+// scratch: a bottom-up pass stores each internal node's winner, then a
+// top-down pass swaps it for the node's loser — the other side, whose
+// node still holds its winner because children are visited later.
+func (s *coreSched) rebuild() {
+	n := len(s.key)
+	for i := n - 1; i > 0; i-- {
+		a, b := s.side(2*i), s.side(2*i+1)
+		if b.beats(a) {
+			a = b
 		}
-		m := base
-		end := base + 4
-		if end > n {
-			end = n
+		s.tree[i] = a
+	}
+	s.tree[0] = s.side(1)
+	for i := 1; i < n; i++ {
+		a, b := s.side(2*i), s.side(2*i+1)
+		if s.tree[i].id == a.id {
+			a = b
 		}
-		for j := base + 1; j < end; j++ {
-			if entLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !entLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		s.tree[i] = a
 	}
 }
 
-// heapPop removes the root (the core that just ran out of work).
-func (e *engine) heapPop() {
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 1 {
-		e.siftDown(0)
+// replay sets core w's key to k and re-plays the matches on w's
+// leaf-to-root path. w must be the current winner: the losers on its
+// path are then the winners of every sibling subtree, so log2(len(key))
+// compares settle the new winner.
+//
+//redhip:hotpath
+func (s *coreSched) replay(w int, k float64) {
+	s.key[w] = k
+	tree := s.tree
+	we := schedEnt{key: k, id: w} //redhip:allow alloc -- stack value struct, never escapes
+	for i := (len(s.key) + w) >> 1; i > 0; i >>= 1 {
+		if l := tree[i]; l.beats(we) {
+			tree[i], we = we, l
+		}
 	}
+	tree[0] = we
 }
 
 // --- shared helpers -----------------------------------------------------------
@@ -623,7 +571,7 @@ func (e *engine) recalibrate() {
 	for c := range e.clock {
 		e.clock[c] += float64(cycles)
 	}
-	e.heapDirty = true
+	e.schedDirty = true
 }
 
 // tagReadNJ is the energy of reading one set's tags during
