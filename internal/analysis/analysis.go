@@ -529,6 +529,7 @@ var SimulationPackages = map[string]bool{
 	"memaddr":    true,
 	"trace":      true,
 	"tracestore": true,
+	"lru":        true,
 	"experiment": true,
 	"sweep":      true,
 	"stats":      true,

@@ -1,7 +1,7 @@
 // Package guarded implements the redhip-lint guarded analyzer: lock
 // and atomic discipline for the concurrent surfaces (the serve job
-// store/queue, the tracestore LRU, the simstate store, and the
-// multi-scheme driver's worker pool). Three sub-checks:
+// store/queue, the lru cache under the trace and snapshot stores, and
+// the multi-scheme driver's worker pool). Three sub-checks:
 //
 //  1. guardedby — a struct field annotated //redhip:guardedby <mu>
 //     may only be accessed from functions that lock <mu>

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"redhip/internal/lru"
 	"redhip/internal/simstate"
 	"redhip/internal/tracestore"
 )
@@ -55,12 +56,16 @@ func TestWritePromGolden(t *testing.T) {
 		MemoryReserved: 1 << 20, MemoryBudget: 1 << 30, Ready: true,
 	}
 	ts := tracestore.Stats{
-		Hits: 30, Misses: 10, Evictions: 2, Entries: 5, Bytes: 4096,
-		BudgetBytes: 1 << 26, MaterializeNanos: 123456789, Materializations: 9,
+		Stats: lru.Stats{
+			Hits: 30, Misses: 10, Evictions: 2, Entries: 5, Bytes: 4096, BudgetBytes: 1 << 26,
+		},
+		MaterializeNanos: 123456789, Materializations: 9,
 	}
 	ss := simstate.StoreStats{
-		Hits: 7, Misses: 3, Puts: 3, Evictions: 1, Restores: 7,
-		RestoreNanos: 98765, Entries: 2, Bytes: 65536, BudgetBytes: 1 << 24,
+		Stats: lru.Stats{
+			Hits: 7, Misses: 3, Puts: 3, Evictions: 1, Entries: 2, Bytes: 65536, BudgetBytes: 1 << 24,
+		},
+		Restores: 7, RestoreNanos: 98765,
 	}
 	var buf bytes.Buffer
 	m.writeProm(&buf, g, ts, true, ss, true)

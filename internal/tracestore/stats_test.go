@@ -1,6 +1,10 @@
 package tracestore
 
-import "testing"
+import (
+	"testing"
+
+	"redhip/internal/lru"
+)
 
 // TestMaterializeNanosIsCumulative is the regression test for the
 // sweep-benchmark accounting bug: MaterializeNanos accumulates over
@@ -59,8 +63,8 @@ func TestMaterializeNanosIsCumulative(t *testing.T) {
 // Bytes and BudgetBytes are point-in-time values and keep the later
 // snapshot's reading.
 func TestStatsDeltaKeepsGauges(t *testing.T) {
-	prev := Stats{Hits: 2, Misses: 1, Entries: 1, Bytes: 100, BudgetBytes: 1000, Evictions: 1}
-	cur := Stats{Hits: 5, Misses: 3, Entries: 2, Bytes: 250, BudgetBytes: 1000, Evictions: 1}
+	prev := Stats{Stats: lru.Stats{Hits: 2, Misses: 1, Entries: 1, Bytes: 100, BudgetBytes: 1000, Evictions: 1}}
+	cur := Stats{Stats: lru.Stats{Hits: 5, Misses: 3, Entries: 2, Bytes: 250, BudgetBytes: 1000, Evictions: 1}}
 	d := cur.Delta(prev)
 	if d.Hits != 3 || d.Misses != 2 || d.Evictions != 0 {
 		t.Errorf("counter deltas = %+v", d)

@@ -34,7 +34,7 @@ import (
 	"unsafe"
 
 	"redhip/internal/faultinject"
-	"redhip/internal/redhipassert"
+	"redhip/internal/lru"
 	"redhip/internal/trace"
 	"redhip/internal/workload"
 )
@@ -98,17 +98,13 @@ func (m *Materialized) Trace(core int) *trace.Trace {
 	return &tr
 }
 
-// Stats is a point-in-time snapshot of store behaviour. Hits+Misses
-// counts Get calls; Misses counts materialisations started (exactly one
-// per key while the entry stays resident, the acceptance check for
-// "generation ran once").
+// Stats is a point-in-time snapshot of store behaviour: the LRU's
+// counters, where Hits+Misses counts Get calls and Misses counts
+// materialisations started (exactly one per key while the entry stays
+// resident, the acceptance check for "generation ran once"), plus the
+// materialisation timing.
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Entries     int
-	Bytes       uint64
-	BudgetBytes uint64
+	lru.Stats
 	// MaterializeNanos is CUMULATIVE wall time across every
 	// materialisation this store ever ran — it never resets, so two
 	// snapshots straddling an interval must be differenced with Delta
@@ -119,18 +115,6 @@ type Stats struct {
 	// Materializations counts completed fill attempts (the divisor for
 	// MeanMaterializeNanos).
 	Materializations uint64
-}
-
-// HitRate returns the fraction of Get calls served from a resident
-// entry, or 0 before the first Get. Consumers (the runner's sweep
-// report, redhip-serve's /metrics) derive it from one snapshot instead
-// of racing two counter reads.
-func (st Stats) HitRate() float64 {
-	total := st.Hits + st.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(total)
 }
 
 // MeanMaterializeNanos returns the average wall time of one
@@ -144,42 +128,25 @@ func (st Stats) MeanMaterializeNanos() int64 {
 }
 
 // Delta returns the counter movement between an earlier snapshot and
-// this one: Hits, Misses, Evictions, Materializations and
-// MaterializeNanos are differenced; the point-in-time gauges (Entries,
-// Bytes, BudgetBytes) keep this snapshot's values. This is how
-// interval consumers (benchmark arms, scrape deltas) must compare two
-// snapshots of a long-lived store — the raw counters are cumulative.
+// this one (lru.Stats.Delta plus the materialisation counters); the
+// point-in-time gauges keep this snapshot's values.
 func (st Stats) Delta(prev Stats) Stats {
-	d := st
-	d.Hits -= prev.Hits
-	d.Misses -= prev.Misses
-	d.Evictions -= prev.Evictions
-	d.Materializations -= prev.Materializations
-	d.MaterializeNanos -= prev.MaterializeNanos
-	return d
-}
-
-// entry is one cache slot. ready closes when mat/err are final;
-// waiters read them only after <-ready (close gives happens-before).
-type entry struct {
-	key        Key
-	ready      chan struct{}
-	mat        *Materialized
-	err        error
-	prev, next *entry // LRU list, most recent at head
+	return Stats{
+		Stats:            st.Stats.Delta(prev.Stats),
+		MaterializeNanos: st.MaterializeNanos - prev.MaterializeNanos,
+		Materializations: st.Materializations - prev.Materializations,
+	}
 }
 
 // Store is a byte-budget LRU cache of materialised streams, safe for
 // concurrent use. The zero value is not usable; call New.
 type Store struct {
-	mu      sync.Mutex
-	budget  uint64
-	now     func() int64   // nanosecond clock behind MaterializeNanos
-	entries map[Key]*entry //redhip:guardedby mu
-	head    *entry         //redhip:guardedby mu // most recently used
-	tail    *entry         //redhip:guardedby mu // least recently used
-	bytes   uint64         //redhip:guardedby mu
-	stats   Stats          //redhip:guardedby mu
+	cache *lru.Cache[Key, *Materialized]
+	now   func() int64 // nanosecond clock behind MaterializeNanos
+
+	mu               sync.Mutex
+	materializeNanos int64  //redhip:guardedby mu
+	materializations uint64 //redhip:guardedby mu
 }
 
 // New returns a store bounded by budgetBytes of cached records
@@ -198,9 +165,8 @@ func NewWithClock(budgetBytes uint64, now func() int64) *Store {
 		budgetBytes = DefaultBudgetBytes
 	}
 	return &Store{
-		budget:  budgetBytes,
-		now:     now,
-		entries: make(map[Key]*entry),
+		cache: lru.New[Key](budgetBytes, (*Materialized).Bytes),
+		now:   now,
 	}
 }
 
@@ -213,7 +179,10 @@ func wallclockNanos() int64 {
 // Get returns the materialised stream for k, generating it on first
 // use. Concurrent calls for the same key share one generation: the
 // first caller materialises while the rest block until it finishes.
-// A failed materialisation is not cached — the next Get retries.
+// A failed materialisation is not cached — the next Get retries. A
+// stream larger than the whole budget is handed to its callers but not
+// retained. Evicted records stay valid for any simulation already
+// replaying them: the slices are immutable and garbage collected.
 func (s *Store) Get(k Key) (*Materialized, error) {
 	if faultinject.Enabled {
 		// Delay-only point: widens the single-flight and eviction race
@@ -222,63 +191,24 @@ func (s *Store) Get(k Key) (*Materialized, error) {
 			return nil, err
 		}
 	}
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.stats.Hits++
-		s.moveToFrontLocked(e)
+	return s.cache.GetOrFill(k, func() (*Materialized, error) {
+		start := s.now()
+		mat, err := fill(k)
+		elapsed := s.now() - start
+		s.mu.Lock()
+		s.materializeNanos += elapsed
+		s.materializations++
 		s.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.mat, nil
-	}
-	e := &entry{key: k, ready: make(chan struct{})}
-	s.entries[k] = e
-	s.pushFrontLocked(e)
-	s.stats.Misses++
-	s.mu.Unlock()
-
-	start := s.now()
-	mat, err := fill(k)
-	elapsed := s.now() - start
-
-	s.mu.Lock()
-	s.stats.MaterializeNanos += elapsed
-	s.stats.Materializations++
-	e.mat, e.err = mat, err
-	switch {
-	case err != nil:
-		// Drop the entry so a later Get can retry.
-		s.removeLocked(e)
-	case mat.size > s.budget:
-		// Too large to ever fit: hand it to the waiters but do not
-		// retain it (retaining would evict the whole rest of the cache
-		// for an entry the next insert throws out anyway).
-		s.removeLocked(e)
-	default:
-		s.bytes += mat.size
-		s.evictOverLocked()
-	}
-	if redhipassert.Enabled {
-		redhipassert.Check(s.listConsistentLocked(), "tracestore: LRU list inconsistent after insert/evict")
-	}
-	s.mu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, err
-	}
-	return mat, nil
+		return mat, err
+	})
 }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
+	st := Stats{Stats: s.cache.Stats()}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = len(s.entries)
-	st.Bytes = s.bytes
-	st.BudgetBytes = s.budget
+	st.MaterializeNanos, st.Materializations = s.materializeNanos, s.materializations
+	s.mu.Unlock()
 	return st
 }
 
@@ -309,84 +239,4 @@ func materialize(k Key) (*Materialized, error) {
 		m.size += uint64(n) * RecordBytes
 	}
 	return m, nil
-}
-
-// --- LRU list (s.mu held: the Locked suffix is the guarded analyzer's contract) ------------------------------------------------------
-
-func (s *Store) pushFrontLocked(e *entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *Store) unlinkLocked(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) moveToFrontLocked(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlinkLocked(e)
-	s.pushFrontLocked(e)
-}
-
-// removeLocked deletes e from the map and list without touching the
-// byte count (callers only remove entries whose size was never charged).
-func (s *Store) removeLocked(e *entry) {
-	s.unlinkLocked(e)
-	delete(s.entries, e.key)
-}
-
-// listConsistentLocked verifies the LRU list invariants with s.mu
-// held: the head-to-tail walk visits exactly the map's entries with
-// coherent prev/next links. Only redhipassert-tagged builds call this.
-func (s *Store) listConsistentLocked() bool {
-	n := 0
-	var prev *entry
-	for e := s.head; e != nil; e = e.next {
-		if e.prev != prev {
-			return false
-		}
-		if got, ok := s.entries[e.key]; !ok || got != e {
-			return false
-		}
-		prev = e
-		n++
-	}
-	return prev == s.tail && n == len(s.entries)
-}
-
-// evictOverLocked drops least-recently-used resident entries until the
-// byte count fits the budget. In-flight entries (mat == nil) are
-// skipped: their size is unknown and their waiters hold no reference
-// yet. Evicted records stay valid for any simulation already replaying
-// them — the slices are immutable and garbage collected, eviction only
-// drops the store's reference.
-func (s *Store) evictOverLocked() {
-	e := s.tail
-	for s.bytes > s.budget && e != nil {
-		prev := e.prev
-		if e.mat != nil {
-			s.bytes -= e.mat.size
-			s.removeLocked(e)
-			s.stats.Evictions++
-		}
-		e = prev
-	}
 }

@@ -123,8 +123,8 @@ func TestLRUEviction(t *testing.T) {
 	if s.Evictions != 1 || s.Entries != 2 {
 		t.Fatalf("after overflow: evictions=%d entries=%d, want 1 and 2", s.Evictions, s.Entries)
 	}
-	if s.Bytes > st.budget {
-		t.Fatalf("resident bytes %d exceed budget %d", s.Bytes, st.budget)
+	if s.Bytes > s.BudgetBytes {
+		t.Fatalf("resident bytes %d exceed budget %d", s.Bytes, s.BudgetBytes)
 	}
 	misses := s.Misses
 	if _, err := st.Get(ka); err != nil { // A must still be resident
