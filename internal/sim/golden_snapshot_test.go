@@ -19,9 +19,8 @@ func snapCfg(scheme Scheme, incl InclusionPolicy, prefetch bool, recal uint64, c
 }
 
 // replaySources returns fresh replay cursors over wl's materialised
-// stream, sized for cfg's warmup plus measure windows. Warm-state
-// capture needs replays: only a source that can state its cursor at an
-// un-simulated offset (workload.StateSource) can label the blob.
+// stream, sized for cfg's warmup plus measure windows. A restore seeks
+// trace replays to the warmup boundary, so it needs replays.
 func replaySources(t *testing.T, store *tracestore.Store, cfg Config, wl string) []workload.Source {
 	t.Helper()
 	mat, err := store.Get(tracestore.Key{
@@ -220,10 +219,24 @@ func TestSnapshotRejections(t *testing.T) {
 			t.Error("SnapshotSink fired on a pass without a warmup window")
 		}
 	})
+	t.Run("replay shorter than the warmup", func(t *testing.T) {
+		mat, err := store.Get(tracestore.Key{
+			Workload:    wl,
+			Cores:       cfg.Cores,
+			Scale:       cfg.WorkloadScale,
+			Seed:        1,
+			RefsPerCore: cfg.WarmupRefsPerCore - 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restoreSolo(cfg, blob, mat.Sources(), 1); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("restore past the end of the replay error = %v, want ErrSnapshot", err)
+		}
+	})
 	t.Run("live generated sources", func(t *testing.T) {
-		// Blobs record replay positions, so a restore must refuse live
-		// generators — computebound's included, whose mixture has no
-		// component cursor (hot components only) to contradict one.
+		// A restore seeks trace replays to the warmup boundary, so it
+		// must refuse live generators — computebound's included.
 		cb := cfg
 		cb.Scheme = Base
 		_, cbBlob := captureSolo(t, cb, replaySources(t, store, cb, "computebound"))

@@ -41,10 +41,7 @@ type MultiOptions struct {
 	// receives each scheme's warm-state blob as its engine crosses the
 	// warmup/measure boundary. The callback runs on worker
 	// goroutines and may fire concurrently for different schemes; it
-	// must be safe for concurrent use. Capture, like restore, requires
-	// every source to implement workload.StateSource (trace replays do;
-	// live generators cannot state their cursor at an un-simulated
-	// offset), otherwise the pass runs normally and the sink never fires.
+	// must be safe for concurrent use.
 	SnapshotSink func(scheme Scheme, blob []byte)
 	// SnapshotSeed labels captured blobs and validates restored ones:
 	// it must be the seed the sources were built with (sim.WarmKey).
@@ -266,9 +263,13 @@ func decodeMultiSnapshots(cfg *Config, schemes []Scheme, sources []workload.Sour
 	if cfg.WarmupRefsPerCore == 0 {
 		return nil, fmt.Errorf("%w: configuration has no warmup window to restore into", ErrSnapshot)
 	}
-	states, err := stateSources(sources)
-	if err != nil {
-		return nil, err
+	replays := make([]*workload.TraceSource, len(sources))
+	for i, s := range sources {
+		r, ok := s.(*workload.TraceSource)
+		if !ok {
+			return nil, fmt.Errorf("%w: source %d (%T) is not a trace replay", ErrSnapshot, i, s)
+		}
+		replays[i] = r
 	}
 	name := sources[0].Name()
 	snaps := make([]*simstate.Snapshot, len(schemes))
@@ -283,63 +284,21 @@ func decodeMultiSnapshots(cfg *Config, schemes []Scheme, sources []workload.Sour
 		}
 		snaps[i] = s
 	}
-	// Every scheme consumed the same warm prefix, so the source cursors
-	// must agree blob-for-blob; a divergence means the blobs are not
-	// siblings of one warm lineage.
-	for i := 1; i < len(snaps); i++ {
-		if !sourceStatesEqual(snaps[0].Sources, snaps[i].Sources) {
-			return nil, fmt.Errorf("%w: schemes %s and %s disagree on source cursors", ErrSnapshot, schemes[0], schemes[i])
-		}
-	}
-	if len(snaps[0].Sources) != len(states) {
-		return nil, fmt.Errorf("%w: snapshot has %d source cursors, want %d", ErrSnapshot, len(snaps[0].Sources), len(states))
-	}
-	for i, ss := range states {
-		if err := ss.RestoreState(snaps[0].Sources[i]); err != nil {
+	for _, r := range replays {
+		if err := r.Seek(cfg.WarmupRefsPerCore); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 		}
 	}
 	return snaps, nil
 }
 
-func sourceStatesEqual(a, b [][]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // armSnapshotCapture installs per-engine warm-state capture hooks on a
-// cold pass when the caller asked for them and every source is a
-// replay that can state its cursor at the warmup boundary
-// (workload.StateSource; live generators cannot).
+// cold pass with a warmup window when the caller asked for them.
 // The hooks fire inside worker goroutines as each engine crosses its
 // boundary; opt.SnapshotSink's concurrency contract covers that.
 func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, sources []workload.Source, cold bool, opt *MultiOptions) {
 	if !cold || opt.SnapshotSink == nil || cfg.WarmupRefsPerCore == 0 {
 		return
-	}
-	states, err := stateSources(sources)
-	if err != nil {
-		return
-	}
-	srcState := make([][]uint64, len(states))
-	for i, ss := range states {
-		st, err := ss.StateAt(cfg.WarmupRefsPerCore)
-		if err != nil {
-			return
-		}
-		srcState[i] = st
 	}
 	for i, e := range engines {
 		if e == nil {
@@ -352,7 +311,6 @@ func armSnapshotCapture(cfg *Config, schemes []Scheme, engines []*engine, source
 		e.snapSink = func() {
 			snap := ee.captureSnapshot()
 			snap.Meta = meta
-			snap.Sources = srcState
 			opt.SnapshotSink(sc, simstate.Encode(snap))
 		}
 	}

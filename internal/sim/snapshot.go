@@ -12,7 +12,6 @@ import (
 	"redhip/internal/prefetch"
 	"redhip/internal/redhipassert"
 	"redhip/internal/simstate"
-	"redhip/internal/workload"
 )
 
 // This file is the warm-state snapshot/branch layer: a RunMultiOpt pass
@@ -26,7 +25,7 @@ import (
 
 // ErrSnapshot marks a snapshot that cannot be used with the given
 // configuration and sources — wrong geometry lineage, corrupt blob,
-// sources that do not expose cursor state. Callers (the experiment
+// sources that are not trace replays. Callers (the experiment
 // runner) treat it as "fall back to a cold run", never as a run
 // failure.
 var ErrSnapshot = errors.New("sim: snapshot unusable")
@@ -78,21 +77,6 @@ func validateWarmMeta(m *simstate.Meta, cfg *Config, workloadName string, seed u
 		return fmt.Errorf("%w: warm-config hash mismatch (geometry, energy, seed or policy differs)", ErrSnapshot)
 	}
 	return nil
-}
-
-// stateSources asserts that every source is a replay exposing its
-// cursor state (workload.StateSource) — the one contract both capture
-// and restore demand, because a blob records replay positions.
-func stateSources(sources []workload.Source) ([]workload.StateSource, error) {
-	out := make([]workload.StateSource, len(sources))
-	for i, s := range sources {
-		ss, ok := s.(workload.StateSource)
-		if !ok {
-			return nil, fmt.Errorf("%w: source %d (%T) does not expose cursor state", ErrSnapshot, i, s)
-		}
-		out[i] = ss
-	}
-	return out, nil
 }
 
 // captureSnapshot serialises the engine's warm state. Call only at the

@@ -2,9 +2,8 @@
 // versioned, checksummed binary blob and back. The blob captures
 // everything that distinguishes a warmed engine from a cold one at the
 // warmup/measure boundary — cache recency/residency words, prediction
-// table words and counters, predictor/prefetch-filter state, the
-// adaptive monitor, and per-core workload-source cursors — so a
-// measure phase branched from a restored snapshot is bit-identical to
+// table words and counters, predictor/prefetch-filter state and the
+// adaptive monitor — so a measure phase branched from a restored snapshot is bit-identical to
 // one that simulated the warmup itself (pinned by the golden
 // fingerprint suite in internal/sim).
 //
@@ -36,7 +35,7 @@ const blobMagic = "RDHPSNAP"
 // warm state is too entangled with engine internals for cross-version
 // restores to be safe, so a version bump simply invalidates old blobs
 // (the store treats that as a miss and re-warms).
-const Version = 1
+const Version = 2
 
 // crcTable is the CRC-64/ECMA table used for the blob trailer.
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -162,10 +161,6 @@ type Snapshot struct {
 	// straight-through run fails.
 	FNSeen  bool
 	FNBlock uint64
-	// Sources holds each per-core replay's opaque cursor words at the
-	// warmup boundary (workload.StateSource.StateAt), index = core. A
-	// restore re-seats replays of the same stream from them.
-	Sources [][]uint64
 }
 
 // --- encoding ------------------------------------------------------------------
@@ -197,9 +192,6 @@ func encodedHint(s *Snapshot) int {
 		n += len(s.CBF.Counters) + 40
 	}
 	n += 26*totalPrefetchEntries(s) + 12*len(s.PFFilter) + 64
-	for i := range s.Sources {
-		n += 8*len(s.Sources[i]) + 8
-	}
 	return n
 }
 
@@ -273,10 +265,6 @@ func encodePayload(e *encoder, s *Snapshot) {
 	e.u64(s.Adaptive.EpochStartTN)
 	e.bool(s.FNSeen)
 	e.u64(s.FNBlock)
-	e.u32(uint32(len(s.Sources)))
-	for i := range s.Sources {
-		e.u64s(s.Sources[i])
-	}
 }
 
 // Decode parses a blob back into a Snapshot. It is strict: bad magic,
@@ -383,12 +371,6 @@ func decodePayload(d *decoder) *Snapshot {
 	s.Adaptive.EpochStartTN = d.u64()
 	s.FNSeen = d.bool()
 	s.FNBlock = d.u64()
-	if n := d.count(8); n > 0 {
-		s.Sources = make([][]uint64, n)
-		for i := range s.Sources {
-			s.Sources[i] = d.u64s()
-		}
-	}
 	return s
 }
 

@@ -38,7 +38,6 @@ func sampleSnapshot() *Snapshot {
 		Adaptive:         AdaptiveState{On: true, Streak: 3, EpochRefs: 500, EpochStartMiss: 20, EpochStartTN: 11},
 		FNSeen:           false,
 		FNBlock:          0,
-		Sources:          [][]uint64{{0x9e3779b97f4a7c15, 5, 1}, {12345}},
 	}
 	copy(s.Meta.ConfigHash[:], bytes.Repeat([]byte{0xAB}, 32))
 	return s
@@ -63,7 +62,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("scalar fields diverged after round trip")
 	}
 	if len(dec.Caches) != len(orig.Caches) || len(dec.Tables) != len(orig.Tables) ||
-		len(dec.Prefetchers) != len(orig.Prefetchers) || len(dec.Sources) != len(orig.Sources) {
+		len(dec.Prefetchers) != len(orig.Prefetchers) {
 		t.Errorf("slice lengths diverged after round trip")
 	}
 }
@@ -160,7 +159,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(Encode(&Snapshot{}))
 	empty := sampleSnapshot()
 	empty.Mirror, empty.CBF = nil, nil
-	empty.Caches, empty.Tables, empty.Prefetchers, empty.PFFilter, empty.Sources = nil, nil, nil, nil, nil
+	empty.Caches, empty.Tables, empty.Prefetchers, empty.PFFilter = nil, nil, nil, nil
 	f.Add(Encode(empty))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)

@@ -49,26 +49,6 @@ type BatchSource interface {
 	NextBatch(buf []trace.Record) int
 }
 
-// StateSource is a finite replay source whose cursor the warm-state
-// snapshot layer can state and re-seat: capture records each per-core
-// source's state at the warmup/measure boundary, and restore re-seats a
-// fresh replay of the same stream there, so a restored engine resumes
-// the exact reference stream a straight-through run would have seen.
-// Capture and restore demand this one contract; live generators do not
-// implement it. The state is an opaque vector of words — callers store
-// and transport it but never interpret it.
-type StateSource interface {
-	Source
-	// StateAt returns the state after consuming exactly n records from
-	// the start, whatever the source's own cursor: a pass asks for the
-	// warmup boundary before any engine has read that far.
-	StateAt(n uint64) ([]uint64, error)
-	// RestoreState overwrites the cursor from a vector produced by
-	// StateAt on a replay of the same stream. It rejects vectors of the
-	// wrong shape or with out-of-range cursors.
-	RestoreState(state []uint64) error
-}
-
 // AsBatch returns s itself when it already implements BatchSource and
 // otherwise wraps it in a record-at-a-time adapter, so batch consumers
 // (the simulator's refill loop, the trace materialiser) can accept any
@@ -430,25 +410,15 @@ func (t *TraceSource) Fork() *TraceSource {
 	return &f
 }
 
-// RestoreState implements StateSource: a replay's only cursor is its
-// position.
-func (t *TraceSource) RestoreState(state []uint64) error {
-	if len(state) != 1 {
-		return fmt.Errorf("workload: trace source state has %d words, want 1", len(state))
-	}
-	if state[0] > uint64(len(t.recs)) {
-		return fmt.Errorf("workload: trace position %d beyond %d records", state[0], len(t.recs))
-	}
-	t.pos = int(state[0])
-	return nil
-}
-
-// StateAt implements StateSource: the state after n records is just n.
-func (t *TraceSource) StateAt(n uint64) ([]uint64, error) {
+// Seek moves the cursor to record n, counted from the start: a
+// snapshot restore resumes a replay at its warmup boundary. Seeking
+// past the last record fails.
+func (t *TraceSource) Seek(n uint64) error {
 	if n > uint64(len(t.recs)) {
-		return nil, fmt.Errorf("workload: trace position %d beyond %d records", n, len(t.recs))
+		return fmt.Errorf("workload: trace position %d beyond %d records", n, len(t.recs))
 	}
-	return []uint64{n}, nil
+	t.pos = int(n)
+	return nil
 }
 
 // Rewind restarts the trace from the beginning.
