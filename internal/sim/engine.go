@@ -614,21 +614,7 @@ func (e *engine) consultLLC(c int, block memaddr.Addr) (skip bool) {
 	e.clock[c] += e.predDelay
 	e.meter.AddPT(e.predNJ)
 	present := e.predictPresent(block)
-	truth := e.l4.Contains(block)
-	e.res.Pred.Lookups++
-	switch {
-	case present && truth:
-		e.res.Pred.TruePositive++
-	case present && !truth:
-		e.res.Pred.FalsePositive++
-	case !present && !truth:
-		e.res.Pred.TrueNegative++
-	default:
-		e.res.Pred.FalseNegative++
-		if !e.fnSeen {
-			e.fnSeen, e.fnBlock = true, block
-		}
-	}
+	e.scorePrediction(present, e.l4.Contains(block), block)
 	return !present
 }
 

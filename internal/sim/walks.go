@@ -394,30 +394,21 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 		e.demoteToL2(c, block)
 		e.notePrefetched(block)
 	case Exclusive:
+		p2, p3, p4 := true, true, true
 		if e.cfg.Scheme == ReDHiP {
 			e.meter.AddPT(3 * e.par.PTAccessNJ)
-			p2 := e.exL2[c].PredictPresent(block)
-			p3 := e.exL3[c].PredictPresent(block)
-			p4 := e.exL4.PredictPresent(block)
-			if p2 && e.prefetchProbe(energy.L2, e.l2[c].Contains, block) {
-				return
-			}
-			if p3 && e.prefetchProbe(energy.L3, e.l3[c].Contains, block) {
-				return
-			}
-			if p4 && e.prefetchProbe(energy.L4, e.l4.Contains, block) {
-				return
-			}
-		} else {
-			if e.prefetchProbe(energy.L2, e.l2[c].Contains, block) {
-				return
-			}
-			if e.prefetchProbe(energy.L3, e.l3[c].Contains, block) {
-				return
-			}
-			if e.prefetchProbe(energy.L4, e.l4.Contains, block) {
-				return
-			}
+			p2 = e.exL2[c].PredictPresent(block)
+			p3 = e.exL3[c].PredictPresent(block)
+			p4 = e.exL4.PredictPresent(block)
+		}
+		if p2 && e.prefetchProbe(energy.L2, e.l2[c].Contains, block) {
+			return
+		}
+		if p3 && e.prefetchProbe(energy.L3, e.l3[c].Contains, block) {
+			return
+		}
+		if p4 && e.prefetchProbe(energy.L4, e.l4.Contains, block) {
+			return
 		}
 		if e.l1[c].Contains(block) {
 			return
