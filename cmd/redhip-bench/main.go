@@ -117,7 +117,13 @@ func main() {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 	if *verbose {
-		opts.Progress = func(m string) { fmt.Fprintln(os.Stderr, m) }
+		opts.OnRun = func(u experiment.RunUpdate) {
+			if u.Err != nil {
+				fmt.Fprintf(os.Stderr, "%s/%s: ERROR %v\n", u.Workload, u.Scheme, u.Err)
+			} else {
+				fmt.Fprintf(os.Stderr, "%s/%s/%s done (%d refs)\n", u.Workload, u.Scheme, u.Inclusion, u.Result.Refs)
+			}
+		}
 	}
 	runner, err := experiment.NewRunner(opts)
 	if err != nil {

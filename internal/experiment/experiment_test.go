@@ -242,24 +242,6 @@ func TestRunnerUnknownWorkload(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	cfg := sim.Smoke()
-	cfg.RefsPerCore = 2_000
-	var lines []string
-	r := mustRunner(t, Options{
-		Base:        cfg,
-		Workloads:   []string{"mcf"},
-		Parallelism: 1,
-		Progress:    func(m string) { lines = append(lines, m) },
-	})
-	if _, err := r.Fig1EnergyBreakdown(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) == 0 {
-		t.Fatal("no progress reported")
-	}
-}
-
 func TestParallelRunnerDeterministic(t *testing.T) {
 	mk := func(par int) string {
 		cfg := sim.Smoke()
