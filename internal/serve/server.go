@@ -22,6 +22,13 @@ import (
 	"redhip/internal/version"
 )
 
+// maxStoredSweeps bounds resident terminal sweeps.
+const maxStoredSweeps = 64
+
+// maxSweepChildren caps the expanded size of one sweep grid. A grid
+// that expands past it is rejected with 400 at admission.
+const maxSweepChildren = 10_000
+
 // Options configure a Server. Zero values pick production-lean
 // defaults.
 type Options struct {
@@ -42,12 +49,6 @@ type Options struct {
 	// MaxStoredJobs bounds resident terminal jobs — the LRU result
 	// cache dedup hits resolve against (default 1024).
 	MaxStoredJobs int
-	// MaxStoredSweeps bounds resident terminal sweeps (default 64).
-	MaxStoredSweeps int
-	// MaxSweepChildren caps the expanded size of one sweep grid
-	// (default 10000). A grid that expands past it is rejected with 400
-	// at admission.
-	MaxSweepChildren int
 	// DefaultTimeout bounds a job's execution when its spec does not
 	// (default 5m). MaxTimeout caps spec-requested timeouts (default
 	// 30m).
@@ -123,18 +124,6 @@ func (o *Options) fill() error {
 	}
 	if o.MaxStoredJobs < 1 {
 		return fmt.Errorf("serve: MaxStoredJobs must be >= 1, got %d", o.MaxStoredJobs)
-	}
-	if o.MaxStoredSweeps == 0 {
-		o.MaxStoredSweeps = 64
-	}
-	if o.MaxStoredSweeps < 1 {
-		return fmt.Errorf("serve: MaxStoredSweeps must be >= 1, got %d", o.MaxStoredSweeps)
-	}
-	if o.MaxSweepChildren == 0 {
-		o.MaxSweepChildren = 10000
-	}
-	if o.MaxSweepChildren < 1 {
-		return fmt.Errorf("serve: MaxSweepChildren must be >= 1, got %d", o.MaxSweepChildren)
 	}
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = 5 * time.Minute
@@ -238,7 +227,7 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		queue:    newJobQueue(opts.QueueDepth),
 		store:    NewTable[*Job]("job-%06d", opts.MaxStoredJobs),
-		sweeps:   NewTable[*sweepRun]("sweep-%06d", opts.MaxStoredSweeps),
+		sweeps:   NewTable[*sweepRun]("sweep-%06d", maxStoredSweeps),
 		traces:   tracestore.New(opts.TraceCacheBytes),
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),

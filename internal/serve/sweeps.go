@@ -559,9 +559,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if n := norm.Count(); n > s.opts.MaxSweepChildren {
+	if n := norm.Count(); n > maxSweepChildren {
 		HTTPError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep expands to %d children, cap is %d", n, s.opts.MaxSweepChildren))
+			fmt.Sprintf("sweep expands to %d children, cap is %d", n, maxSweepChildren))
 		return
 	}
 	if s.stopping.Load() {

@@ -160,11 +160,18 @@ func TestSweepEndToEnd(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, MaxSweepChildren: 3})
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	ts.submitSweep(sweep.Grid{}, http.StatusBadRequest)
 	ts.submitSweep(sweep.Grid{Workloads: []string{"nope"}}, http.StatusBadRequest)
-	// 2 workloads x 2 seeds = 4 children > cap 3.
+	// 2 workloads x 5001 seeds = 10002 children > maxSweepChildren.
 	over := smokeGrid()
+	over.Seeds = nil
+	for seed := uint64(1); seed <= 5001; seed++ {
+		over.Seeds = append(over.Seeds, seed)
+	}
+	if n := 2 * len(over.Seeds); n <= maxSweepChildren {
+		t.Fatalf("over-cap grid expands to %d children, not past the cap %d", n, maxSweepChildren)
+	}
 	ts.submitSweep(over, http.StatusBadRequest)
 
 	resp, err := http.Get(ts.web.URL + "/v1/sweeps/sweep-000123")
