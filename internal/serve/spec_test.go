@@ -51,6 +51,28 @@ func TestSpecKey(t *testing.T) {
 		t.Fatalf("timeout split the dedup key")
 	}
 
+	// Literal keys pin the hash itself, not only its equalities: a
+	// change to Spec's fields or their JSON encoding that moves any of
+	// these splits every cached job and every ring placement.
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"default", Spec{Workloads: []string{"mcf"}}, "2abfca193e9dd2d6"},
+		{"multi-workload", Spec{Workloads: []string{"mcf", "lbm", "milc"}, Schemes: []string{"base", "redhip"}, Geometry: "smoke"}, "5739bf7db29ac137"},
+		{"timeout", Spec{Workloads: []string{"lbm"}, Geometry: "smoke", Seed: 7, TimeoutSeconds: 30}, "7659f11b9d0e6041"},
+		{"warmup-prefetch", Spec{Workloads: []string{"soplex"}, Schemes: []string{"redhip"}, Inclusion: "hybrid", RefsPerCore: 4000, WarmupRefsPerCore: 1000, Cores: 2, Prefetch: true}, "3067310c538deb30"},
+	} {
+		n, err := c.spec.normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := n.key(); got != c.want {
+			t.Errorf("%s: key = %s, want %s", c.name, got, c.want)
+		}
+	}
+
 	for name, mutate := range map[string]func(*Spec){
 		"workload":  func(s *Spec) { s.Workloads = []string{"lbm"} },
 		"schemes":   func(s *Spec) { s.Schemes = []string{"base"} },
