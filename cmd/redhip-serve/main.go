@@ -19,7 +19,7 @@
 //	GET    /v1/jobs/{id}/events      SSE progress stream
 //	POST   /v1/sweeps                submit a parameter grid -> 202 + id; expands
 //	                                 into child jobs through the same admission
-//	                                 path (dedup, breakers, shedding all apply)
+//	                                 path (dedup, shedding and the queue bound apply)
 //	GET    /v1/sweeps                list resident sweeps
 //	GET    /v1/sweeps/{id}           sweep status (+ per-child table; ?children=false)
 //	DELETE /v1/sweeps/{id}           cancel the sweep, fan out to owned children
@@ -30,16 +30,13 @@
 //	GET    /healthz                  liveness JSON {"status","version"} (200 while
 //	                                 the process serves HTTP at all)
 //	GET    /readyz                   readiness JSON {"ready","reasons"}: 503 with
-//	                                 reason stopping (draining),
-//	                                 breaker_open:<scheme> or shedding
+//	                                 reason stopping (draining) or shedding
 //
-// Resilience: specs may carry a retry policy (bounded exponential
-// backoff, capped by -retry-max); repeated run failures under one
-// scheme open a per-scheme circuit breaker (-breaker-threshold /
-// -breaker-cooldown) that sheds matching submissions with 503 +
-// Retry-After; each admitted job reserves its estimated trace
-// footprint against -memory-budget and oversized load is shed at the
-// door.
+// Resilience: a job runs once. Its result is a deterministic replay of
+// its spec, so a failed job would fail again and is reported failed; a
+// panic fails its job, not the process. Each admitted job reserves its
+// estimated trace footprint against -memory-budget, and oversized load
+// is shed at the door with 503 + Retry-After.
 //
 // Performance: -snapshot-cache-bytes enables the warm-state snapshot
 // store, so jobs that share a warmup prefix warm once and branch their
@@ -88,9 +85,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job execution timeout")
 		maxTimeout = flag.Duration("max-timeout", 30*time.Minute, "cap on spec-requested timeouts")
 		grace      = flag.Duration("shutdown-grace", 30*time.Second, "drain budget for in-flight jobs on SIGINT/SIGTERM")
-		retryMax   = flag.Int("retry-max", 0, "cap on per-spec retry attempts (0 = default 5, -1 disables retries)")
-		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive per-scheme run failures that open its circuit (0 = default 5, -1 disables)")
-		brkCool    = flag.Duration("breaker-cooldown", 0, "how long an open circuit sheds before half-opening (0 = default 30s)")
 		memBudget  = flag.Int64("memory-budget", 0, "aggregate trace-byte admission budget (0 = default 1 GiB, -1 disables shedding)")
 		routerURL  = flag.String("router", "", "redhip-router base URL; set to run as a cluster replica (registers and arms the lease watchdog)")
 		advertise  = flag.String("advertise", "", "base URL the router reaches this replica at (required with -router)")
@@ -121,9 +115,6 @@ func main() {
 		MaxStoredJobs:      *maxJobs,
 		DefaultTimeout:     *jobTimeout,
 		MaxTimeout:         *maxTimeout,
-		RetryMaxAttempts:   *retryMax,
-		BreakerThreshold:   *brkThresh,
-		BreakerCooldown:    *brkCool,
 		MemoryBudgetBytes:  *memBudget,
 		Fault:              injector,
 		RouterURL:          *routerURL,

@@ -763,6 +763,33 @@ func TestRouterResubmitAfterTerminal(t *testing.T) {
 	}
 }
 
+// TestRetryFieldRejected: a job runs once, and a spec that still asks
+// for a "retry" policy is refused with 400 at both doors — a replica's
+// and the router's — instead of being silently ignored.
+func TestRetryFieldRejected(t *testing.T) {
+	s, err := serve.New(serve.Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	replica := httptest.NewServer(s.Handler())
+	t.Cleanup(replica.Close)
+	_, router := newTestRouter(t)
+
+	const body = `{"workloads":["mcf"],"geometry":"smoke","retry":{"max_attempts":3}}`
+	for name, base := range map[string]string{"replica": replica.URL, "router": router} {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: POST /v1/jobs: %v", name, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), `unknown field \"retry\"`) {
+			t.Errorf("%s: spec with retry = %d %s, want 400 naming the field", name, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestRouterMembershipClassifiesReadyz: the probe loop translates a
 // replica's /readyz answers into the membership state machine —
 // "stopping" drains, other 503s are unready, transport failure kills,
@@ -783,11 +810,11 @@ func TestRouterMembershipClassifiesReadyz(t *testing.T) {
 		t.Fatal("draining member still in ring")
 	}
 
-	f.notReadyReason.Store("breaker_open:redhip")
+	f.notReadyReason.Store("shedding")
 	waitFor(t, "unready", func() bool { return m.stateNow() == MemberUnready })
 	st := m.status()
-	if len(st.Reasons) != 1 || st.Reasons[0] != "breaker_open:redhip" {
-		t.Fatalf("reasons = %v, want [breaker_open:redhip]", st.Reasons)
+	if len(st.Reasons) != 1 || st.Reasons[0] != "shedding" {
+		t.Fatalf("reasons = %v, want [shedding]", st.Reasons)
 	}
 
 	f.ready.Store(true)

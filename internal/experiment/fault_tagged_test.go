@@ -78,7 +78,8 @@ func TestInjectedRunPanicIsolated(t *testing.T) {
 }
 
 // TestOnRunSeesInjectedFailure: the structured hook observes injected
-// run errors like organic ones — serve's breaker feeds on exactly this.
+// run errors like organic ones — serve's per-run progress events feed on
+// exactly this.
 func TestOnRunSeesInjectedFailure(t *testing.T) {
 	in := faultinject.New(9, faultinject.Rule{
 		Point: faultinject.PointExperimentRun,

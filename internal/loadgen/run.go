@@ -30,7 +30,7 @@ type CohortReport struct {
 	Accepted int `json:"accepted"`
 	Deduped  int `json:"deduped"`
 	// Rejected429 is queue-full backpressure; Rejected503 is shedding
-	// (breaker, memory, shutdown). Both are the server working as
+	// (memory, shutdown). Both are the server working as
 	// designed under overload — distinct from OtherHTTP and
 	// NetworkErrors, which are not.
 	Rejected429   int `json:"rejected_429"`

@@ -52,13 +52,6 @@ func TestAdmitVerdicts(t *testing.T) {
 			retryAfter: true,
 		},
 		{
-			name:       "open breaker",
-			opts:       Options{BreakerThreshold: 1, BreakerCooldown: time.Minute},
-			setup:      func(t *testing.T, ts *testServer) { ts.s.breaker.onRun("base", true) },
-			code:       http.StatusServiceUnavailable,
-			retryAfter: true,
-		},
-		{
 			name: "permanent shed",
 			opts: Options{MemoryBudgetBytes: est - 1},
 			code: http.StatusBadRequest,

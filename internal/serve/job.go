@@ -37,7 +37,7 @@ func (s State) Terminal() bool {
 // start, so a progress event is never lost to subscription timing.
 type Event struct {
 	ID   int
-	Type string // "queued", "running", "progress", "retry", "panic", "done", "failed", "cancelled"
+	Type string // "queued", "running", "progress", "panic", "done", "failed", "cancelled"
 	Data json.RawMessage
 }
 
@@ -61,15 +61,6 @@ type TerminalData struct {
 	Error string `json:"error,omitempty"`
 }
 
-// retryData is the payload of a "retry" event: attempt N failed and
-// the job will re-execute after the stated backoff.
-type retryData struct {
-	Attempt int     `json:"attempt"` // the attempt that just failed (1-based)
-	Max     int     `json:"max_attempts"`
-	DelayMS float64 `json:"delay_ms"`
-	Error   string  `json:"error"`
-}
-
 // panicData is the payload of a "panic" event: the recovered value and
 // the goroutine stack, so a post-mortem needs no server-side logs.
 type panicData struct {
@@ -91,7 +82,6 @@ type Job struct {
 
 	mu          sync.Mutex
 	state       State              //redhip:guardedby mu
-	attempts    int                //redhip:guardedby mu // execution attempts started (retries included)
 	err         string             //redhip:guardedby mu
 	results     []*sim.Result      //redhip:guardedby mu
 	completed   int                //redhip:guardedby mu // runs finished
@@ -153,23 +143,6 @@ func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
 	j.mu.Unlock()
 	j.publish("running", TerminalData{State: StateRunning})
 	return true
-}
-
-// noteAttempt records the start of one execution attempt.
-func (j *Job) noteAttempt() {
-	j.mu.Lock()
-	j.attempts++
-	j.mu.Unlock()
-}
-
-// publishRetry emits a "retry" event after a failed attempt.
-func (j *Job) publishRetry(attempt, max int, delay time.Duration, err error) {
-	j.publish("retry", retryData{
-		Attempt: attempt,
-		Max:     max,
-		DelayMS: float64(delay) / float64(time.Millisecond),
-		Error:   err.Error(),
-	})
 }
 
 // publishPanic emits a "panic" event carrying the recovered value and
@@ -242,7 +215,6 @@ type Status struct {
 	Spec        Spec          `json:"spec"`
 	Completed   int           `json:"completed"`
 	Total       int           `json:"total"`
-	Attempts    int           `json:"attempts,omitempty"`
 	Submissions int           `json:"submissions"`
 	SubmittedAt time.Time     `json:"submitted_at"`
 	StartedAt   *time.Time    `json:"started_at,omitempty"`
@@ -263,7 +235,6 @@ func (j *Job) snapshot(withResults bool) Status {
 		Spec:        j.Spec,
 		Completed:   j.completed,
 		Total:       j.total,
-		Attempts:    j.attempts,
 		Submissions: j.submissions,
 		SubmittedAt: j.submitted,
 	}

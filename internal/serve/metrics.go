@@ -42,11 +42,8 @@ type metrics struct {
 	runnerStarts     *Counter // experiment.Runner executions launched
 	executionsDone   *Counter // jobs whose sweep completed locally (cluster no-double-execution invariant)
 	leaseFences      *Counter // router-lease expiries that fenced non-terminal jobs
-	retries          *Counter // execution attempts beyond the first
 	workerPanics     *Counter // panics recovered in the worker stack
-	shedBreaker      *Counter // submissions shed by an open circuit
 	shedMemory       *Counter // submissions shed by the byte budget
-	breakerTrips     *Counter // circuit transitions to open, fed by the breaker
 	sweepsSubmitted  *Counter // POST /v1/sweeps accepted
 	sweeps           Outcomes // sweeps reaching done, failed or cancelled
 	sweepChildren    *Counter // child jobs submitted by sweep orchestrators
@@ -76,11 +73,8 @@ func newMetrics() *metrics {
 	m.runnerStarts = c.New("redhip_serve_runner_executions_total", "experiment.Runner executions launched (one per non-deduplicated job).")
 	m.executionsDone = c.New("redhip_serve_executions_done_total", "Jobs whose sweep completed on this replica (summed across a cluster, equals unique specs executed).")
 	m.leaseFences = c.New("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.")
-	m.retries = c.New("redhip_serve_retries_total", "Job execution attempts beyond each job's first.")
 	m.workerPanics = c.New("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.")
-	m.shedBreaker = c.New("redhip_serve_shed_breaker_total", "Submissions shed with 503 by an open circuit breaker.")
 	m.shedMemory = c.New("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.")
-	m.breakerTrips = c.New("redhip_serve_breaker_trips_total", "Circuit-breaker transitions to open, over all schemes.")
 	m.sweepsSubmitted = c.New("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.")
 	m.sweeps = Outcomes{
 		Done:      c.New("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated."),
@@ -89,7 +83,7 @@ func newMetrics() *metrics {
 	}
 	m.sweepChildren = c.New("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.")
 	m.sweepChildDedup = c.New("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.")
-	m.sweepAdmitWaits = c.New("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, breaker open, memory shed).")
+	m.sweepAdmitWaits = c.New("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, memory shed).")
 	return m
 }
 
@@ -158,7 +152,6 @@ type gauges struct {
 	StoredJobs     int
 	StoredSweeps   int
 	ActiveSweeps   int // sweeps not yet terminal
-	BreakerOpen    int // schemes with an open circuit
 	MemoryReserved uint64
 	MemoryBudget   uint64
 	Ready          bool
@@ -176,7 +169,6 @@ func (m *metrics) writeProm(w io.Writer, g gauges, ts tracestore.Stats, tsOK boo
 	p.Gauge("redhip_serve_jobs_stored", "Jobs resident in the store (all states).", float64(g.StoredJobs))
 	p.Gauge("redhip_serve_sweeps_stored", "Sweeps resident in the store (all states).", float64(g.StoredSweeps))
 	p.Gauge("redhip_serve_sweeps_active", "Sweeps currently orchestrating children.", float64(g.ActiveSweeps))
-	p.Gauge("redhip_serve_breaker_open_schemes", "Schemes whose circuit is currently open.", float64(g.BreakerOpen))
 	p.Gauge("redhip_serve_memory_reserved_bytes", "Trace bytes reserved by admitted jobs.", float64(g.MemoryReserved))
 	p.Gauge("redhip_serve_memory_budget_bytes", "Trace-memory admission budget (0 = shedding disabled).", float64(g.MemoryBudget))
 	ready := 0.0

@@ -22,16 +22,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // family is deliberately added or renamed.
 func TestWritePromGolden(t *testing.T) {
 	m := newMetrics()
-	// Every counter reads a distinct value: the breaker's trips read 6,
-	// the others 1, 2, 3, … in exposition order.
-	i := 0
-	for _, c := range m.counters {
-		want := 6
-		if c != m.breakerTrips {
-			i++
-			want = i
-		}
-		for n := 0; n < want; n++ {
+	// Every counter reads a distinct value: 1, 2, 3, … in exposition
+	// order.
+	for i, c := range m.counters {
+		for n := 0; n <= i; n++ {
 			c.Inc()
 		}
 	}
@@ -52,7 +46,7 @@ func TestWritePromGolden(t *testing.T) {
 
 	g := gauges{
 		QueueDepth: 3, InFlight: 2, StoredJobs: 17, StoredSweeps: 4,
-		ActiveSweeps: 1, BreakerOpen: 1,
+		ActiveSweeps:   1,
 		MemoryReserved: 1 << 20, MemoryBudget: 1 << 30, Ready: true,
 	}
 	ts := tracestore.Stats{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -108,97 +107,6 @@ func TestFinishReleaseAtomicity(t *testing.T) {
 	}
 }
 
-// --- circuit breaker -----------------------------------------------------------
-
-// TestBreakerStateMachine drives one scheme's circuit through
-// closed -> open -> half-open -> open -> half-open -> closed with an
-// injected clock.
-func TestBreakerStateMachine(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	b := newBreaker(3, time.Minute, &Counter{})
-	b.now = func() time.Time { return clock }
-
-	for i := 0; i < 2; i++ {
-		b.onRun("base", true)
-		if err := b.allow([]string{"base"}); err != nil {
-			t.Fatalf("failure %d tripped early: %v", i+1, err)
-		}
-	}
-	b.onRun("base", true) // third consecutive: trip
-	err := b.allow([]string{"base", "redhip"})
-	boe, ok := err.(*breakerOpenError)
-	if !ok || boe.Scheme != "base" || boe.RetryAfter != time.Minute {
-		t.Fatalf("allow after trip = %v, want open(base, 1m)", err)
-	}
-	if got := b.openSchemes(); len(got) != 1 || got[0] != "base" {
-		t.Fatalf("openSchemes = %v", got)
-	}
-	if err := b.allow([]string{"redhip"}); err != nil {
-		t.Fatalf("unrelated scheme shed: %v", err)
-	}
-
-	// Cooldown passes: half-open admits, a failure re-opens instantly.
-	clock = clock.Add(61 * time.Second)
-	if err := b.allow([]string{"base"}); err != nil {
-		t.Fatalf("half-open did not admit: %v", err)
-	}
-	b.onRun("base", true)
-	if err := b.allow([]string{"base"}); err == nil {
-		t.Fatalf("half-open failure did not re-open")
-	}
-	if got := b.trips.Load(); got != 2 {
-		t.Fatalf("trips = %d, want 2", got)
-	}
-
-	// Next cooldown: a success closes for good.
-	clock = clock.Add(2 * time.Minute)
-	if err := b.allow([]string{"base"}); err != nil {
-		t.Fatalf("second half-open did not admit: %v", err)
-	}
-	b.onRun("base", false)
-	b.onRun("base", true)
-	b.onRun("base", true)
-	if err := b.allow([]string{"base"}); err != nil {
-		t.Fatalf("closed circuit shed below threshold: %v", err)
-	}
-}
-
-// TestBreakerShedsSubmissions: an open circuit sheds matching
-// submissions with 503 + Retry-After and flips /readyz, and the
-// cooldown restores both.
-func TestBreakerShedsSubmissions(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, BreakerThreshold: 2, BreakerCooldown: time.Minute})
-	clock := time.Unix(2000, 0)
-	ts.s.breaker.now = func() time.Time { return clock }
-	ts.s.breaker.onRun("base", true)
-	ts.s.breaker.onRun("base", true) // trip
-
-	resp := ts.submitRaw(specWithSeed(7))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submission under open circuit = %d, want 503", resp.StatusCode)
-	}
-	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
-		t.Fatalf("Retry-After = %q, want >= 1s", resp.Header.Get("Retry-After"))
-	}
-	resp.Body.Close()
-	if v := ts.metricValue("redhip_serve_shed_breaker_total"); v != 1 {
-		t.Fatalf("shed_breaker_total = %g, want 1", v)
-	}
-	if v := ts.metricValue("redhip_serve_breaker_trips_total"); v != 1 {
-		t.Fatalf("breaker_trips_total = %g, want 1", v)
-	}
-	assertReadyz(t, ts, http.StatusServiceUnavailable)
-	if v := ts.metricValue("redhip_serve_ready"); v != 0 {
-		t.Fatalf("ready gauge = %g, want 0", v)
-	}
-
-	// Cooldown elapses: readiness returns and the submission is admitted.
-	clock = clock.Add(2 * time.Minute)
-	assertReadyz(t, ts, http.StatusOK)
-	sub := ts.submit(specWithSeed(7), http.StatusAccepted)
-	ts.waitState(sub.ID, StateDone)
-}
-
 func assertReadyz(t *testing.T, ts *testServer, want int) {
 	t.Helper()
 	resp, err := http.Get(ts.web.URL + "/readyz")
@@ -292,98 +200,6 @@ func TestMemorySheddingPermanent(t *testing.T) {
 	resp.Body.Close()
 	// A permanent verdict is not "shedding": readiness is unaffected.
 	assertReadyz(t, ts, http.StatusOK)
-}
-
-// --- retry policy plumbing -----------------------------------------------------
-
-func TestRetryPolicyNormalization(t *testing.T) {
-	base := smokeSpec()
-	bad := []*RetryPolicy{
-		{MaxAttempts: 0},
-		{MaxAttempts: -2},
-		{MaxAttempts: 3, BackoffMS: -1},
-		{MaxAttempts: 3, BackoffMS: 500, MaxBackoffMS: 100},
-	}
-	for i, p := range bad {
-		s := base
-		s.Retry = p
-		if _, err := s.normalize(); err == nil {
-			t.Errorf("case %d: policy %+v normalised", i, p)
-		}
-	}
-
-	s := base
-	s.Retry = &RetryPolicy{MaxAttempts: 4}
-	norm, err := s.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Retry.BackoffMS != 100 || norm.Retry.MaxBackoffMS != 5000 {
-		t.Fatalf("defaults not filled: %+v", norm.Retry)
-	}
-	if s.Retry.BackoffMS != 0 {
-		t.Fatalf("normalize mutated the caller's policy: %+v", s.Retry)
-	}
-	// Retry is execution-only: it must not split the dedup key.
-	plain, err := base.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.key() != plain.key() {
-		t.Fatalf("retry policy changed the dedup key")
-	}
-}
-
-func TestMaxAttemptsCap(t *testing.T) {
-	s, err := New(Options{Workers: 1, RetryMaxAttempts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	spec := smokeSpec()
-	if got := s.maxAttempts(spec); got != 1 {
-		t.Fatalf("no policy: maxAttempts = %d, want 1", got)
-	}
-	spec.Retry = &RetryPolicy{MaxAttempts: 10}
-	if got := s.maxAttempts(spec); got != 3 {
-		t.Fatalf("capped: maxAttempts = %d, want 3", got)
-	}
-
-	off, err := New(Options{Workers: 1, RetryMaxAttempts: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Shutdown(context.Background())
-	if got := off.maxAttempts(spec); got != 1 {
-		t.Fatalf("disabled: maxAttempts = %d, want 1", got)
-	}
-}
-
-// TestBackoffDeterminism: the jittered backoff is a pure function of
-// (policy, key, attempt), exponential, and capped.
-func TestBackoffDeterminism(t *testing.T) {
-	p := &RetryPolicy{MaxAttempts: 6, BackoffMS: 100, MaxBackoffMS: 800}
-	prev := time.Duration(0)
-	for attempt := 1; attempt <= 5; attempt++ {
-		d1 := backoffDelay(p, "cafebabe", attempt)
-		d2 := backoffDelay(p, "cafebabe", attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: nondeterministic backoff %s vs %s", attempt, d1, d2)
-		}
-		full := float64(100) * float64(int(1)<<(attempt-1))
-		if full > 800 {
-			full = 800
-		}
-		lo := time.Duration(full * 0.5 * float64(time.Millisecond))
-		hi := time.Duration(full * float64(time.Millisecond))
-		if d1 < lo || d1 > hi {
-			t.Fatalf("attempt %d: backoff %s outside [%s, %s]", attempt, d1, lo, hi)
-		}
-		_ = prev
-	}
-	if d := backoffDelay(p, "cafebabe", 1); d == backoffDelay(p, "deadbeef", 1) {
-		t.Fatalf("different keys produced identical jitter (possible, astronomically unlikely)")
-	}
 }
 
 // --- probes --------------------------------------------------------------------

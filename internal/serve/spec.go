@@ -61,28 +61,6 @@ type Spec struct {
 	// Excluded from the dedup key: two specs that differ only in
 	// timeout would produce bit-identical results.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-	// Retry, when set, re-executes the job on retryable failures.
-	// Execution-only like TimeoutSeconds, so it is excluded from the
-	// dedup key: retried or not, results are bit-identical.
-	Retry *RetryPolicy `json:"retry,omitempty"`
-}
-
-// RetryPolicy bounds automatic re-execution of a failed job. Attempts
-// back off exponentially from BackoffMS (doubling per attempt, capped
-// at MaxBackoffMS) with deterministic jitter derived from the job key,
-// so a replayed chaos schedule backs off identically. Cancellations
-// and timeouts are never retried — only failures that could plausibly
-// be transient.
-type RetryPolicy struct {
-	// MaxAttempts is the total execution budget, first try included.
-	// Must be >= 1; the server additionally caps it with
-	// Options.RetryMaxAttempts.
-	MaxAttempts int `json:"max_attempts"`
-	// BackoffMS is the base delay before the second attempt
-	// (default 100).
-	BackoffMS int `json:"backoff_ms,omitempty"`
-	// MaxBackoffMS caps the exponential growth (default 5000).
-	MaxBackoffMS int `json:"max_backoff_ms,omitempty"`
 }
 
 // normalize fills defaults, validates every field and returns the spec
@@ -135,25 +113,6 @@ func (s Spec) normalize() (Spec, error) {
 	}
 	if s.TimeoutSeconds < 0 {
 		return Spec{}, fmt.Errorf("serve: timeout_seconds must be >= 0, got %g", s.TimeoutSeconds)
-	}
-	if s.Retry != nil {
-		r := *s.Retry // copy so normalisation never mutates the caller's policy
-		if r.MaxAttempts < 1 {
-			return Spec{}, fmt.Errorf("serve: retry.max_attempts must be >= 1, got %d", r.MaxAttempts)
-		}
-		if r.BackoffMS < 0 || r.MaxBackoffMS < 0 {
-			return Spec{}, fmt.Errorf("serve: retry backoff values must be >= 0")
-		}
-		if r.BackoffMS == 0 {
-			r.BackoffMS = 100
-		}
-		if r.MaxBackoffMS == 0 {
-			r.MaxBackoffMS = 5000
-		}
-		if r.MaxBackoffMS < r.BackoffMS {
-			return Spec{}, fmt.Errorf("serve: retry.max_backoff_ms (%d) below retry.backoff_ms (%d)", r.MaxBackoffMS, r.BackoffMS)
-		}
-		s.Retry = &r
 	}
 	// Every (scheme, inclusion, overrides) combination must be a valid
 	// sim.Config — rejecting impossible sweeps (CBF under a fully
@@ -232,12 +191,10 @@ func (s Spec) estimateTraceBytes() uint64 {
 }
 
 // key returns the dedup key: a short hex SHA-256 of the canonical JSON
-// encoding of the normalised spec, with execution-only fields
-// (TimeoutSeconds, Retry) zeroed so they do not split
-// otherwise-identical jobs.
+// encoding of the normalised spec, with the execution-only
+// TimeoutSeconds zeroed so it does not split otherwise-identical jobs.
 func (s Spec) key() string {
 	s.TimeoutSeconds = 0
-	s.Retry = nil
 	b, err := json.Marshal(s)
 	if err != nil {
 		// A Spec is plain data; Marshal cannot fail. Keep the error
