@@ -6,11 +6,11 @@
 #      injector and every package carrying injection points, including
 #      the 200-job chaos sweep in internal/serve.
 #   2. A live drill: build redhip-serve with -tags faultinject, arm a
-#      fault schedule via -fault, and verify over HTTP that (a) a job
-#      with a retry policy survives injected run failures and the retry
-#      shows in /metrics, and (b) a total-failure schedule trips the
-#      circuit breaker into 503 + Retry-After and flips /readyz, while
-#      /healthz stays 200 throughout.
+#      one-shot run fault via -fault, and verify over HTTP that the fault
+#      fails exactly its job (state failed, one terminal SSE event), that
+#      /healthz and /readyz stay 200 throughout, and that resubmitting the
+#      same spec creates a fresh job (the failed key was released) which
+#      runs to done.
 #
 # The faultinject tag never reaches default builds: untagged binaries
 # compile the injection points out entirely (see internal/faultinject).
@@ -89,50 +89,37 @@ fi
 echo "chaos-smoke: building redhip-serve with -tags faultinject"
 go build -tags faultinject -o "$BIN_DIR/redhip-serve" ./cmd/redhip-serve
 
-# --- drill 1: retry survives injected run failures ---------------------------
+# --- drill: an injected fault fails exactly its job ---------------------------
 
-echo "chaos-smoke: drill 1 — retry under a 35% run-failure schedule"
-start_server -fault 'experiment.run:prob=0.35,err=chaos drill' -fault-seed 11 \
-    -breaker-threshold -1 -retry-max 8
-submit '{"workloads":["mcf"],"schemes":["base","redhip"],"geometry":"smoke","refs_per_core":2000,"retry":{"max_attempts":8,"backoff_ms":1}}'
-[[ "$SUBMIT_CODE" == 202 ]] || fail "drill-1 submit = $SUBMIT_CODE: $SUBMIT_BODY"
-JOB_ID=$(echo "$SUBMIT_BODY" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-[[ -n "$JOB_ID" ]] || fail "no job id: $SUBMIT_BODY"
-wait_state "$JOB_ID" done
-METRICS=$(curl -fsS "$BASE/metrics") || fail "/metrics scrape failed"
-RETRIES=$(echo "$METRICS" | sed -n 's/^redhip_serve_retries_total \([0-9]*\)$/\1/p')
-[[ -n "$RETRIES" && "$RETRIES" -ge 1 ]] \
-    || fail "job survived but retries_total=$RETRIES — faults not injected?"
-echo "chaos-smoke: drill 1 OK (job done after $RETRIES retries)"
-stop_server
+probes_ok() { # args: when
+    curl -fsS "$BASE/healthz" >/dev/null || fail "/healthz not 200 $1"
+    curl -fsS "$BASE/readyz" >/dev/null || fail "/readyz not 200 $1"
+}
 
-# --- drill 2: total failure trips the breaker --------------------------------
+job_id() { echo "$SUBMIT_BODY" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p'; }
 
-echo "chaos-smoke: drill 2 — breaker trip under a 100% failure schedule"
-start_server -fault 'experiment.run:prob=1,err=chaos drill' -fault-seed 11 \
-    -breaker-threshold 2 -retry-max -1
-for SEED in 1 2; do
-    submit "{\"workloads\":[\"mcf\"],\"schemes\":[\"base\"],\"geometry\":\"smoke\",\"refs_per_core\":2000,\"seed\":$SEED}"
-    [[ "$SUBMIT_CODE" == 202 ]] || fail "drill-2 seed $SEED submit = $SUBMIT_CODE: $SUBMIT_BODY"
-    JOB_ID=$(echo "$SUBMIT_BODY" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-    wait_state "$JOB_ID" failed
-done
-# Two consecutive failures under "base": its circuit is open now.
-HDRS=$(curl -sS -D - -o /dev/null -X POST "$BASE/v1/jobs" \
-    -H 'Content-Type: application/json' \
-    -d '{"workloads":["mcf"],"schemes":["base"],"geometry":"smoke","refs_per_core":2000,"seed":3}')
-echo "$HDRS" | head -n1 | grep -q ' 503 ' || fail "open breaker did not 503: $HDRS"
-echo "$HDRS" | grep -qi '^retry-after:' || fail "breaker 503 missing Retry-After"
-READY_BODY=$(curl -sS -w '\n%{http_code}' "$BASE/readyz")
-READY_CODE=$(echo "$READY_BODY" | tail -n1)
-[[ "$READY_CODE" == 503 ]] || fail "/readyz = $READY_CODE with an open circuit, want 503"
-echo "$READY_BODY" | grep -q '"breaker_open:base"' \
-    || fail "/readyz body does not list breaker_open:base: $READY_BODY"
-curl -fsS "$BASE/healthz" >/dev/null || fail "/healthz failed during breaker-open (liveness must hold)"
-METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -q '^redhip_serve_breaker_trips_total [1-9]' || fail "breaker_trips_total not incremented"
-echo "$METRICS" | grep -q '^redhip_serve_shed_breaker_total [1-9]' || fail "shed_breaker_total not incremented"
-echo "chaos-smoke: drill 2 OK (breaker open: 503 + Retry-After, readyz 503 breaker_open:base, healthz 200)"
+echo "chaos-smoke: drill — one injected run fault fails one job, the resubmission runs"
+start_server -fault 'experiment.run:times=1,err=chaos drill'
+SPEC='{"workloads":["mcf"],"schemes":["base","redhip"],"geometry":"smoke","refs_per_core":2000}'
+probes_ok "before the drill"
+submit "$SPEC"
+[[ "$SUBMIT_CODE" == 202 ]] || fail "submit = $SUBMIT_CODE: $SUBMIT_BODY"
+FIRST=$(job_id)
+[[ -n "$FIRST" ]] || fail "no job id: $SUBMIT_BODY"
+wait_state "$FIRST" failed
+TERMINALS=$(curl -fsS --max-time 10 "$BASE/v1/jobs/$FIRST/events" \
+    | grep -cE '^event: (done|failed|cancelled)$' || true)
+[[ "$TERMINALS" == 1 ]] || fail "failed job has $TERMINALS terminal SSE events, want 1"
+probes_ok "after the failed job"
+
+submit "$SPEC"
+[[ "$SUBMIT_CODE" == 202 ]] || fail "resubmit = $SUBMIT_CODE: $SUBMIT_BODY"
+echo "$SUBMIT_BODY" | grep -q '"deduped": *false' || fail "resubmission deduped onto the failed job: $SUBMIT_BODY"
+SECOND=$(job_id)
+[[ "$SECOND" != "$FIRST" ]] || fail "resubmission reused job $FIRST"
+wait_state "$SECOND" done
+probes_ok "after the resubmission"
+echo "chaos-smoke: drill OK ($FIRST failed with one terminal event, $SECOND done, probes 200 throughout)"
 stop_server
 
 echo "chaos-smoke: OK"
