@@ -39,9 +39,9 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Name() == "main" {
-		// Registry keys match import-path tails, and a command or
-		// example directory (examples/prefetch) may share a tail with a
-		// library package; main packages never host snapshot types.
+		// Registry keys match import-path tails, and a command
+		// directory may share a tail with a library package; main
+		// packages never host snapshot types.
 		return nil
 	}
 	codecs, ok := analysis.SnapshotTypes[analysis.PathTail(pass.Pkg.Path())]
