@@ -24,8 +24,8 @@ func (e *shedError) Error() string {
 }
 
 // loadShedder is byte-budget admission control: each admitted job
-// reserves its estimated worst-case trace footprint (workloads ×
-// cores × refs × tracestore.RecordBytes) and releases it exactly once
+// reserves its estimated worst-case trace footprint (the sum of
+// tracestore.Footprint over its workloads) and releases it exactly once
 // on its terminal transition. A submission that would push the
 // aggregate reservation past the budget is shed at the door instead
 // of being admitted into an OOM.

@@ -171,10 +171,12 @@ func (s Spec) configForScheme(scheme string) (sim.Config, error) {
 func (s Spec) runs() int { return len(s.Workloads) * len(s.Schemes) }
 
 // estimateTraceBytes is the job's worst-case resident trace footprint:
-// every workload's per-core streams materialised at once. Schemes
-// share a workload's trace (the tracestore's whole point), so the
-// scheme count does not multiply the estimate. The spec must be
-// normalised; the byte-budget load shedder reserves this at admission.
+// every workload's entry resident at once, each charged exactly what
+// the trace store will charge for it (tracestore.Footprint: one copy
+// of each distinct stream). Schemes share a workload's trace (the
+// tracestore's whole point), so the scheme count does not multiply the
+// estimate. The spec must be normalised; the byte-budget load shedder
+// reserves this at admission.
 func (s Spec) estimateTraceBytes() uint64 {
 	cfg, err := sim.Preset(s.Geometry)
 	if err != nil {
@@ -186,8 +188,21 @@ func (s Spec) estimateTraceBytes() uint64 {
 	if s.Cores > 0 {
 		cfg.Cores = s.Cores
 	}
-	refs := cfg.RefsPerCore + s.WarmupRefsPerCore
-	return uint64(len(s.Workloads)) * uint64(cfg.Cores) * refs * tracestore.RecordBytes
+	var total uint64
+	for _, w := range s.Workloads {
+		b, err := tracestore.Footprint(tracestore.Key{
+			Workload:    w,
+			Cores:       cfg.Cores,
+			Scale:       cfg.WorkloadScale,
+			Seed:        s.Seed,
+			RefsPerCore: s.WarmupRefsPerCore + cfg.RefsPerCore,
+		})
+		if err != nil {
+			return 0 // unreachable: normalize admits known workloads only
+		}
+		total += b
+	}
+	return total
 }
 
 // key returns the dedup key: a short hex SHA-256 of the canonical JSON

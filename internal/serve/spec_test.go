@@ -2,6 +2,8 @@ package serve
 
 import (
 	"testing"
+
+	"redhip/internal/tracestore"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
@@ -106,5 +108,38 @@ func TestSpecInvalid(t *testing.T) {
 		if _, err := spec.normalize(); err == nil {
 			t.Errorf("%s: normalize accepted %+v", name, spec)
 		}
+	}
+}
+
+// Admission must reserve what the trace store will charge: the
+// estimate equals the summed Bytes of the entries the job's runs fill,
+// whether a workload has one stream for every core (mcf) or one per
+// core (pmf).
+func TestEstimateTraceBytesMatchesStore(t *testing.T) {
+	n, err := Spec{Workloads: []string{"mcf", "pmf"}, Geometry: "smoke", Cores: 4, RefsPerCore: 300, WarmupRefsPerCore: 200, Seed: 5}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := n.configForScheme(n.Schemes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := tracestore.New(0)
+	var want uint64
+	for _, w := range n.Workloads {
+		mat, err := store.Get(tracestore.Key{
+			Workload:    w,
+			Cores:       cfg.Cores,
+			Scale:       cfg.WorkloadScale,
+			Seed:        n.Seed,
+			RefsPerCore: cfg.WarmupRefsPerCore + cfg.RefsPerCore,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += mat.Bytes()
+	}
+	if got := n.estimateTraceBytes(); got != want {
+		t.Fatalf("estimateTraceBytes = %d, the store charges %d", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"redhip/internal/cache"
@@ -11,6 +12,7 @@ import (
 	"redhip/internal/memaddr"
 	"redhip/internal/predictor"
 	"redhip/internal/prefetch"
+	"redhip/internal/redhipassert"
 	"redhip/internal/trace"
 	"redhip/internal/workload"
 )
@@ -77,8 +79,11 @@ type engine struct {
 	// few thousand references, not once per reference. Each core reads
 	// its own cursor: a trace replay hands out zero-copy views of its
 	// backing records; any other source bulk-generates into buf[c].
+	// A replay's window holds its stream's stored records; off[c] is
+	// the core's address offset, added to every record it consumes.
 	win    [][]trace.Record        //redhip:transient current per-core record windows, per-run scratch
 	pos    []int                   //redhip:transient consumption cursor within win[c], per-run scratch
+	off    []memaddr.Addr          //redhip:transient per-core replay address offsets, attached by the driver per run
 	replay []*workload.TraceSource //redhip:transient per-core replay cursors, attached by the driver per run
 	batch  []workload.BatchSource  //redhip:transient per-core non-replay sources, attached by the driver per run
 	buf    [][]trace.Record        //redhip:transient generation buffers for batch sources, per-run scratch
@@ -223,6 +228,7 @@ func (e *engine) build() error {
 	e.remaining = perCore[uint64](cfg.Cores)
 	e.win = perCore[[]trace.Record](cfg.Cores)
 	e.pos = perCore[int](cfg.Cores)
+	e.off = perCore[memaddr.Addr](cfg.Cores)
 
 	e.adaptOn = true
 	if cfg.EnablePrefetch {
@@ -268,7 +274,10 @@ func (e *engine) reseat() {
 		if e.remaining[c] == 0 {
 			clk = math.Inf(1)
 		}
-		e.sched.key[c] = clk
+		if redhipassert.Enabled {
+			redhipassert.Check(math.Float64bits(clk) <= infKey, "sim: core clock negative or NaN")
+		}
+		e.sched.key[c] = math.Float64bits(clk)
 	}
 	e.sched.rebuild()
 	e.schedDirty = false
@@ -283,6 +292,9 @@ func (e *engine) reseat() {
 // replayed: log2(cores) compares. The loop performs no allocations:
 // the tree and remaining counters are built once per engine.
 //
+// Every reference probes its core's L1 here; only an L1 miss dispatches
+// on the inclusion policy to walk the levels below.
+//
 // It returns false when the Interrupt poll aborted the window (e.halt
 // holds why), and true once every core has run its window.
 //
@@ -293,11 +305,10 @@ func (e *engine) runWindow() bool {
 	incl := cfg.Inclusion
 	inf := math.Inf(1)
 	for {
-		w := e.sched.tree[0]
-		if w.key == inf {
+		if e.sched.tree[0].key == infKey {
 			return true
 		}
-		c := w.id
+		c := int(e.sched.tree[0].id)
 		if e.pos[c] == len(e.win[c]) && !e.refill(c) {
 			if e.halt != nil {
 				return false
@@ -314,22 +325,28 @@ func (e *engine) runWindow() bool {
 			e.epochTick()
 		}
 		e.clock[c] += float64(rec.Gap) * e.cpi[c]
-		block := rec.Addr.Block()
-		switch incl {
-		case Inclusive:
-			e.accessInclusive(c, block, rec)
-		case Hybrid:
-			e.accessHybrid(c, block, rec)
-		case Exclusive:
-			e.accessExclusive(c, block, rec)
-		}
-		// Recalibration stalled every core behind the tree's back, so
-		// rebuild it from the clocks and dispatch afresh. Replaying c's
-		// path after the rebuild would be wrong: c need no longer be the
-		// winner, and replaying a non-winner's path corrupts the tree.
-		if e.schedDirty {
-			e.reseat()
-			continue
+		addr := rec.Addr + e.off[c]
+		block := addr.Block()
+		e.chargeParallel(c, energy.L1)
+		if !e.l1[c].Lookup(block) {
+			e.onL1Miss()
+			switch incl {
+			case Inclusive:
+				e.missInclusive(c, block, rec.PC, addr)
+			case Hybrid:
+				e.missHybrid(c, block, rec.PC, addr)
+			case Exclusive:
+				e.missExclusive(c, block, rec.PC, addr)
+			}
+			// Recalibration (an L1 miss's doing) stalled every core
+			// behind the tree's back, so rebuild it from the clocks and
+			// dispatch afresh. Replaying c's path after the rebuild
+			// would be wrong: c need no longer be the winner, and
+			// replaying a non-winner's path corrupts the tree.
+			if e.schedDirty {
+				e.reseat()
+				continue
+			}
 		}
 		k := e.clock[c]
 		if e.remaining[c] == 0 {
@@ -391,28 +408,42 @@ func (e *engine) refill(c int) bool {
 
 // --- core scheduler -----------------------------------------------------------
 
+// infKey is the scheduler key of +Inf: a core with no work left.
+const infKey = 0x7ff0_0000_0000_0000
+
 // coreSched is the min-time core scheduler: a loser (tournament) tree
-// over per-core keys. key[c] is core c's clock while it has work left
-// and +Inf once it is done; the padding leaves up to the next power of
-// two hold +Inf for good. Leaf c is node len(key)+c; tree[i], for an
-// internal node i, holds the loser of the match played there, and
-// tree[0] the overall winner — the core a lowest-index-wins linear scan
-// would pick. Entries carry their core's key, so a replay compares
-// inside the tree and never chases a core id into key.
+// over per-core keys. key[c] is math.Float64bits of core c's clock
+// while it has work left and infKey once it is done; the padding
+// leaves up to the next power of two hold infKey for good. For the
+// engine's clocks — non-negative floats or +Inf — the bit patterns
+// order as the floats do, so the tree compares plain integers. Leaf c
+// is node len(key)+c; tree[i], for an internal node i, holds the loser
+// of the match played there, and tree[0] the overall winner — the core
+// a lowest-index-wins linear scan would pick. Entries carry their
+// core's key, so a replay compares inside the tree and never chases a
+// core id into key.
 type coreSched struct {
-	key  []float64
+	key  []uint64
 	tree []schedEnt
 }
 
-// schedEnt is one core's entry in the tree: its id and key.
+// schedEnt is one core's entry in the tree: its key and id.
 type schedEnt struct {
-	key float64
-	id  int
+	key uint64
+	id  uint64
+}
+
+// before reports, as 1 or 0, whether (ak, ai) orders before (bk, bi):
+// the borrow out of the 128-bit subtraction (ak:ai) − (bk:bi).
+func before(ak, ai, bk, bi uint64) uint64 {
+	_, b := bits.Sub64(ai, bi, 0)
+	_, b = bits.Sub64(ak, bk, b)
+	return b
 }
 
 // beats orders entries by (key, id), a total order.
 func (a schedEnt) beats(b schedEnt) bool {
-	return a.key < b.key || (a.key == b.key && a.id < b.id)
+	return before(a.key, a.id, b.key, b.id) == 1
 }
 
 func newCoreSched(cores int) coreSched {
@@ -420,9 +451,9 @@ func newCoreSched(cores int) coreSched {
 	for n < cores {
 		n <<= 1
 	}
-	s := coreSched{key: perCore[float64](n), tree: perCore[schedEnt](n)}
+	s := coreSched{key: perCore[uint64](n), tree: perCore[schedEnt](n)}
 	for c := range s.key {
-		s.key[c] = math.Inf(1)
+		s.key[c] = infKey
 	}
 	return s
 }
@@ -431,7 +462,7 @@ func newCoreSched(cores int) coreSched {
 // leaf's core, or the winner stored at an internal node during rebuild.
 func (s *coreSched) side(i int) schedEnt {
 	if n := len(s.key); i >= n {
-		return schedEnt{key: s.key[i-n], id: i - n}
+		return schedEnt{key: s.key[i-n], id: uint64(i - n)}
 	}
 	return s.tree[i]
 }
@@ -459,22 +490,29 @@ func (s *coreSched) rebuild() {
 	}
 }
 
-// replay sets core w's key to k and re-plays the matches on w's
+// replay sets core w's key to clock k and re-plays the matches on w's
 // leaf-to-root path. w must be the current winner: the losers on its
 // path are then the winners of every sibling subtree, so log2(len(key))
-// compares settle the new winner.
+// compares settle the new winner. Each match is branch-free: the
+// borrow of the (key, id) comparison becomes a mask that swaps the
+// stored loser with the climbing winner when the loser wins, since
+// which side wins is data-dependent and mispredicts often.
 //
 //redhip:hotpath
 func (s *coreSched) replay(w int, k float64) {
-	s.key[w] = k
+	key, id := math.Float64bits(k), uint64(w)
+	s.key[w] = key
 	tree := s.tree
-	we := schedEnt{key: k, id: w} //redhip:allow alloc -- stack value struct, never escapes
 	for i := (len(s.key) + w) >> 1; i > 0; i >>= 1 {
-		if l := tree[i]; l.beats(we) {
-			tree[i], we = we, l
-		}
+		l := &tree[i]
+		m := -before(l.key, l.id, key, id)
+		dk, di := (l.key^key)&m, (l.id^id)&m
+		l.key ^= dk
+		l.id ^= di
+		key ^= dk
+		id ^= di
 	}
-	tree[0] = we
+	tree[0].key, tree[0].id = key, id
 }
 
 // --- shared helpers -----------------------------------------------------------
@@ -645,13 +683,14 @@ func (e *engine) notePrefetched(block memaddr.Addr) {
 	e.prefetched[s] = uint64(block) + 1
 }
 
-// train feeds the prefetcher after a demand L1 miss and issues the
-// resulting prefetches asynchronously (no demand-path delay).
-func (e *engine) train(c int, rec *trace.Record) {
+// train feeds the prefetcher after a demand L1 miss at pc and the
+// core's (offset) addr, and issues the resulting prefetches
+// asynchronously (no demand-path delay).
+func (e *engine) train(c int, pc, addr memaddr.Addr) {
 	if e.pf == nil {
 		return
 	}
-	e.pfBuf = e.pf[c].Observe(rec.PC, rec.Addr, e.pfBuf[:0])
+	e.pfBuf = e.pf[c].Observe(pc, addr, e.pfBuf[:0])
 	for _, block := range e.pfBuf {
 		e.issuePrefetch(c, block)
 	}

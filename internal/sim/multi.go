@@ -342,8 +342,10 @@ func newMultiEngine(cfg Config, sources []workload.Source, interrupt func() erro
 }
 
 // attach sets the engine's per-core read cursors: trace replays (forked
-// when several engines share them) serve zero-copy windows, and any
-// other source bulk-generates into an engine-owned buffer.
+// when several engines share them) serve zero-copy windows of their
+// unshifted records, with the cursor's offset kept in off, and any
+// other source bulk-generates shifted records into an engine-owned
+// buffer.
 func (e *engine) attach(sources []workload.Source, fork bool) {
 	e.replay = make([]*workload.TraceSource, len(sources))
 	e.batch = make([]workload.BatchSource, len(sources))
@@ -353,7 +355,7 @@ func (e *engine) attach(sources []workload.Source, fork bool) {
 			if fork {
 				r = r.Fork()
 			}
-			e.replay[c] = r
+			e.replay[c], e.off[c] = r, r.Offset()
 			continue
 		}
 		e.batch[c] = workload.AsBatch(s)

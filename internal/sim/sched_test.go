@@ -32,7 +32,39 @@ func (m *schedModel) load(s *coreSched) {
 		if !m.live[c] {
 			clk = math.Inf(1)
 		}
-		s.key[c] = clk
+		s.key[c] = math.Float64bits(clk)
+	}
+}
+
+// TestSchedKeyOrder checks the tree's integer comparison against the
+// order it stands for: (Float64bits(clock), id) must order exactly as
+// (clock, id) over the clocks the engine produces — non-negative
+// floats and +Inf — with ties, adjacent floats and both extremes.
+func TestSchedKeyOrder(t *testing.T) {
+	clocks := []float64{0, math.SmallestNonzeroFloat64, 1, 2.5, 1e300, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40; i++ {
+		clocks = append(clocks, float64(rng.Intn(1000))*1.5, rng.Float64()*1e9)
+	}
+	for _, c := range append([]float64(nil), clocks...) {
+		if c > 0 && !math.IsInf(c, 1) {
+			clocks = append(clocks, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+		}
+	}
+	ids := []uint64{0, 1, 2, 7, 15}
+	for _, a := range clocks {
+		for _, b := range clocks {
+			for _, ai := range ids {
+				for _, bi := range ids {
+					want := a < b || (a == b && ai < bi)
+					x := schedEnt{key: math.Float64bits(a), id: ai}
+					y := schedEnt{key: math.Float64bits(b), id: bi}
+					if got := x.beats(y); got != want {
+						t.Fatalf("(%v, %d) beats (%v, %d) = %v, want %v", a, ai, b, bi, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -73,11 +105,11 @@ func FuzzCoreSched(f *testing.F) {
 		m.load(&s)
 		s.rebuild()
 		for i, b := range data[1:] {
-			w := s.tree[0].id
+			w, key := int(s.tree[0].id), math.Float64frombits(s.tree[0].key)
 			want := m.want()
 			if want < 0 {
-				if !math.IsInf(s.tree[0].key, 1) {
-					t.Fatalf("step %d: every core is done but winner %d has key %v", i, w, s.tree[0].key)
+				if !math.IsInf(key, 1) {
+					t.Fatalf("step %d: every core is done but winner %d has key %v", i, w, key)
 				}
 				for c := range m.live {
 					m.live[c] = true
@@ -86,9 +118,9 @@ func FuzzCoreSched(f *testing.F) {
 				s.rebuild()
 				continue
 			}
-			if w != want || s.tree[0].key != m.clock[want] {
+			if w != want || key != m.clock[want] {
 				t.Fatalf("step %d, %d cores: tree picks core %d (key %v), linear scan picks %d (clock %v)",
-					i, cores, w, s.tree[0].key, want, m.clock[want])
+					i, cores, w, key, want, m.clock[want])
 			}
 			switch b & 3 {
 			case 0, 1:

@@ -3,44 +3,40 @@ package sim
 import (
 	"redhip/internal/energy"
 	"redhip/internal/memaddr"
-	"redhip/internal/trace"
 )
 
 // --- inclusive hierarchy (the paper's main configuration) --------------------
 
-// accessInclusive walks the fully inclusive hierarchy: every level
-// contains all blocks of the levels above it, so "absent from L4" means
-// "absent everywhere" and a predicted-absent L1 miss goes straight to
-// memory (Section III).
+// missInclusive walks an L1 miss (probed and counted by runWindow)
+// down the fully inclusive hierarchy: every level contains all blocks
+// of the levels above it, so "absent from L4" means "absent
+// everywhere" and a predicted-absent L1 miss goes straight to memory
+// (Section III). pc and addr (offset for the core) train the
+// prefetcher.
 //
 //redhip:hotpath
-func (e *engine) accessInclusive(c int, block memaddr.Addr, rec *trace.Record) {
-	e.chargeParallel(c, energy.L1)
-	if e.l1[c].Lookup(block) {
-		return
-	}
-	e.onL1Miss()
+func (e *engine) missInclusive(c int, block, pc, addr memaddr.Addr) {
 	if e.consultLLC(c, block) {
 		e.fetchMemory(c)
 		e.fillL4Incl(block)
 		e.fillL3Incl(c, block)
 		e.fillL2Incl(c, block)
 		e.fillL1(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	e.chargeParallel(c, energy.L2)
 	if e.l2[c].Lookup(block) {
 		e.markUseful(block)
 		e.fillL1(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	if e.lookupSplit(c, energy.L3, e.l3[c], block) {
 		e.markUseful(block)
 		e.fillL2Incl(c, block)
 		e.fillL1(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	if e.lookupSplit(c, energy.L4, e.l4, block) {
@@ -48,7 +44,7 @@ func (e *engine) accessInclusive(c int, block memaddr.Addr, rec *trace.Record) {
 		e.fillL3Incl(c, block)
 		e.fillL2Incl(c, block)
 		e.fillL1(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	e.fetchMemory(c)
@@ -56,7 +52,7 @@ func (e *engine) accessInclusive(c int, block memaddr.Addr, rec *trace.Record) {
 	e.fillL3Incl(c, block)
 	e.fillL2Incl(c, block)
 	e.fillL1(c, block)
-	e.train(c, rec)
+	e.train(c, pc, addr)
 }
 
 // fillL1 inserts into L1. Under inclusion an L1 victim still lives in
@@ -121,23 +117,18 @@ func (e *engine) fillL4Incl(block memaddr.Addr) {
 
 // --- hybrid hierarchy (exclusive privates, inclusive shared LLC) --------------
 
-// accessHybrid walks the hybrid hierarchy of Section III-C: L1/L2/L3
-// hold disjoint blocks (victim-cache demotion among them) while the
-// shared L4 is inclusive of everything, so the LLC predictor stays
-// safe and "no changes are required for ReDHiP".
+// missHybrid walks an L1 miss down the hybrid hierarchy of Section
+// III-C: L1/L2/L3 hold disjoint blocks (victim-cache demotion among
+// them) while the shared L4 is inclusive of everything, so the LLC
+// predictor stays safe and "no changes are required for ReDHiP".
 //
 //redhip:hotpath
-func (e *engine) accessHybrid(c int, block memaddr.Addr, rec *trace.Record) {
-	e.chargeParallel(c, energy.L1)
-	if e.l1[c].Lookup(block) {
-		return
-	}
-	e.onL1Miss()
+func (e *engine) missHybrid(c int, block, pc, addr memaddr.Addr) {
 	if e.consultLLC(c, block) {
 		e.fetchMemory(c)
 		e.fillL4Incl(block)
 		e.fillL1Demote(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	e.chargeParallel(c, energy.L2)
@@ -145,26 +136,26 @@ func (e *engine) accessHybrid(c int, block memaddr.Addr, rec *trace.Record) {
 		e.markUseful(block)
 		e.l2[c].Invalidate(block) // promote: exclusive privates
 		e.fillL1Demote(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	if e.lookupSplit(c, energy.L3, e.l3[c], block) {
 		e.markUseful(block)
 		e.l3[c].Invalidate(block)
 		e.fillL1Demote(c, block)
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	if e.lookupSplit(c, energy.L4, e.l4, block) {
 		e.markUseful(block)
 		e.fillL1Demote(c, block) // L4 keeps the block: it is inclusive
-		e.train(c, rec)
+		e.train(c, pc, addr)
 		return
 	}
 	e.fetchMemory(c)
 	e.fillL4Incl(block)
 	e.fillL1Demote(c, block)
-	e.train(c, rec)
+	e.train(c, pc, addr)
 }
 
 // fillL1Demote inserts into L1 with the exclusive demotion chain: the
@@ -265,20 +256,15 @@ func (e *engine) scorePrediction(present, truth bool, block memaddr.Addr) {
 	}
 }
 
-// accessExclusive walks the fully exclusive hierarchy: every level
-// holds distinct blocks; a hit removes the block from its level and
-// promotes it to L1, demoting victims down the chain. Levels whose
-// table predicts absent are skipped, and "the request is sent to the
-// lowest level where it may exist rather than always restarting at the
-// L2 cache" (Section III-C).
+// missExclusive walks an L1 miss down the fully exclusive hierarchy:
+// every level holds distinct blocks; a hit removes the block from its
+// level and promotes it to L1, demoting victims down the chain. Levels
+// whose table predicts absent are skipped, and "the request is sent to
+// the lowest level where it may exist rather than always restarting at
+// the L2 cache" (Section III-C).
 //
 //redhip:hotpath
-func (e *engine) accessExclusive(c int, block memaddr.Addr, rec *trace.Record) {
-	e.chargeParallel(c, energy.L1)
-	if e.l1[c].Lookup(block) {
-		return
-	}
-	e.onL1Miss()
+func (e *engine) missExclusive(c int, block, pc, addr memaddr.Addr) {
 	p2, p3, p4 := e.predictExclusive(c, block)
 	if p2 {
 		e.chargeParallel(c, energy.L2)
@@ -286,7 +272,7 @@ func (e *engine) accessExclusive(c int, block memaddr.Addr, rec *trace.Record) {
 			e.markUseful(block)
 			e.l2[c].Invalidate(block)
 			e.fillL1Demote(c, block)
-			e.train(c, rec)
+			e.train(c, pc, addr)
 			return
 		}
 	}
@@ -295,7 +281,7 @@ func (e *engine) accessExclusive(c int, block memaddr.Addr, rec *trace.Record) {
 			e.markUseful(block)
 			e.l3[c].Invalidate(block)
 			e.fillL1Demote(c, block)
-			e.train(c, rec)
+			e.train(c, pc, addr)
 			return
 		}
 	}
@@ -304,13 +290,13 @@ func (e *engine) accessExclusive(c int, block memaddr.Addr, rec *trace.Record) {
 			e.markUseful(block)
 			e.l4.Invalidate(block) // exclusive: L4 gives the block up
 			e.fillL1Demote(c, block)
-			e.train(c, rec)
+			e.train(c, pc, addr)
 			return
 		}
 	}
 	e.fetchMemory(c)
 	e.fillL1Demote(c, block)
-	e.train(c, rec)
+	e.train(c, pc, addr)
 }
 
 // --- prefetch issue ---------------------------------------------------------------

@@ -9,9 +9,14 @@
 // decoded slice through workload.TraceSource's zero-copy Window path
 // costs a slice header per few thousand references, which is what
 // turns a five-scheme sweep's five generation passes into one. The
-// wire format remains the interchange representation
-// (Materialized.Trace feeds trace.Write); the store itself trades
-// memory for time and bounds the trade with a byte-budget LRU.
+// store trades memory for time and bounds the trade with a byte-budget
+// LRU.
+//
+// A multiprogrammed workload runs identical copies of one stream on
+// every core, each in its own address space (workload.Layout). The
+// store generates and keeps each distinct stream once and hands every
+// core a cursor that carries its address offset, so an 8-core SPEC
+// entry costs one stream's records, not eight.
 //
 // Invariants:
 //   - A Materialized stream is immutable after construction. Sources
@@ -20,8 +25,9 @@
 //     concurrently (the race test exercises exactly this).
 //   - Replay is bit-identical to live generation: the records are
 //     produced by the same workload.Source batch path the simulator
-//     would otherwise drive, so golden Result fingerprints are
-//     unchanged by routing a run through the store.
+//     would otherwise drive, and each cursor adds its core's offset
+//     exactly as the live offset source does, so golden Result
+//     fingerprints are unchanged by routing a run through the store.
 //   - Generation runs exactly once per key. Concurrent callers of Get
 //     for the same key block on the first caller's materialisation
 //     (single-flight) instead of generating duplicates.
@@ -65,37 +71,45 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/c%d/s%d/seed%d/%dref", k.Workload, k.Cores, k.Scale, k.Seed, k.RefsPerCore)
 }
 
-// Materialized is one generated stream: per core, the records plus the
-// name and CPI of the source that generated them (mix runs a different
-// benchmark on every core). It is immutable after construction.
+// Materialized is one generated workload: each distinct stream of its
+// layout once, plus the layout that places every core on a stream at
+// an address offset. It is immutable after construction.
 type Materialized struct {
-	cores []trace.Trace
-	size  uint64
+	layout  workload.Layout
+	streams []trace.Trace
+	size    uint64
 }
 
 // Sources returns fresh replay cursors over the shared records, one per
-// core. Each call returns independent cursors, so concurrent
-// simulations each call Sources and never share mutable state.
+// core, each carrying its core's address offset. Each call returns
+// independent cursors, so concurrent simulations each call Sources and
+// never share mutable state.
 func (m *Materialized) Sources() []workload.Source {
-	srcs := make([]workload.Source, len(m.cores))
-	for c := range m.cores {
-		srcs[c] = workload.FromTrace(&m.cores[c])
+	srcs := make([]workload.Source, len(m.layout.Cores))
+	for c, pl := range m.layout.Cores {
+		srcs[c] = workload.ReplayAt(&m.streams[pl.Stream], pl.Offset)
 	}
 	return srcs
 }
 
-// Bytes is the in-memory footprint charged against the store budget.
+// Bytes is the in-memory footprint charged against the store budget:
+// the distinct streams' records, the same figure Footprint predicts.
 func (m *Materialized) Bytes() uint64 { return m.size }
 
 // Refs returns the number of records materialised for one core.
-func (m *Materialized) Refs(core int) int { return len(m.cores[core].Records) }
+func (m *Materialized) Refs(core int) int {
+	return len(m.streams[m.layout.Cores[core].Stream].Records)
+}
 
-// Trace exports one core's records in the trace package's container,
-// sharing (not copying) the backing slice — the bridge to the wire
-// format for trace files. The caller must not mutate the records.
-func (m *Materialized) Trace(core int) *trace.Trace {
-	tr := m.cores[core]
-	return &tr
+// Footprint returns the bytes the store will charge for k's entry —
+// one copy of each distinct stream of k's layout — without generating
+// anything, so admission control can reserve exactly that.
+func Footprint(k Key) (uint64, error) {
+	l, err := workload.NewLayout(k.Workload, k.Cores, k.Scale, k.Seed)
+	if err != nil {
+		return 0, err
+	}
+	return uint64(len(l.Streams)) * k.RefsPerCore * RecordBytes, nil
 }
 
 // Stats is a point-in-time snapshot of store behaviour: the LRU's
@@ -223,19 +237,24 @@ func fill(k Key) (*Materialized, error) {
 	return materialize(k)
 }
 
-// materialize generates k's stream through the workload batch path —
-// one NextBatch call per core fills the whole slice, the same records
-// in the same order the simulator would pull live.
+// materialize generates each distinct stream of k's layout once
+// through the workload batch path — one NextBatch call fills the whole
+// slice, the same records in the same order a live source would
+// produce before its core's offset is added.
 func materialize(k Key) (*Materialized, error) {
-	srcs, err := workload.Sources(k.Workload, k.Cores, k.Scale, k.Seed)
+	l, err := workload.NewLayout(k.Workload, k.Cores, k.Scale, k.Seed)
 	if err != nil {
 		return nil, err
 	}
-	m := &Materialized{cores: make([]trace.Trace, len(srcs))}
-	for c, src := range srcs {
+	m := &Materialized{layout: l, streams: make([]trace.Trace, len(l.Streams))}
+	for i := range l.Streams {
+		src, err := l.Open(i)
+		if err != nil {
+			return nil, err
+		}
 		buf := make([]trace.Record, k.RefsPerCore)
 		n := workload.AsBatch(src).NextBatch(buf)
-		m.cores[c] = trace.Trace{Name: src.Name(), CPI: src.CPI(), Records: buf[:n:n]}
+		m.streams[i] = trace.Trace{Name: src.Name(), CPI: src.CPI(), Records: buf[:n:n]}
 		m.size += uint64(n) * RecordBytes
 	}
 	return m, nil

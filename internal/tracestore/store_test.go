@@ -13,42 +13,78 @@ func testKey(workloadName string, refs uint64) Key {
 	return Key{Workload: workloadName, Cores: 2, Scale: 64, Seed: 1, RefsPerCore: refs}
 }
 
-// Replay must be bit-identical to live generation: same workload
-// constructor, same seed, same records in the same order.
+// Replay must be bit-identical to live generation: every workload's
+// cursors reproduce the live per-core records (same constructor, same
+// seed, same order) through each read path — Next, NextBatch, and the
+// zero-copy Window plus Offset — while the entry charges only its
+// layout's distinct streams.
 func TestReplayMatchesLiveGeneration(t *testing.T) {
-	k := testKey("mcf", 5000)
-	st := New(0)
-	mat, err := st.Get(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := workload.Sources(k.Workload, k.Cores, k.Scale, k.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := mat.Sources()
-	if len(replay) != k.Cores {
-		t.Fatalf("Sources returned %d cursors, want %d", len(replay), k.Cores)
-	}
-	var want, got trace.Record
-	for c := 0; c < k.Cores; c++ {
-		if replay[c].Name() != live[c].Name() || replay[c].CPI() != live[c].CPI() {
-			t.Fatalf("core %d metadata mismatch: %s/%v vs %s/%v",
-				c, replay[c].Name(), replay[c].CPI(), live[c].Name(), live[c].CPI())
+	const refs, block = 1500, 333
+	for _, name := range append(workload.BenchmarkNames(), "computebound") {
+		for _, cores := range []int{1, 4, 8, 12} {
+			k := Key{Workload: name, Cores: cores, Scale: 64, Seed: 3, RefsPerCore: refs}
+			mat, err := New(0).Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := workload.NewLayout(name, cores, k.Scale, k.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			foot, err := Footprint(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := uint64(len(l.Streams)) * refs * RecordBytes; mat.Bytes() != want || foot != want {
+				t.Fatalf("%s: Bytes %d, Footprint %d, want %d (%d streams)", k, mat.Bytes(), foot, want, len(l.Streams))
+			}
+			live, err := workload.Sources(name, cores, k.Scale, k.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range live {
+				want := workload.Capture(live[c], refs).Records
+
+				next := mat.Sources()[c]
+				if next.Name() != live[c].Name() || next.CPI() != live[c].CPI() {
+					t.Fatalf("%s core %d: replay is %s/%v, live %s/%v", k, c, next.Name(), next.CPI(), live[c].Name(), live[c].CPI())
+				}
+				var got []trace.Record
+				for rec := (trace.Record{}); next.Next(&rec); {
+					got = append(got, rec)
+				}
+				sameRecords(t, k, c, "Next", got, want)
+
+				batch := mat.Sources()[c].(workload.BatchSource)
+				got = nil
+				buf := make([]trace.Record, block)
+				for n := batch.NextBatch(buf); n > 0; n = batch.NextBatch(buf) {
+					got = append(got, buf[:n]...)
+				}
+				sameRecords(t, k, c, "NextBatch", got, want)
+
+				win := mat.Sources()[c].(*workload.TraceSource)
+				got = nil
+				for w := win.Window(block); len(w) > 0; w = win.Window(block) {
+					for _, rec := range w {
+						rec.Addr += win.Offset()
+						got = append(got, rec)
+					}
+				}
+				sameRecords(t, k, c, "Window+Offset", got, want)
+			}
 		}
-		for i := uint64(0); i < k.RefsPerCore; i++ {
-			if !live[c].Next(&want) {
-				t.Fatalf("core %d: live source ended at %d", c, i)
-			}
-			if !replay[c].Next(&got) {
-				t.Fatalf("core %d: replay ended at %d, want %d records", c, i, k.RefsPerCore)
-			}
-			if got != want {
-				t.Fatalf("core %d record %d: replay %+v, live %+v", c, i, got, want)
-			}
-		}
-		if replay[c].Next(&got) {
-			t.Fatalf("core %d: replay produced more than %d records", c, k.RefsPerCore)
+	}
+}
+
+func sameRecords(t *testing.T, k Key, core int, path string, got, want []trace.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s core %d %s: %d records, want %d", k, core, path, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s core %d %s record %d: replay %+v, live %+v", k, core, path, i, got[i], want[i])
 		}
 	}
 }
@@ -104,10 +140,15 @@ func TestGetError(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	const refs = 1000
-	perEntry := uint64(testKeyCores(t)) * refs * RecordBytes
+	ka, kb, kc := testKey("mcf", refs), testKey("milc", refs), testKey("lbm", refs)
+	perEntry := entryBytes(t, ka)
+	for _, k := range []Key{kb, kc} {
+		if b := entryBytes(t, k); b != perEntry {
+			t.Fatalf("%s charges %d bytes, %s %d: the budget below assumes equal entries", k, b, ka, perEntry)
+		}
+	}
 	st := New(2 * perEntry) // room for exactly two entries
 
-	ka, kb, kc := testKey("mcf", refs), testKey("milc", refs), testKey("lbm", refs)
 	for _, k := range []Key{ka, kb} {
 		if _, err := st.Get(k); err != nil {
 			t.Fatal(err)
@@ -141,17 +182,22 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func testKeyCores(t *testing.T) int {
+// entryBytes returns what the store charges for k's entry, read from a
+// fresh store's materialisation.
+func entryBytes(t *testing.T, k Key) uint64 {
 	t.Helper()
-	return testKey("x", 0).Cores
+	mat, err := New(0).Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mat.Bytes()
 }
 
 // An entry larger than the whole budget is returned but never cached,
 // so it cannot wipe out every resident entry on its way through.
 func TestOversizeEntryNotRetained(t *testing.T) {
 	const refs = 1000
-	perEntry := uint64(testKeyCores(t)) * refs * RecordBytes
-	st := New(perEntry) // exactly one small entry fits
+	st := New(entryBytes(t, testKey("mcf", refs))) // exactly one small entry fits
 
 	if _, err := st.Get(testKey("mcf", refs)); err != nil {
 		t.Fatal(err)
@@ -176,31 +222,19 @@ func TestOversizeEntryNotRetained(t *testing.T) {
 	}
 }
 
-func TestTraceExportSharesRecords(t *testing.T) {
-	st := New(0)
-	mat, err := st.Get(testKey("mcf", 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := mat.Trace(1)
-	if tr.Name != "mcf" || len(tr.Records) != 500 {
-		t.Fatalf("Trace(1) = %q/%d records, want mcf/500", tr.Name, len(tr.Records))
-	}
-	if &tr.Records[0] != &mat.cores[1].Records[0] {
-		t.Fatal("Trace copied the records; it must share the backing slice")
-	}
-}
-
 // TestEvictionUnderConcurrentReplayRAM pins that records handed to a
 // running replay stay valid after their entry is evicted mid-replay.
 func TestEvictionUnderConcurrentReplayRAM(t *testing.T) {
 	const refs = 4000
-	s := New(2 * refs * RecordBytes) // one two-core stream fits
+	s := New(entryBytes(t, testKey("mcf", refs))) // one entry fits
 	mat, err := s.Get(testKey("mcf", refs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]trace.Record(nil), mat.cores[0].Records...)
+	want := make([]trace.Record, refs)
+	if n := mat.Sources()[0].(workload.BatchSource).NextBatch(want); n != refs {
+		t.Fatalf("replay holds %d records, want %d", n, refs)
+	}
 	srcs := mat.Sources()
 
 	// Replay halfway, then evict the entry while the cursors are live.

@@ -182,61 +182,101 @@ func BenchmarkNames() []string {
 // positives that do not exist on real hardware.
 const coreSpacing = 1<<36 + 1<<20 + 1<<14 + 3*64
 
-// Sources builds the per-core sources for a named workload:
+// Stream is one distinct reference stream of a workload: a profile
+// generated from a seed.
+type Stream struct {
+	Profile *Profile
+	Seed    uint64
+}
+
+// Placement puts one core on a stream, every address shifted by Offset.
+type Placement struct {
+	Stream int
+	Offset memaddr.Addr
+}
+
+// Layout describes a workload's per-core streams once: the distinct
+// streams, and for each core the stream it runs and the address offset
+// it runs it at.
 //
 //   - SPEC benchmarks are multiprogrammed (Section IV): every core runs
-//     an identical copy of the stream in a disjoint address space.
+//     one stream, each core's copy in its own address space
+//     (coreSpacing apart).
 //   - "pmf" and "blas" are parallel applications: the cores share one
 //     address space (the same graph/matrix) but follow decorrelated
-//     access orders, like the paper's 8 simultaneously-traced processes.
-//   - "mix" runs a different SPEC benchmark on every core.
-func Sources(name string, cores int, scale, seed uint64) ([]Source, error) {
+//     access orders, like the paper's 8 simultaneously-traced processes,
+//     so every core has its own stream at offset 0.
+//   - "mix" runs a different SPEC benchmark on every core, in disjoint
+//     address spaces; beyond eight cores the benchmarks repeat, and so
+//     do their streams.
+//
+// Sources builds live generators from the layout; the trace store
+// generates each distinct stream once and replays it on every core
+// placed on it.
+type Layout struct {
+	Scale   uint64
+	Streams []Stream
+	Cores   []Placement
+}
+
+// NewLayout returns the layout of a named workload on cores cores.
+func NewLayout(name string, cores int, scale, seed uint64) (Layout, error) {
 	if cores <= 0 {
-		return nil, fmt.Errorf("workload: cores must be positive, got %d", cores)
+		return Layout{}, fmt.Errorf("workload: cores must be positive, got %d", cores)
+	}
+	l := Layout{Scale: scale, Cores: make([]Placement, cores)}
+	for i := range l.Cores {
+		p, s, off := profiles[name], seed, memaddr.Addr(uint64(i)*coreSpacing)
+		switch name {
+		case "mix":
+			p = profiles[SPECNames[i%len(SPECNames)]]
+		case "pmf", "blas":
+			s, off = seed+uint64(i)*0x9e37, 0
+		case "computebound":
+			// Not part of the paper's evaluated suite (such codes were
+			// deliberately omitted); used by the adaptive-disable ablation.
+			p = ComputeBound()
+		}
+		if p == nil {
+			return Layout{}, fmt.Errorf("workload: unknown benchmark %q", name)
+		}
+		l.Cores[i] = Placement{Stream: l.stream(p, s), Offset: off}
+	}
+	return l, nil
+}
+
+// stream returns the index of the (profile, seed) stream, adding it on
+// first use. Profiles compare by name: ComputeBound builds a fresh
+// *Profile on every call.
+func (l *Layout) stream(p *Profile, seed uint64) int {
+	for i, s := range l.Streams {
+		if s.Profile.Name == p.Name && s.Seed == seed {
+			return i
+		}
+	}
+	l.Streams = append(l.Streams, Stream{Profile: p, Seed: seed})
+	return len(l.Streams) - 1
+}
+
+// Open returns a fresh generator for stream i, unshifted.
+func (l Layout) Open(i int) (Source, error) {
+	return New(l.Streams[i].Profile, l.Scale, l.Streams[i].Seed)
+}
+
+// Sources builds the per-core live sources for a named workload: one
+// generator per core, shifted by its placement's offset (see Layout).
+func Sources(name string, cores int, scale, seed uint64) ([]Source, error) {
+	l, err := NewLayout(name, cores, scale, seed)
+	if err != nil {
+		return nil, err
 	}
 	srcs := make([]Source, cores)
-	switch name {
-	case "mix":
-		for i := 0; i < cores; i++ {
-			p := profiles[SPECNames[i%len(SPECNames)]]
-			s, err := newOffset(p, scale, seed, memaddr.Addr(uint64(i)*coreSpacing))
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = s
-		}
-	case "pmf", "blas":
-		p := profiles[name]
-		for i := 0; i < cores; i++ {
-			s, err := newOffset(p, scale, seed+uint64(i)*0x9e37, 0)
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = s
-		}
-	case "computebound":
-		// Not part of the paper's evaluated suite (such codes were
-		// deliberately omitted); used by the adaptive-disable ablation.
-		p := ComputeBound()
-		for i := 0; i < cores; i++ {
-			s, err := newOffset(p, scale, seed, memaddr.Addr(uint64(i)*coreSpacing))
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = s
-		}
-	default:
-		p, err := ProfileByName(name)
+	for c, pl := range l.Cores {
+		s, err := l.Open(pl.Stream)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < cores; i++ {
-			s, err := newOffset(p, scale, seed, memaddr.Addr(uint64(i)*coreSpacing))
-			if err != nil {
-				return nil, err
-			}
-			srcs[i] = s
-		}
+		srcs[c] = shift(s, pl.Offset)
 	}
 	return srcs, nil
 }

@@ -287,18 +287,14 @@ func (s *mixSource) NextBatch(buf []trace.Record) int {
 	return len(buf)
 }
 
-// newOffset builds a Source whose entire address stream is shifted by a
-// constant, placing multiprogrammed copies of the same benchmark in
-// disjoint address spaces.
-func newOffset(p *Profile, scale, seed uint64, offset memaddr.Addr) (Source, error) {
-	s, err := New(p, scale, seed)
-	if err != nil {
-		return nil, err
-	}
+// shift returns s with its entire address stream moved by a constant,
+// placing multiprogrammed copies of the same benchmark in disjoint
+// address spaces.
+func shift(s Source, offset memaddr.Addr) Source {
 	if offset == 0 {
-		return s, nil
+		return s
 	}
-	return &offsetSource{Source: s, batch: AsBatch(s), offset: offset}, nil
+	return &offsetSource{Source: s, batch: AsBatch(s), offset: offset}
 }
 
 type offsetSource struct {
@@ -353,17 +349,29 @@ func Capture(src Source, n int) *trace.Trace {
 // any number of TraceSources may replay the same backing slice
 // concurrently, each with its own cursor, which is what lets a scheme
 // sweep fan out across worker goroutines over one materialised stream.
+//
+// A replay may carry an address offset, so the cores of a
+// multiprogrammed workload replay one stored stream, each in its own
+// address space: Next and NextBatch return shifted records, while the
+// zero-copy Window returns the shared records as stored and leaves the
+// shift (Offset) to its caller.
 type TraceSource struct {
 	name string
 	cpi  float64
 	recs []trace.Record
 	pos  int
+	off  memaddr.Addr
 }
 
 // FromTrace wraps tr as a Source, sharing tr.Records. The caller
 // promises not to mutate the records afterwards.
 func FromTrace(tr *trace.Trace) *TraceSource {
-	return &TraceSource{name: tr.Name, cpi: tr.CPI, recs: tr.Records}
+	return ReplayAt(tr, 0)
+}
+
+// ReplayAt is FromTrace with every replayed address shifted by off.
+func ReplayAt(tr *trace.Trace, off memaddr.Addr) *TraceSource {
+	return &TraceSource{name: tr.Name, cpi: tr.CPI, recs: tr.Records, off: off}
 }
 
 // Name implements Source.
@@ -372,25 +380,37 @@ func (t *TraceSource) Name() string { return t.name }
 // CPI implements Source.
 func (t *TraceSource) CPI() float64 { return t.cpi }
 
+// Offset is the address shift Next and NextBatch apply and Window
+// leaves to its caller.
+func (t *TraceSource) Offset() memaddr.Addr { return t.off }
+
 // Next implements Source; it returns false when the trace is exhausted.
 func (t *TraceSource) Next(rec *trace.Record) bool {
 	if t.pos >= len(t.recs) {
 		return false
 	}
 	*rec = t.recs[t.pos]
+	rec.Addr += t.off
 	t.pos++
 	return true
 }
 
-// NextBatch implements BatchSource: one bulk copy per refill.
+// NextBatch implements BatchSource: one bulk copy per refill, then the
+// shift.
 func (t *TraceSource) NextBatch(buf []trace.Record) int {
 	n := copy(buf, t.recs[t.pos:])
 	t.pos += n
+	if t.off != 0 {
+		for i := range buf[:n] {
+			buf[i].Addr += t.off
+		}
+	}
 	return n
 }
 
 // Window returns up to max records starting at the cursor as a direct,
 // read-only view of the backing slice, advancing the cursor past them.
+// The records are unshifted: the caller adds Offset to each address.
 // It returns an empty slice when the trace is exhausted. The simulator
 // prefers this zero-copy path over NextBatch for trace replays.
 func (t *TraceSource) Window(max int) []trace.Record {

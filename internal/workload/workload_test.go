@@ -381,6 +381,47 @@ func TestSourcesMixDistinct(t *testing.T) {
 	}
 }
 
+// The layout names each distinct stream once: one per SPEC benchmark,
+// one per core for the parallel applications, and mix's eight SPEC
+// streams repeating beyond eight cores.
+func TestLayoutStreams(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cores   int
+		streams int
+		spaced  bool // core c at c*coreSpacing, else every core at 0
+	}{
+		{"mcf", 8, 1, true},
+		{"computebound", 4, 1, true},
+		{"pmf", 8, 8, false},
+		{"blas", 3, 3, false},
+		{"mix", 4, 4, true},
+		{"mix", 12, 8, true},
+	} {
+		l, err := NewLayout(tc.name, tc.cores, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Streams) != tc.streams || len(l.Cores) != tc.cores {
+			t.Fatalf("%s at %d cores: %d streams over %d cores, want %d over %d",
+				tc.name, tc.cores, len(l.Streams), len(l.Cores), tc.streams, tc.cores)
+		}
+		for c, pl := range l.Cores {
+			want := memaddr.Addr(0)
+			if tc.spaced {
+				want = memaddr.Addr(uint64(c) * coreSpacing)
+			}
+			if pl.Offset != want || pl.Stream != c%tc.streams {
+				t.Fatalf("%s core %d placed on stream %d at %v, want %d at %v",
+					tc.name, c, pl.Stream, pl.Offset, c%tc.streams, want)
+			}
+		}
+	}
+	if _, err := NewLayout("nonesuch", 2, 16, 1); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}
+
 func TestSourcesErrors(t *testing.T) {
 	if _, err := Sources("nonesuch", 8, 16, 1); err == nil {
 		t.Fatal("unknown workload accepted")
