@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -107,6 +108,15 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Bind before serve.New: in cluster mode it starts registering at
+	// once, and the router probes a new replica as soon as it registers,
+	// so the advertised address must already accept connections.
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "redhip-serve:", err)
+		os.Exit(1)
+	}
+
 	srv, err := serve.New(serve.Options{
 		Workers:            *workers,
 		QueueDepth:         *queueDepth,
@@ -128,7 +138,6 @@ func main() {
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -136,7 +145,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("redhip-serve: listening on %s", *addr)
-		errc <- httpSrv.ListenAndServe()
+		errc <- httpSrv.Serve(l)
 	}()
 
 	sigc := make(chan os.Signal, 1)
