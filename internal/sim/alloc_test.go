@@ -32,6 +32,7 @@ func skipUnderAsserts(t *testing.T) {
 func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource) {
 	t.Helper()
 	e := newSoloEngine(t, cfg, srcs)
+	e.quota = unsliced
 	if n := testing.AllocsPerRun(3, func() {
 		e.beginWindow(cfg.RefsPerCore)
 		e.runWindow()

@@ -100,11 +100,14 @@ type engine struct {
 	// Driver wiring: interrupt is MultiOptions.Interrupt, polled once
 	// per refill; halt holds the error that aborted the run; runErr and
 	// the wall-time counters carry the outcome back to the RunMulti
-	// driver.
+	// driver. phase is where run resumes; quota counts the refills the
+	// current slice may still make.
 	interrupt func() error //redhip:transient driver wiring, re-attached per run
 	halt      error        //redhip:transient driver wiring, re-attached per run
 	runErr    error        //redhip:transient driver wiring, re-attached per run
-	simNanos  int64        //redhip:transient wall-time accounting, not simulated state
+	phase     runPhase     //redhip:transient driver progress, not simulated state
+	quota     int          //redhip:transient driver slice budget, not simulated state
+	runNanos  int64        //redhip:transient wall-time accounting, not simulated state
 	genNanos  int64        //redhip:transient wall-time accounting, not simulated state
 	// snapSink, when non-nil, fires exactly once at the warmup/measure
 	// boundary (after resetMeasurement, before the measure window) so
@@ -295,8 +298,9 @@ func (e *engine) reseat() {
 // Every reference probes its core's L1 here; only an L1 miss dispatches
 // on the inclusion policy to walk the levels below.
 //
-// It returns false when the Interrupt poll aborted the window (e.halt
-// holds why), and true once every core has run its window.
+// It returns true once every core has run its window, and false when
+// it stopped early: at a refill point with the slice's quota used up,
+// or because the Interrupt poll aborted the window (e.halt holds why).
 //
 //redhip:hotpath
 func (e *engine) runWindow() bool {
@@ -309,13 +313,21 @@ func (e *engine) runWindow() bool {
 			return true
 		}
 		c := int(e.sched.tree[0].id)
-		if e.pos[c] == len(e.win[c]) && !e.refill(c) {
-			if e.halt != nil {
+		if e.pos[c] == len(e.win[c]) {
+			// A yield leaves c at the root, so the next slice re-reads
+			// tree[0] and makes this very refill.
+			if e.quota == 0 {
 				return false
 			}
-			e.remaining[c] = 0
-			e.sched.replay(c, inf)
-			continue
+			e.quota--
+			if !e.refill(c) {
+				if e.halt != nil {
+					return false
+				}
+				e.remaining[c] = 0
+				e.sched.replay(c, inf)
+				continue
+			}
 		}
 		rec := &e.win[c][e.pos[c]]
 		e.pos[c]++
@@ -356,30 +368,58 @@ func (e *engine) runWindow() bool {
 	}
 }
 
-// run drives the engine through its windows: warmup, the boundary
-// (resetMeasurement, then the snapshot sink), the measure window and
-// collect. A conservativeness violation is recorded in runErr; an
-// aborting Interrupt poll leaves the engine with halt set.
-func (e *engine) run() {
-	if e.cfg.WarmupRefsPerCore > 0 {
-		e.beginWindow(e.cfg.WarmupRefsPerCore)
+// runPhase is where a resumable run picks up: before its first
+// window, inside the warmup window, or inside the measure window.
+type runPhase uint8
+
+const (
+	phaseStart runPhase = iota
+	phaseWarmup
+	phaseMeasure
+)
+
+// unsliced is the quota of a run that goes to completion in one call.
+const unsliced = math.MaxInt
+
+// run drives the engine through its windows — warmup, the boundary
+// (resetMeasurement, then the snapshot sink), the measure window, then
+// the false-negative check and collect — for at most quota refills,
+// and reports whether the engine has finished. An unfinished engine
+// stopped at a refill point; the next call resumes there. A
+// conservativeness violation is recorded in runErr; an aborting
+// Interrupt poll leaves the engine with halt set. Both count as
+// finished.
+func (e *engine) run(quota int) bool {
+	e.quota = quota
+	if e.phase == phaseStart {
+		e.phase = phaseMeasure
+		if e.cfg.WarmupRefsPerCore > 0 {
+			e.phase = phaseWarmup
+			e.beginWindow(e.cfg.WarmupRefsPerCore)
+		} else {
+			e.beginWindow(e.cfg.RefsPerCore)
+		}
+	}
+	if e.phase == phaseWarmup {
 		if !e.runWindow() {
-			return
+			return e.halt != nil
 		}
 		e.resetMeasurement()
 		if e.snapSink != nil {
 			e.snapSink()
 		}
+		e.phase = phaseMeasure
+		e.beginWindow(e.cfg.RefsPerCore)
 	}
-	e.beginWindow(e.cfg.RefsPerCore)
 	if !e.runWindow() {
-		return
+		return e.halt != nil
 	}
 	if e.fnSeen {
 		e.runErr = fmt.Errorf("sim: %s predictor produced a false negative for block %v — conservativeness violated", e.cfg.Scheme, e.fnBlock)
-		return
+		return true
 	}
 	e.collect()
+	return true
 }
 
 // refill replaces core c's record window with its source's next block:

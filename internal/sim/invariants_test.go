@@ -21,7 +21,7 @@ func runWhiteBox(t *testing.T, cfg Config, wl string, seed uint64) *engine {
 		t.Fatal(err)
 	}
 	e := newSoloEngine(t, cfg, srcs)
-	e.run()
+	e.run(unsliced)
 	if e.runErr != nil {
 		t.Fatal(e.runErr)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"redhip/internal/simstate"
@@ -19,7 +20,11 @@ import (
 type MultiOptions struct {
 	// Parallelism bounds the worker goroutines that run per-scheme
 	// engines (0 = GOMAXPROCS). It is clamped to the number of engines
-	// built, since each engine runs to completion on one worker.
+	// built. With one worker, or a worker per engine, each engine runs
+	// to completion on one worker; with more engines than workers, the
+	// workers take the engines in turns of a few dozen thousand
+	// references each, so every worker stays busy until the last
+	// engine finishes.
 	Parallelism int
 	// Interrupt, when non-nil, is polled by every engine once per
 	// refill block (batchRefs references of one core); a non-nil error
@@ -63,10 +68,10 @@ func Run(cfg Config, sources []workload.Source) (*Result, error) {
 // RunMulti simulates one trace pass under every requested scheme: one
 // engine per scheme (hierarchy state, predictor state, energy
 // accounting), each reading its own cursor over the same per-core
-// reference streams, run to completion on a fixed worker pool. Results
-// are returned in schemes order and are bit-identical to len(schemes)
-// independent Run calls over equivalent sources — the schemes share
-// trace records, never hierarchy state.
+// reference streams, run on a fixed worker pool. Results are returned
+// in schemes order and are bit-identical to len(schemes) independent
+// Run calls over equivalent sources — the schemes share trace
+// records, never hierarchy state.
 //
 // On error the returned slice still holds results for the schemes that
 // completed; failed slots are nil and the error joins the per-scheme
@@ -82,101 +87,20 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 	start := time.Now() //redhip:allow wallclock -- Perf wall-time reporting, not simulated time
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	if len(schemes) == 0 {
-		return nil, fmt.Errorf("sim: RunMulti needs at least one scheme")
-	}
-	// The shared checks (geometry, energy, windows) gate the whole pass;
-	// newMultiEngine repeats them per slot with the slot's scheme, so one
-	// invalid scheme/policy combination fails only its own slot.
-	shared := cfg.WithScheme(Base)
-	if err := shared.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sources) != cfg.Cores {
-		return nil, fmt.Errorf("sim: %d sources for %d cores", len(sources), cfg.Cores)
-	}
-
-	// Restored mode: decode and cross-check the per-scheme warm blobs,
-	// re-seat the shared sources at the warmup/measure boundary, and
-	// strip the warmup window from the pass.
-	snaps, err := decodeMultiSnapshots(&cfg, schemes, sources, &opt)
+	engines, errs, built, err := buildPass(cfg, schemes, sources, &opt)
 	if err != nil {
 		return nil, err
 	}
-	runCfg := cfg
-	if snaps != nil {
-		runCfg.WarmupRefsPerCore = 0
-	}
-
-	engines := make([]*engine, len(schemes))
-	errs := make([]error, len(schemes))
-	built := 0
-	for i, sc := range schemes {
-		e, err := newMultiEngine(runCfg.WithScheme(sc), sources, opt.Interrupt)
-		if err != nil {
-			// One invalid combination (e.g. CBF under Exclusive) fails
-			// its own slot, like the independent per-scheme runs did.
-			errs[i] = err
-			continue
-		}
-		if snaps != nil {
-			t0 := time.Now() //redhip:allow wallclock -- Perf restore-time attribution only
-			if rerr := e.restoreSnapshot(snaps[i]); rerr != nil {
-				errs[i] = fmt.Errorf("%w: %v", ErrSnapshot, rerr)
-				continue
-			}
-			e.restoreNanos = time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
-		}
-		engines[i] = e
-		built++
-	}
-	armSnapshotCapture(&cfg, schemes, engines, sources, snaps == nil, &opt)
-
-	// A lone engine reads the caller's sources directly, so a solo run
-	// streams live generators at bounded memory. Wider passes give each
-	// engine forked cursors over one replay per core, materialising
-	// live sources once first.
-	feed := sources
-	if built > 1 {
-		feed = replayFeed(sources, runCfg.WarmupRefsPerCore+runCfg.RefsPerCore)
-	}
-	for _, e := range engines {
-		if e != nil {
-			e.attach(feed, built > 1)
-		}
+	out := make([]*Result, len(schemes))
+	if built == 0 {
+		return out, errors.Join(errs...)
 	}
 
 	workers := opt.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if built > 0 && workers > built {
-		workers = built
-	}
-
-	// Engines share nothing mutable, so each runs to completion on
-	// whichever worker takes it; done.Wait publishes their results.
-	work := make(chan *engine)
-	var done sync.WaitGroup
-	done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer done.Done()
-			for e := range work {
-				t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
-				e.run()
-				//redhip:phase-exclusive each engine is handed to exactly one worker; done.Wait publishes the write
-				e.simNanos = time.Since(t0).Nanoseconds() - e.genNanos //redhip:allow wallclock -- Perf simulate-time attribution only
-			}
-		}()
-	}
-	for _, e := range engines {
-		if e != nil {
-			work <- e
-		}
-	}
-	close(work)
-	done.Wait()
+	drive(engines, built, min(workers, built))
 	for _, e := range engines {
 		if e != nil && e.halt != nil {
 			return nil, e.halt
@@ -190,11 +114,7 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 	// each from its own engine's independently accumulated state, so
 	// the worker count cannot reorder anything. The process-wide
 	// allocation counters are split evenly across the pass.
-	out := make([]*Result, len(schemes))
 	n := uint64(built)
-	if n == 0 {
-		return out, errors.Join(errs...)
-	}
 	allocShare := (memAfter.TotalAlloc - memBefore.TotalAlloc) / n
 	mallocShare := (memAfter.Mallocs - memBefore.Mallocs) / n
 	failed := false
@@ -209,9 +129,9 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 			continue
 		}
 		e.res.Perf = PerfStats{
-			WallNanos:     e.simNanos + e.genNanos + e.restoreNanos,
+			WallNanos:     e.runNanos + e.restoreNanos,
 			GenerateNanos: e.genNanos,
-			SimulateNanos: e.simNanos,
+			SimulateNanos: e.runNanos - e.genNanos,
 			RestoreNanos:  e.restoreNanos,
 			AllocBytes:    allocShare,
 			Mallocs:       mallocShare,
@@ -232,6 +152,125 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		return out, errors.Join(errs...)
 	}
 	return out, nil
+}
+
+// buildPass validates a pass and builds its engines: one per scheme,
+// restored from its snapshot when opt.Snapshots is set, armed for
+// snapshot capture when opt.SnapshotSink is, and attached to the
+// pass's cursors. A slot that fails to build leaves a nil engine and
+// its error in errs; err fails the whole pass.
+func buildPass(cfg Config, schemes []Scheme, sources []workload.Source, opt *MultiOptions) (engines []*engine, errs []error, built int, err error) {
+	if len(schemes) == 0 {
+		return nil, nil, 0, fmt.Errorf("sim: RunMulti needs at least one scheme")
+	}
+	// The shared checks (geometry, energy, windows) gate the whole pass;
+	// newMultiEngine repeats them per slot with the slot's scheme, so one
+	// invalid scheme/policy combination fails only its own slot.
+	shared := cfg.WithScheme(Base)
+	if err := shared.Validate(); err != nil {
+		return nil, nil, 0, err
+	}
+	if len(sources) != cfg.Cores {
+		return nil, nil, 0, fmt.Errorf("sim: %d sources for %d cores", len(sources), cfg.Cores)
+	}
+
+	// Restored mode: decode and cross-check the per-scheme warm blobs,
+	// re-seat the shared sources at the warmup/measure boundary, and
+	// strip the warmup window from the pass.
+	snaps, err := decodeMultiSnapshots(&cfg, schemes, sources, opt)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	runCfg := cfg
+	if snaps != nil {
+		runCfg.WarmupRefsPerCore = 0
+	}
+
+	engines = make([]*engine, len(schemes))
+	errs = make([]error, len(schemes))
+	for i, sc := range schemes {
+		e, err := newMultiEngine(runCfg.WithScheme(sc), sources, opt.Interrupt)
+		if err != nil {
+			// One invalid combination (e.g. CBF under Exclusive) fails
+			// its own slot, like the independent per-scheme runs did.
+			errs[i] = err
+			continue
+		}
+		if snaps != nil {
+			t0 := time.Now() //redhip:allow wallclock -- Perf restore-time attribution only
+			if rerr := e.restoreSnapshot(snaps[i]); rerr != nil {
+				errs[i] = fmt.Errorf("%w: %v", ErrSnapshot, rerr)
+				continue
+			}
+			e.restoreNanos = time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf restore-time attribution only
+		}
+		engines[i] = e
+		built++
+	}
+	armSnapshotCapture(&cfg, schemes, engines, sources, snaps == nil, opt)
+
+	// A lone engine reads the caller's sources directly, so a solo run
+	// streams live generators at bounded memory. Wider passes give each
+	// engine forked cursors over one replay per core, materialising
+	// live sources once first.
+	feed := sources
+	if built > 1 {
+		feed = replayFeed(sources, runCfg.WarmupRefsPerCore+runCfg.RefsPerCore)
+	}
+	for _, e := range engines {
+		if e != nil {
+			e.attach(feed, built > 1)
+		}
+	}
+	return engines, errs, built, nil
+}
+
+// sliceRefills is the refills an engine makes per turn on a worker
+// when a pass time-slices: 16 blocks, about 64k references.
+const sliceRefills = 16
+
+// drive runs a pass's built engines (nil slots skipped) on workers
+// goroutines. With more than one worker but fewer workers than engines,
+// the pass time-slices: each turn runs an engine for sliceRefills
+// refills, and a worker that stops an unfinished engine requeues it at
+// the back of the FIFO and takes the next, so no worker idles while an
+// engine has work left. Otherwise each engine runs to completion on
+// one worker. Engines share nothing mutable, so the interleaving
+// changes wall time only.
+func drive(engines []*engine, built, workers int) {
+	quota := unsliced
+	if 1 < workers && workers < built {
+		quota = sliceRefills
+	}
+	// The queue holds every engine at once, so a requeue never blocks;
+	// the worker that finishes the last engine closes it.
+	work := make(chan *engine, built)
+	for _, e := range engines {
+		if e != nil {
+			work <- e
+		}
+	}
+	var left atomic.Int64
+	left.Store(int64(built))
+	var done sync.WaitGroup
+	done.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer done.Done()
+			for e := range work {
+				t0 := time.Now() //redhip:allow wallclock -- Perf simulate-time attribution only
+				finished := e.run(quota)
+				//redhip:phase-exclusive one worker holds an engine per turn; the queue hand-off and done.Wait publish the write
+				e.runNanos += time.Since(t0).Nanoseconds() //redhip:allow wallclock -- Perf simulate-time attribution only
+				if !finished {
+					work <- e
+				} else if left.Add(-1) == 0 {
+					close(work)
+				}
+			}
+		}()
+	}
+	done.Wait()
 }
 
 // replayFeed returns one trace replay per core for a pass's engines
