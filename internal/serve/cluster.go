@@ -92,9 +92,17 @@ func (s *Server) applyLeaseAck(ack RegistrationAck, warned bool) bool {
 }
 
 // renewLease records a router probe sighting; the watchdog measures
-// lease age from here.
+// lease age from here. A probe that arrives after the lease already
+// lapsed — router probes queue up while the process is stopped and
+// land on resume, possibly before the watchdog's next tick — fences
+// before it renews: the router may have re-homed this replica's jobs
+// in the gap. The swap and the watchdog's CompareAndSwap make one
+// expiry fence exactly once, whichever path sees it first.
 func (s *Server) renewLease() {
-	s.lastProbe.Store(time.Now().UnixNano())
+	now := time.Now().UnixNano()
+	if last := s.lastProbe.Swap(now); last != 0 && time.Duration(now-last) > s.leaseNow() {
+		s.fenceJobs()
+	}
 }
 
 // registerLoop announces this replica to the router, forever:
@@ -155,9 +163,10 @@ func (s *Server) registerLoop(ctx context.Context) {
 // leaseWatchdog fences the replica when the router lease expires. The
 // watchdog only arms after the first probe (lastProbe != 0): a replica
 // that never met its router has nothing to fence. Fencing resets the
-// clock to unarmed, so one lease loss fences once; the next probe that
-// arrives re-arms it and normal service resumes — the fence guards the
-// partition window, it is not a terminal state.
+// clock to unarmed with a CompareAndSwap, so a probe that renewed (or
+// itself fenced) in the meantime wins and one lease loss fences once;
+// the next probe that arrives re-arms it and normal service resumes —
+// the fence guards the partition window, it is not a terminal state.
 func (s *Server) leaseWatchdog(ctx context.Context) {
 	defer s.clusterWG.Done()
 	timer := time.NewTimer(0) // fires at once; each pass re-arms from the live lease
@@ -169,8 +178,8 @@ func (s *Server) leaseWatchdog(ctx context.Context) {
 		case <-timer.C:
 		}
 		lease := s.leaseNow()
-		if last := s.lastProbe.Load(); last != 0 && time.Since(time.Unix(0, last)) > lease {
-			s.lastProbe.Store(0)
+		if last := s.lastProbe.Load(); last != 0 && time.Since(time.Unix(0, last)) > lease &&
+			s.lastProbe.CompareAndSwap(last, 0) {
 			s.fenceJobs()
 		}
 		tick := lease / 4

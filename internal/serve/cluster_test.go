@@ -131,6 +131,49 @@ func TestLeaseDerivedFromRouterAck(t *testing.T) {
 	}
 }
 
+// TestLateProbeFencesBeforeRenewing: a router probe that arrives after
+// the lease lapsed — probes queued while the process was stopped land
+// on resume, possibly before the watchdog's next tick — fences before
+// it renews, so the jobs the router has already re-homed cannot also
+// finish here. No watchdog runs in this test (no RouterURL), so only
+// renewLease can fence: with an unconditional store of the probe time
+// LeaseFences stays 0 and the queued job stays queued.
+func TestLateProbeFencesBeforeRenewing(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	// A lease far longer than the test, so only the stamp stored below
+	// can be stale.
+	lease := time.Minute
+	ts.s.leaseNanos.Store(int64(lease))
+
+	// One job long enough to hold the only worker, one queued behind it.
+	long := smokeSpec()
+	long.RefsPerCore = 2_000_000
+	running := ts.submit(long, http.StatusAccepted)
+	queued := ts.submit(smokeSpec(), http.StatusAccepted)
+	if st := ts.status(queued.ID); st.State != StateQueued {
+		t.Fatalf("second job state = %q, want queued behind the long job", st.State)
+	}
+
+	ts.s.lastProbe.Store(time.Now().Add(-2 * lease).UnixNano())
+	ts.s.renewLease()
+	if got := ts.s.LeaseFences(); got != 1 {
+		t.Fatalf("LeaseFences = %d after a probe past the lease, want 1", got)
+	}
+	if st := ts.status(queued.ID); st.State != StateCancelled {
+		t.Fatalf("queued job state = %q after the late probe, want cancelled", st.State)
+	}
+	ts.waitState(running.ID, StateCancelled)
+
+	// The late probe renewed the lease: a prompt follow-up does not fence.
+	ts.s.renewLease()
+	if got := ts.s.LeaseFences(); got != 1 {
+		t.Fatalf("LeaseFences = %d after a prompt probe, want still 1", got)
+	}
+	if ts.s.ExecutionsDone() != 0 {
+		t.Fatal("fenced jobs still counted as executions")
+	}
+}
+
 // TestLeaseFenceCancelsJobs: a replica in cluster mode that stops
 // seeing router probes for longer than its lease fences itself — every
 // non-terminal job is cancelled so the router's re-homed copies are
