@@ -178,20 +178,37 @@ func (c *Cache) orderIsPermutation(si uint64) bool {
 // word. The way's current rank is located with a SWAR zero-nibble
 // scan: borrows in the subtraction only propagate above the lowest
 // zero nibble, so the lowest marker bit is exact, and way ids are
-// unique within a set, so the zero nibble is unique too.
+// unique within a set, so the zero nibble is unique too. A way already
+// at rank 0 needs no special case: sh is 0, low is empty, and the
+// rotation rewrites nibble 0 with the way it already holds, so there
+// is no early-out branch to mispredict.
 //
 //redhip:hotpath
 func (c *Cache) promote(si, way uint64) {
 	o := c.ord[si]
-	if o&15 == way {
-		// Already most recent — the common case under temporal
-		// locality (repeated hits to the same block).
-		return
-	}
 	x := o ^ (way * 0x1111111111111111)
 	sh := uint(bits.TrailingZeros64((x-0x1111111111111111)&^x&0x8888888888888888)) - 3
 	low := o & (uint64(1)<<sh - 1)
 	c.ord[si] = o&^(uint64(1)<<(sh+4)-1) | low<<4 | way
+}
+
+// tagsUnique reports whether set si holds each valid tag at most once.
+// The branch-free way scans rely on it: they keep the last matching
+// way, which is the match only when there is no second one. Only
+// redhipassert-tagged builds call this.
+func (c *Cache) tagsUnique(si uint64) bool {
+	set := c.tagv[si*c.nways : (si+1)*c.nways]
+	for i, v := range set {
+		if v&1 == 0 {
+			continue
+		}
+		for _, w := range set[i+1:] {
+			if w == v {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Geometry returns the construction parameters.
@@ -217,6 +234,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Lookup probes for a block address, updating LRU and hit/miss
 // counters. It returns true on a hit.
 //
+// Every tag-matching way scan in this file reads all ways and keeps
+// the matching way with a conditional move instead of leaving the loop
+// on a match: which way matches depends on the data, so an early exit
+// mispredicts on most hits, while the single hit/miss branch after the
+// scan predicts well. A set holds each tag at most once (tagsUnique), so
+// the last match is the only match.
+//
 //redhip:hotpath
 func (c *Cache) Lookup(block memaddr.Addr) bool {
 	c.stats.Lookups++
@@ -224,20 +248,24 @@ func (c *Cache) Lookup(block memaddr.Addr) bool {
 	si := uint64(block) & c.setMask
 	base := si * c.nways
 	set := c.tagv[base : base+c.nways : base+c.nways]
+	way := -1
 	for i := range set {
 		if set[i] == want {
-			if c.lru {
-				c.promote(si, uint64(i))
-				if redhipassert.Enabled {
-					redhipassert.Check(c.orderIsPermutation(si), "cache: recency order corrupted by promote on hit")
-				}
-			}
-			c.stats.Hits++
-			return true
+			way = i
 		}
 	}
-	c.stats.Misses++
-	return false
+	if way < 0 {
+		c.stats.Misses++
+		return false
+	}
+	if c.lru {
+		c.promote(si, uint64(way))
+		if redhipassert.Enabled {
+			redhipassert.Check(c.orderIsPermutation(si), "cache: recency order corrupted by promote on hit")
+		}
+	}
+	c.stats.Hits++
+	return true
 }
 
 // Contains probes for a block without touching LRU state or counters.
@@ -248,12 +276,13 @@ func (c *Cache) Contains(block memaddr.Addr) bool {
 	want := uint64(block)>>c.setBits<<1 | 1
 	base := (uint64(block) & c.setMask) * c.nways
 	set := c.tagv[base : base+c.nways : base+c.nways]
+	way := -1
 	for i := range set {
 		if set[i] == want {
-			return true
+			way = i
 		}
 	}
-	return false
+	return way >= 0
 }
 
 // Fill inserts a block, evicting the LRU way if the set is full. It
@@ -261,9 +290,12 @@ func (c *Cache) Contains(block memaddr.Addr) bool {
 // Filling a block that is already present refreshes its LRU recency
 // instead of duplicating it.
 //
-// Victim choice is deliberately order-sensitive (first invalid way by
-// index, else the least-recent occupied rank) because the golden
-// determinism tests pin its exact behaviour.
+// One reverse scan with no early exit finds both the way holding the
+// block, if any, and the lowest-index invalid way: scanning from the
+// top, the last invalid way seen is the first by index. Victim choice
+// is deliberately order-sensitive (first invalid way by index, else
+// the least-recent occupied rank) because the golden determinism tests
+// pin its exact behaviour.
 //
 //redhip:hotpath
 func (c *Cache) Fill(block memaddr.Addr) (evicted memaddr.Addr, wasEvicted bool) {
@@ -271,18 +303,21 @@ func (c *Cache) Fill(block memaddr.Addr) (evicted memaddr.Addr, wasEvicted bool)
 	si := uint64(block) & c.setMask
 	base := si * c.nways
 	set := c.tagv[base : base+c.nways : base+c.nways]
-	invalid := -1
-	for i := range set {
+	hit, invalid := -1, -1
+	for i := len(set) - 1; i >= 0; i-- {
 		v := set[i]
 		if v == want {
-			if c.lru {
-				c.promote(si, uint64(i)) // refresh recency; FIFO keeps insertion order
-			}
-			return 0, false
+			hit = i
 		}
-		if v&1 == 0 && invalid == -1 {
+		if v&1 == 0 {
 			invalid = i
 		}
+	}
+	if hit >= 0 {
+		if c.lru {
+			c.promote(si, uint64(hit)) // refresh recency; FIFO keeps insertion order
+		}
+		return 0, false
 	}
 	victim := invalid
 	if victim == -1 {
@@ -314,6 +349,7 @@ func (c *Cache) Fill(block memaddr.Addr) (evicted memaddr.Addr, wasEvicted bool)
 	}
 	if redhipassert.Enabled {
 		redhipassert.Check(c.orderIsPermutation(si), "cache: recency order corrupted by fill")
+		redhipassert.Check(c.tagsUnique(si), "cache: fill left a tag twice in one set")
 		redhipassert.Check(c.Contains(block), "cache: fill did not make the block resident")
 	}
 	return evicted, wasEvicted
@@ -327,17 +363,21 @@ func (c *Cache) Invalidate(block memaddr.Addr) bool {
 	want := uint64(block)>>c.setBits<<1 | 1
 	base := (uint64(block) & c.setMask) * c.nways
 	set := c.tagv[base : base+c.nways : base+c.nways]
+	way := -1
 	for i := range set {
 		if set[i] == want {
-			set[i] = 0
-			c.stats.Invalidates++
-			if redhipassert.Enabled {
-				redhipassert.Check(!c.Contains(block), "cache: block still resident after invalidate")
-			}
-			return true
+			way = i
 		}
 	}
-	return false
+	if way < 0 {
+		return false
+	}
+	set[way] = 0
+	c.stats.Invalidates++
+	if redhipassert.Enabled {
+		redhipassert.Check(!c.Contains(block), "cache: block still resident after invalidate")
+	}
+	return true
 }
 
 // ValidBlocks returns the number of valid blocks currently resident.
@@ -404,6 +444,7 @@ func (c *Cache) RestoreSnapshotState(tagv, ord []uint64, rng uint64) error {
 	if redhipassert.Enabled {
 		for si := range c.ord {
 			redhipassert.Check(c.orderIsPermutation(uint64(si)), "cache: restored recency order is not a permutation")
+			redhipassert.Check(c.tagsUnique(uint64(si)), "cache: restored set holds a tag twice")
 		}
 	}
 	return nil
