@@ -99,7 +99,7 @@ func (s *Server) applyLeaseAck(ack RegistrationAck, warned bool) bool {
 // in the gap. The swap and the watchdog's CompareAndSwap make one
 // expiry fence exactly once, whichever path sees it first.
 func (s *Server) renewLease() {
-	now := time.Now().UnixNano()
+	now := s.now().UnixNano()
 	if last := s.lastProbe.Swap(now); last != 0 && time.Duration(now-last) > s.leaseNow() {
 		s.fenceJobs()
 	}
@@ -178,7 +178,7 @@ func (s *Server) leaseWatchdog(ctx context.Context) {
 		case <-timer.C:
 		}
 		lease := s.leaseNow()
-		if last := s.lastProbe.Load(); last != 0 && time.Since(time.Unix(0, last)) > lease &&
+		if last := s.lastProbe.Load(); last != 0 && s.now().Sub(time.Unix(0, last)) > lease &&
 			s.lastProbe.CompareAndSwap(last, 0) {
 			s.fenceJobs()
 		}

@@ -529,7 +529,7 @@ func (s *Server) finishSweep(sw *sweepRun) {
 	default:
 		state, errMsg = StateCancelled, fmt.Sprintf("%d of %d children cancelled", counts.Cancelled, len(sw.Children))
 	}
-	if sw.finish(state, errMsg, arts, time.Now()) {
+	if sw.finish(state, errMsg, arts, s.now()) {
 		s.metrics.sweeps.Inc(state)
 	}
 }
