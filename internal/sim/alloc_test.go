@@ -152,3 +152,26 @@ func TestMaterializedReplayAllocationFree(t *testing.T) {
 	}
 	assertWindowAllocFree(t, cfg, srcs, replays)
 }
+
+// TestPassReportsAllocations pins the allocation counters of a pass
+// that allocates: a two-scheme pass over live generators materialises
+// one replay per core before it runs, so every result must report a
+// non-zero share of bytes and objects. The counters are read from
+// runtime/metrics, where a replay this size is a large object counted
+// the moment it is allocated.
+func TestPassReportsAllocations(t *testing.T) {
+	cfg := Smoke()
+	srcs, err := workload.Sources("mcf", cfg.Cores, cfg.WorkloadScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunMulti(cfg, []Scheme{Base, ReDHiP}, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Perf.AllocBytes == 0 || r.Perf.Mallocs == 0 {
+			t.Errorf("%s: AllocBytes %d, Mallocs %d; want both > 0", r.Scheme, r.Perf.AllocBytes, r.Perf.Mallocs)
+		}
+	}
+}

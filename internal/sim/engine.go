@@ -336,10 +336,15 @@ func (e *engine) runWindow() bool {
 		if adaptive {
 			e.epochTick()
 		}
-		e.clock[c] += float64(rec.Gap) * e.cpi[c]
+		// The core's clock lives in clk until the probe: the gap and the
+		// L1 delay are added in chargeParallel's order and stored once,
+		// and a hit replays the scheduler with clk as it stands.
+		clk := e.clock[c] + float64(rec.Gap)*e.cpi[c]
 		addr := rec.Addr + e.off[c]
 		block := addr.Block()
-		e.chargeParallel(c, energy.L1)
+		e.meter.AddParallel(energy.L1, e.par)
+		clk += e.parDelay[energy.L1]
+		e.clock[c] = clk
 		if !e.l1[c].Lookup(block) {
 			e.onL1Miss()
 			switch incl {
@@ -359,12 +364,12 @@ func (e *engine) runWindow() bool {
 				e.reseat()
 				continue
 			}
+			clk = e.clock[c]
 		}
-		k := e.clock[c]
 		if e.remaining[c] == 0 {
-			k = inf
+			clk = inf
 		}
-		e.sched.replay(c, k)
+		e.sched.replay(c, clk)
 	}
 }
 

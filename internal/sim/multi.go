@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,8 +86,7 @@ func RunMulti(cfg Config, schemes []Scheme, sources []workload.Source) ([]*Resul
 // one.
 func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt MultiOptions) ([]*Result, error) {
 	start := time.Now() //redhip:allow wallclock -- Perf wall-time reporting, not simulated time
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
+	bytesBefore, objectsBefore := heapAllocs()
 	engines, errs, built, err := buildPass(cfg, schemes, sources, &opt)
 	if err != nil {
 		return nil, err
@@ -107,16 +107,15 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		}
 	}
 
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
+	bytesAfter, objectsAfter := heapAllocs()
 
 	// Deterministic reduction: results are assembled in schemes order,
 	// each from its own engine's independently accumulated state, so
 	// the worker count cannot reorder anything. The process-wide
 	// allocation counters are split evenly across the pass.
 	n := uint64(built)
-	allocShare := (memAfter.TotalAlloc - memBefore.TotalAlloc) / n
-	mallocShare := (memAfter.Mallocs - memBefore.Mallocs) / n
+	allocShare := (bytesAfter - bytesBefore) / n
+	mallocShare := (objectsAfter - objectsBefore) / n
 	failed := false
 	for i, e := range engines {
 		if e == nil {
@@ -152,6 +151,23 @@ func RunMultiOpt(cfg Config, schemes []Scheme, sources []workload.Source, opt Mu
 		return out, errors.Join(errs...)
 	}
 	return out, nil
+}
+
+// heapAllocs reads the process's cumulative heap allocation counters:
+// bytes, and objects counted as runtime.MemStats.Mallocs counts them
+// (tiny objects included). runtime/metrics serves them without
+// stopping the world, unlike runtime.ReadMemStats, so a pass that
+// reads them does not halt the passes running beside it. The runtime
+// folds each P's allocations into them when it refills a span, so they
+// lag by at most a span per size class and P.
+func heapAllocs() (bytes, objects uint64) {
+	s := [3]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64() + s[2].Value.Uint64()
 }
 
 // buildPass validates a pass and builds its engines: one per scheme,

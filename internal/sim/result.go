@@ -79,9 +79,13 @@ type Result struct {
 
 // PerfStats measures the simulator, not the simulated machine: how fast
 // this run executed and how much it allocated. Wall time is per-run;
-// the allocation counters read process-global runtime.MemStats deltas,
-// so concurrent runs (the experiment runner's worker pool) pollute each
-// other's numbers — treat them as an upper bound there.
+// the allocation counters are deltas of the process-global heap
+// counters that runtime/metrics serves without stopping the world.
+// Those are counted at span granularity (each P's allocations land when
+// it refills a span), so a small run can read a span more or less than
+// it allocated, and concurrent runs (the experiment runner's worker
+// pool) pollute each other's numbers — treat them as an upper bound
+// there.
 type PerfStats struct {
 	// WallNanos is the wall-clock duration of the run: entry to return
 	// for a one-scheme call (sim.Run), this scheme's share of the pass
@@ -102,7 +106,9 @@ type PerfStats struct {
 	// throughput `bash benchmark/run.sh` reports per workload as
 	// sim_mrefs_per_s.
 	RefsPerSec float64
-	// AllocBytes and Mallocs are heap-allocation deltas over the run.
+	// AllocBytes and Mallocs are heap-allocation deltas over the pass,
+	// split evenly across its schemes: bytes allocated and objects
+	// allocated, tiny objects included as runtime.MemStats counts them.
 	AllocBytes uint64
 	Mallocs    uint64
 }

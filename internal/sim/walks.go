@@ -3,6 +3,7 @@ package sim
 import (
 	"redhip/internal/energy"
 	"redhip/internal/memaddr"
+	"redhip/internal/redhipassert"
 )
 
 // --- inclusive hierarchy (the paper's main configuration) --------------------
@@ -78,8 +79,11 @@ func (e *engine) fillL3Incl(c int, block memaddr.Addr) {
 	ev, was := e.l3[c].Fill(block)
 	e.chargeFill(energy.L3)
 	if was {
-		e.l2[c].Invalidate(ev)
-		e.l1[c].Invalidate(ev)
+		inL2 := e.l2[c].Invalidate(ev)
+		inL1 := e.l1[c].Invalidate(ev)
+		if redhipassert.Enabled {
+			redhipassert.Check(inL2 || !inL1, "sim: inclusion violated: L1 held a block its L2 lacked")
+		}
 	}
 }
 
@@ -89,6 +93,12 @@ func (e *engine) fillL3Incl(c int, block memaddr.Addr) {
 // lookup or prediction cross-checked against ground truth), so the
 // fill notice fires exactly once per resident block. The ReDHiP table
 // only sets bits; its evictions wait for the next recalibration.
+//
+// Every level is probed, under Inclusive too. Under Inclusive a core
+// whose L3 lacks the victim holds it nowhere, so the walk could stop
+// there, and the assertion below checks that property on every
+// eviction; but the early stop was measured twice without a reward
+// (DESIGN.md §8), so the probes stay unconditional.
 func (e *engine) fillL4Incl(block memaddr.Addr) {
 	ev, was := e.l4.Fill(block)
 	e.chargeFill(energy.L4)
@@ -108,9 +118,12 @@ func (e *engine) fillL4Incl(block memaddr.Addr) {
 	}
 	if was {
 		for c := 0; c < e.cfg.Cores; c++ {
-			e.l3[c].Invalidate(ev)
-			e.l2[c].Invalidate(ev)
-			e.l1[c].Invalidate(ev)
+			inL3 := e.l3[c].Invalidate(ev)
+			inL2 := e.l2[c].Invalidate(ev)
+			inL1 := e.l1[c].Invalidate(ev)
+			if redhipassert.Enabled && e.cfg.Inclusion == Inclusive {
+				redhipassert.Check(inL3 || !(inL2 || inL1), "sim: inclusion violated: L2 or L1 held a block its L3 lacked")
+			}
 		}
 	}
 }

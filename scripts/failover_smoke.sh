@@ -32,10 +32,10 @@ BIN_DIR="$(mktemp -d)"
 # Replicas run with an auto-derived lease: 3/4 of the router's
 # advertised dead-declaration floor (3 x 0.75 x 150ms ~ 337ms, so the
 # lease lands ~253ms) — below the floor, as the no-double-execution
-# invariant requires. Drill jobs still run for several times the lease,
-# so a killed replica finishes nothing, and a frozen one's jobs are
-# fenced or cancelled on resume before they can finish (drill 2 checks
-# which).
+# invariant requires. Each drill injects its fault as soon as the
+# faulted replica's first job reads running, so a killed replica
+# finishes nothing, and a frozen one's jobs are fenced or cancelled on
+# resume before they can finish (drill 2 checks which).
 DRILL_REFS=2000000
 
 declare -A REPLICA_PID
@@ -101,6 +101,31 @@ wait_done() { # args: router job id
         sleep 0.2
     done
     fail "job $1 never finished (last: $state)"
+}
+
+wait_running() { # args: router job id, drill name
+    # A drill injects its fault once the faulted replica's job reads
+    # running, so the fault lands mid-job however long drill jobs take
+    # on this host. The router mirrors only a job's queued and terminal
+    # states, so the running state is read from the replica that owns
+    # the job, under the replica job id the router's status names.
+    local status replica rid addr_var state=""
+    status=$(curl -fsS "$ROUTER/v1/jobs/$1?results=false") || fail "$2: GET /v1/jobs/$1 failed"
+    replica=$(echo "$status" | sed -n 's/.*"replica": *"\([^"]*\)".*/\1/p')
+    rid=$(echo "$status" | sed -n 's/.*"replica_job_id": *"\([^"]*\)".*/\1/p')
+    [[ -n "$replica" && -n "$rid" ]] || fail "$2: job $1 names no replica job: $status"
+    addr_var="$(echo "$replica" | tr '[:lower:]' '[:upper:]')_ADDR"
+    for _ in $(seq 1 1000); do
+        state=$(curl -fsS "http://${!addr_var}/v1/jobs/$rid?results=false" \
+            | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+        case "$state" in
+            running) return 0 ;;
+            done) fail "$2: job $1 finished before the fault could be injected — drill jobs are too short to outlive it" ;;
+            failed | cancelled) fail "$2: job $1 ended $state before the fault was injected" ;;
+        esac
+        sleep 0.01
+    done
+    fail "$2: job $1 never started running on $replica (last: $state)"
 }
 
 router_readyz() { # args: wanted status code, regexp the body must match
@@ -176,7 +201,7 @@ for N in $(seq 0 7); do
 done
 [[ "$(echo "$SEEN_REPLICAS" | wc -w)" -ge 2 ]] \
     || fail "8 distinct specs all routed to one replica ($SEEN_REPLICAS) — the ring is not spreading keys"
-sleep 0.2
+wait_running "$VICTIM_JOB" "drill 1"
 echo "failover-smoke: SIGKILL $VICTIM (pid ${REPLICA_PID[$VICTIM]})"
 kill -9 "${REPLICA_PID[$VICTIM]}"
 wait "${REPLICA_PID[$VICTIM]}" 2>/dev/null || true
@@ -212,7 +237,7 @@ for N in $(seq 8 10); do
     WAVE2_SPECS+=("$N")
     [[ -z "$FROZEN" ]] && { FROZEN="$JOB_REPLICA" FROZEN_JOB="$JOB_ID"; }
 done
-sleep 0.2
+wait_running "$FROZEN_JOB" "drill 2"
 echo "failover-smoke: SIGSTOP $FROZEN (pid ${REPLICA_PID[$FROZEN]})"
 kill -STOP "${REPLICA_PID[$FROZEN]}"
 
@@ -259,7 +284,7 @@ echo "failover-smoke: drill 2 OK (all 3 jobs done, $FROZEN stopped its stale job
 # --- invariant: no double execution ------------------------------------------
 
 # Every unique spec executed exactly once across the cluster: the
-# killed replica finished nothing (killed ~0.2s into >1s jobs) and the
+# killed replica finished nothing (killed while its first job ran) and the
 # frozen one stopped its stale jobs on resume (drill 2 checks that it
 # fenced or cancelled), so the survivors' executions_done counters must
 # sum to the 11 unique specs.
