@@ -81,7 +81,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "concurrent job executors (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 64, "max queued jobs before 429")
-		cacheBytes = flag.Uint64("cache-bytes", 0, "trace store byte budget (0 = default 256 MiB)")
+		cacheBytes = flag.Uint64("cache-bytes", 0, "trace store byte budget (0 = default 64 MiB)")
 		snapBytes  = flag.Uint64("snapshot-cache-bytes", 0, "warm-state snapshot store byte budget (0 disables; jobs with warmup_refs_per_core warm once and branch)")
 		maxJobs    = flag.Int("max-jobs", 1024, "max resident jobs (LRU result cache size)")
 		jobTimeout = flag.Duration("job-timeout", 5*time.Minute, "default per-job execution timeout")

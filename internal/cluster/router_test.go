@@ -771,6 +771,56 @@ func TestRouterClientCancelIsHonoured(t *testing.T) {
 	}
 }
 
+// TestRouterReportsRunning: the router's GET /v1/jobs/{id} reads
+// running once the replica's stream says so, before the job is done.
+func TestRouterReportsRunning(t *testing.T) {
+	rt, url := newTestRouter(t)
+	f := newFakeReplica(t, "alpha")
+	f.mode.Store("stall") // the stream stops after its running event
+	if code, body := register(t, url, f, "test-v1"); code != http.StatusOK {
+		t.Fatalf("register = %d (%s)", code, body)
+	}
+	waitFor(t, "replica in ring", func() bool { return rt.members.Ring().Size() == 1 })
+
+	resp, sub := submitJob(t, url, testSpec(0))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	if st := waitRouted(t, url, sub.ID, serve.StateRunning); st.Replica != f.name {
+		t.Fatalf("running on %q, want %q", st.Replica, f.name)
+	}
+	f.mode.Store("done")
+	waitRouted(t, url, sub.ID, serve.StateDone)
+}
+
+// TestRoutedJobStateFollowsEpoch: a running event of the current epoch
+// sets the routed job running, one of a finished epoch does not, and a
+// new epoch starts queued for its replica.
+func TestRoutedJobStateFollowsEpoch(t *testing.T) {
+	j := newRoutedJob("r1", "k1", testSpec(0), time.Now())
+	first, _ := j.beginEpoch(0)
+	running := serve.Event{ID: 2, Type: string(serve.StateRunning)}
+	j.mirror(first, running)
+	if got := j.status(false).State; got != serve.StateRunning {
+		t.Fatalf("after a running event: %q, want running", got)
+	}
+	second, ok := j.beginEpoch(first)
+	if !ok {
+		t.Fatal("beginEpoch lost on a non-terminal job")
+	}
+	if got := j.status(false).State; got != serve.StateQueued {
+		t.Fatalf("after a re-home: %q, want queued", got)
+	}
+	j.mirror(first, running) // the old replica's stream, late
+	if got := j.status(false).State; got != serve.StateQueued {
+		t.Fatalf("after a stale epoch's running event: %q, want queued", got)
+	}
+	j.mirror(second, running)
+	if got := j.status(false).State; got != serve.StateRunning {
+		t.Fatalf("after the new replica's running event: %q, want running", got)
+	}
+}
+
 // cancelRouted DELETEs a routed job through the router.
 func cancelRouted(t *testing.T, routerURL, id string) {
 	t.Helper()

@@ -73,7 +73,8 @@ type rehomedData struct {
 }
 
 // beginEpoch advances from the given epoch to the next, clearing the
-// previous assignment and aborting its stream. It is the single
+// previous assignment, setting the state back to queued for the next
+// replica and aborting the old stream. It is the single
 // arbiter between racing re-homers (the dead-member scan, a watcher
 // that saw an unexpected cancel, a placement that raced a death): only
 // the caller whose `from` still matches wins the right to place.
@@ -84,6 +85,7 @@ func (j *routedJob) beginEpoch(from int) (int, bool) {
 		return 0, false
 	}
 	j.epoch++
+	j.state = serve.StateQueued
 	j.member = ""
 	j.replicaJobID = ""
 	j.lastMirrored = 0
@@ -142,7 +144,9 @@ func (j *routedJob) setStreamCancel(epoch int, cancel context.CancelFunc) bool {
 // beginEpoch's reset deliberately lets the next replica's replay
 // through — after a hand-off the stream narrates the job's fresh
 // queued/running life on the new replica, prefixed by the "rehomed"
-// marker.
+// marker. A "running" event also moves the routed job's state to
+// running, in the same hold as its log entry, so GET /v1/jobs/{id}
+// agrees with the event stream.
 func (j *routedJob) mirror(epoch int, ev serve.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -150,6 +154,9 @@ func (j *routedJob) mirror(epoch int, ev serve.Event) {
 		return
 	}
 	j.lastMirrored = ev.ID
+	if ev.Type == string(serve.StateRunning) {
+		j.state = serve.StateRunning
+	}
 	j.log.AppendRawLocked(ev.Type, ev.Data, false)
 }
 
@@ -332,7 +339,8 @@ func (rt *Router) watch(j *routedJob, epoch int) {
 }
 
 // followStream opens one SSE connection to the replica and consumes it:
-// non-terminal events mirror into the router log; a terminal event
+// non-terminal events mirror into the router log ("running" also sets
+// the routed job's state, see mirror); a terminal event
 // resolves the job (done fetches results first; an unexpected
 // cancelled — a fence or a drain kill, not a client DELETE — hands the
 // job to a re-home instead). Returns done=true when the job was

@@ -29,6 +29,18 @@ const maxStoredSweeps = 64
 // that expands past it is rejected with 400 at admission.
 const maxSweepChildren = 10_000
 
+// DefaultTraceCacheBytes bounds a replica's trace store when
+// Options.TraceCacheBytes is 0: 64 MiB, a quarter of the batch
+// runner's tracestore.DefaultBudgetBytes. A job replays its own
+// streams under every scheme of its pass, but a later job reads them
+// again only when it repeats the workload, seed and reference count,
+// so a replica fed unique jobs would otherwise keep a full 256 MiB of
+// streams nobody reads, and the Go heap grows to about twice its live
+// bytes. The streams that jobs do share fit with room to spare: the
+// cluster benchmark's two replicas held 11 MiB together at the larger
+// budget.
+const DefaultTraceCacheBytes = 64 << 20
+
 // Options configure a Server. Zero values pick production-lean
 // defaults.
 type Options struct {
@@ -39,7 +51,7 @@ type Options struct {
 	// A full queue rejects with 429 + Retry-After.
 	QueueDepth int
 	// TraceCacheBytes bounds the process-wide materialise-once trace
-	// store shared by every job (default tracestore.DefaultBudgetBytes).
+	// store shared by every job (default DefaultTraceCacheBytes).
 	TraceCacheBytes uint64
 	// SnapshotCacheBytes, when > 0, enables the process-wide warm-state
 	// snapshot store: jobs with a warmup window warm each (config,
@@ -132,6 +144,9 @@ func (o *Options) fill() error {
 	}
 	if o.IntraParallelism == 0 {
 		o.IntraParallelism = runtime.GOMAXPROCS(0)
+	}
+	if o.TraceCacheBytes == 0 {
+		o.TraceCacheBytes = DefaultTraceCacheBytes
 	}
 	if o.MemoryBudgetBytes == 0 {
 		o.MemoryBudgetBytes = 1 << 30
