@@ -1,7 +1,8 @@
 // Command redhip-router fronts a sharded cluster of redhip-serve
-// replicas: it consistent-hashes each job's canonical spec key across
-// the replicas that are registered and passing health checks, so
-// per-spec dedup and trace/snapshot-cache affinity fall out of the
+// replicas: it consistent-hashes each job's trace family (the canonical
+// spec key with schemes, inclusion and prefetch cleared) across the
+// replicas that are registered and passing health checks, so per-spec
+// dedup, trace/snapshot-cache affinity and run reuse fall out of the
 // hash with no shared state.
 //
 // Usage:
@@ -21,7 +22,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs                 route a job to its key's owner -> 202 + router id
+//	POST   /v1/jobs                 route a job to its family's owner -> 202 + router id
 //	GET    /v1/jobs                 list routed jobs
 //	GET    /v1/jobs/{id}            status (replica, re-home count, results)
 //	DELETE /v1/jobs/{id}            cancel (forwarded to the owning replica)

@@ -1,7 +1,8 @@
 // Package cluster scales redhip-serve past one process: a stateless
-// HTTP router (cmd/redhip-router) consistent-hashes the canonical spec
-// key — the same SHA-256[:8] dedup key internal/serve computes — across
-// N replicas, so per-spec dedup and tracestore/snapshot-cache affinity
+// HTTP router (cmd/redhip-router) consistent-hashes each spec's trace
+// family — the SHA-256[:8] canonical key internal/serve computes, taken
+// with schemes, inclusion and prefetch cleared — across N replicas, so
+// per-spec dedup, tracestore/snapshot-cache affinity and run reuse
 // fall out of the hash with no shared state. Replicas register
 // themselves and are admitted to the ring only while /readyz passes;
 // when a replica is marked dead its key ranges re-hash to the survivors

@@ -185,14 +185,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Normalise here with the same code the replica runs, so the key the
-	// ring places equals the key the replica dedups on; the normalised
-	// spec is what gets forwarded (and re-forwarded on a re-home).
+	// router dedups on equals the key the replica dedups on; the
+	// normalised spec is what gets forwarded (and re-forwarded on a
+	// re-home).
 	norm, err := spec.Normalized()
 	if err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := norm.CanonicalKey()
+	family := familyKey(norm)
 
 	// The router's table refuses rather than grow past MaxJobs live
 	// jobs: its admit hook answers 429 when no resident job is terminal.
@@ -203,7 +205,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	j, created, err := rt.jobs.Resolve(key, admit, func(id string) *routedJob {
-		return newRoutedJob(id, key, norm, time.Now())
+		return newRoutedJob(id, key, family, norm, time.Now())
 	})
 	if err != nil {
 		rt.metrics.rejected.Inc()
@@ -247,6 +249,19 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// gets the job's current status.
 		rt.respondSubmit(w, j, !pl.placed)
 	}
+}
+
+// familyKey is the ring placement key of a normalised spec: the
+// canonical key with Schemes, Inclusion and Prefetch cleared. Those
+// three choose how a trace is simulated, not which trace, so every
+// variant of one trace lands on one replica. There its trace-store
+// entry serves them all, and a variant whose runs a done job already
+// holds is answered from that job's results instead of simulated
+// (serve's run reuse). The trade-off: one family's load cannot spread
+// across replicas.
+func familyKey(norm serve.Spec) string {
+	norm.Schemes, norm.Inclusion, norm.Prefetch = nil, "", false
+	return norm.CanonicalKey()
 }
 
 func (rt *Router) respondSubmit(w http.ResponseWriter, j *routedJob, deduped bool) {

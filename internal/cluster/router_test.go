@@ -525,7 +525,7 @@ func TestRouterDropsStaleProbeVerdict(t *testing.T) {
 }
 
 // TestRouterRoutesByKey: with two ready replicas, every submission
-// lands on the ring owner of its canonical key, the response names the
+// lands on the ring owner of its family key, the response names the
 // replica, and results pass through byte-for-byte.
 func TestRouterRoutesByKey(t *testing.T) {
 	rt, url := newTestRouter(t)
@@ -547,7 +547,7 @@ func TestRouterRoutesByKey(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d = %d", n, resp.StatusCode)
 		}
-		owner := ring.Owner(sub.Key)
+		owner := ring.Owner(familyOf(t, testSpec(n)))
 		if got := resp.Header.Get(ReplicaHeader); got != owner {
 			t.Fatalf("spec %d: %s = %q, ring owner is %q", n, ReplicaHeader, got, owner)
 		}
@@ -583,6 +583,16 @@ func TestRouterRoutesByKey(t *testing.T) {
 	if !sub.Deduped {
 		t.Fatal("resubmitted done spec was not deduped")
 	}
+}
+
+// familyOf is the placement key the router computes for spec.
+func familyOf(t *testing.T, spec serve.Spec) string {
+	t.Helper()
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatalf("normalise %+v: %v", spec, err)
+	}
+	return familyKey(norm)
 }
 
 // TestRouterForwardsRetryAfter: a replica's 429 verdict is forwarded
@@ -797,7 +807,7 @@ func TestRouterReportsRunning(t *testing.T) {
 // sets the routed job running, one of a finished epoch does not, and a
 // new epoch starts queued for its replica.
 func TestRoutedJobStateFollowsEpoch(t *testing.T) {
-	j := newRoutedJob("r1", "k1", testSpec(0), time.Now())
+	j := newRoutedJob("r1", "k1", "f1", testSpec(0), time.Now())
 	first, _ := j.beginEpoch(0)
 	running := serve.Event{ID: 2, Type: string(serve.StateRunning)}
 	j.mirror(first, running)

@@ -20,9 +20,10 @@ import (
 // it, so a stale watcher or a racing re-homer can detect it lost), the
 // mirrored event log clients stream from, and the terminal outcome.
 type routedJob struct {
-	ID   string
-	Key  string
-	Spec serve.Spec // normalised; re-homes forward it verbatim so the key cannot drift
+	ID     string
+	Key    string     // dedup key: the canonical key of Spec
+	Family string     // ring placement key (familyKey), for every placement and re-home
+	Spec   serve.Spec // normalised; re-homes forward it verbatim so the key cannot drift
 
 	mu              sync.Mutex
 	state           serve.State        //redhip:guardedby mu
@@ -44,10 +45,11 @@ type routedJob struct {
 
 // newRoutedJob is the table's constructor for a fresh submission: queued,
 // one submission, its "queued" event already in the log.
-func newRoutedJob(id, key string, spec serve.Spec, now time.Time) *routedJob {
+func newRoutedJob(id, key, family string, spec serve.Spec, now time.Time) *routedJob {
 	j := &routedJob{
 		ID:          id,
 		Key:         key,
+		Family:      family,
 		Spec:        spec,
 		state:       serve.StateQueued,
 		submissions: 1,
@@ -502,12 +504,12 @@ type placement struct {
 
 // placeOnce makes one placement attempt for an epoch already claimed via
 // beginEpoch: it submits the normalised spec to the ring's current owner
-// for the job's key, assigns the epoch, publishes the "routed" event,
+// for the job's family key, assigns the epoch, publishes the "routed" event,
 // and starts the watcher — or, when the owner died between the ring read
 // and the assignment, claims the next epoch and re-homes, because the
 // dead-member scan may have run before the assignment existed.
 func (rt *Router) placeOnce(ctx context.Context, j *routedJob, epoch int) placement {
-	owner := rt.members.Ring().Owner(j.Key)
+	owner := rt.members.Ring().Owner(j.Family)
 	if owner == "" {
 		return placement{}
 	}

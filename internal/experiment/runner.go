@@ -49,10 +49,10 @@ type Options struct {
 	// configuration error NewRunner rejects.
 	Parallelism int
 	// OnRun, when non-nil, receives a structured notification after
-	// every executed (non-memoised) run: redhip-bench -v prints it,
-	// redhip-serve streams it over SSE. The hook may be called
-	// concurrently from worker goroutines and must treat the Result as
-	// read-only.
+	// every executed (non-memoised) run and every run filed through
+	// Adopt: redhip-bench -v prints it, redhip-serve streams it over
+	// SSE. The hook may be called concurrently from worker goroutines
+	// and must treat the Result as read-only.
 	OnRun func(RunUpdate)
 	// Context, when non-nil, cancels in-flight work: once it is done,
 	// workers stop picking up pending jobs, a running pass stops within
@@ -152,8 +152,10 @@ type RunUpdate struct {
 	// with the runner's memo cache; callers must not mutate it.
 	Result *sim.Result
 	Err    error
-	// Completed counts runs this runner has executed so far (memoised
-	// cache hits do not re-fire the hook and are not counted).
+	// Reused is true for a run filed through Adopt instead of executed.
+	Reused bool
+	// Completed counts runs this runner has executed or adopted so far
+	// (memoised cache hits do not re-fire the hook and are not counted).
 	Completed int
 }
 
@@ -397,6 +399,37 @@ func (r *Runner) buildSources(workloadName string, cfg sim.Config) ([]workload.S
 		return nil, err
 	}
 	return mat.Sources(), nil
+}
+
+// Adopt files res, a finished run of workloadName under the base
+// configuration with res.Scheme, in the memo cache, so a later
+// SchemeSweep serves that scheme without simulating it and leaves it
+// out of its pass. The caller vouches that res comes from the same
+// workload, seed and full configuration; the simulation is
+// deterministic, so such a run is bit-identical to one this runner
+// would execute. res is shared, not copied, and must be treated as
+// read-only. OnRun fires with Reused set; a run already memoised is
+// left as it is.
+func (r *Runner) Adopt(workloadName string, res *sim.Result) {
+	k := jobKey{workload: workloadName, cfg: r.opts.Base.WithScheme(res.Scheme)}
+	r.mu.Lock()
+	if _, ok := r.cache[k]; ok {
+		r.mu.Unlock()
+		return
+	}
+	r.cache[k] = res
+	completed := len(r.cache) + len(r.errs)
+	r.mu.Unlock()
+	if r.opts.OnRun != nil {
+		r.opts.OnRun(RunUpdate{
+			Workload:  workloadName,
+			Scheme:    res.Scheme,
+			Inclusion: res.Inclusion,
+			Result:    res,
+			Reused:    true,
+			Completed: completed,
+		})
+	}
 }
 
 // SchemeSweep simulates one workload under each scheme at the base

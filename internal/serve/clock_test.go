@@ -123,3 +123,69 @@ func TestLeaseAgeFromServerClock(t *testing.T) {
 		t.Fatalf("LeaseFences = %d after a probe 1.1 s after the last, want 1", got)
 	}
 }
+
+// TestCommitAfterLeaseGapFences: a job that reaches its commit point
+// after a gap longer than the lease — the process was stopped, and no
+// probe or watchdog tick has run since it resumed — ends cancelled, not
+// done, and executions_done does not move. No watchdog runs here (no
+// RouterURL), so only the commit-point check in finalize can catch it.
+func TestCommitAfterLeaseGapFences(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	t0 := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	clk := newScriptClock(t0, 0)
+	ts.s.now = clk.now
+	ts.s.leaseNanos.Store(int64(time.Second))
+	ts.s.renewLease() // a router probe at t0 arms the lease
+
+	release := make(chan struct{})
+	held := make(chan struct{}, 1)
+	ts.s.testHookJobStart = func(*Job) {
+		held <- struct{}{}
+		<-release
+	}
+	sub := ts.submit(smokeSpec(), http.StatusAccepted)
+	<-held
+	clk.set(t0.Add(2 * time.Second)) // stopped past the lease, then resumed
+	close(release)
+
+	st := ts.waitState(sub.ID, StateCancelled)
+	if st.Error != "router lease lost: job fenced at commit" {
+		t.Errorf("cancelled with %q, want the commit-point fence", st.Error)
+	}
+	if got := ts.s.ExecutionsDone(); got != 0 {
+		t.Fatalf("ExecutionsDone = %d after a commit past the lease, want 0", got)
+	}
+	if got := ts.s.LeaseFences(); got != 1 {
+		t.Fatalf("LeaseFences = %d, want 1: the stale commit fences the replica once", got)
+	}
+	// The fence cleared the lease: the next prompt probe re-arms it
+	// without fencing again, and a job then commits done.
+	ts.s.renewLease()
+	ts.s.testHookJobStart = nil
+	ts.runDone(specWithSeed(2))
+	if got := ts.s.LeaseFences(); got != 1 {
+		t.Fatalf("LeaseFences = %d after a prompt probe, want still 1", got)
+	}
+}
+
+// TestCommitFencesWhenGenerationMoved: a job started under one lease
+// generation cannot commit done after a fence moved it on, even when
+// the lease reads fresh again by then (a late probe fenced and then
+// renewed it).
+func TestCommitFencesWhenGenerationMoved(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	j := newJob("job-x", smokeSpec(), ts.s.now())
+	if !j.start(func() {}, ts.s.now(), ts.s.leaseGen.Load()) {
+		t.Fatal("start refused a queued job")
+	}
+	ts.s.fenceJobs()
+	if !ts.s.finalize(j, StateDone, "", nil, ts.s.now()) {
+		t.Fatal("finalize lost the transition")
+	}
+	if st := j.snapshot(false); st.State != StateCancelled {
+		t.Fatalf("job committed %q after a fence, want cancelled", st.State)
+	}
+	if got := ts.s.ExecutionsDone(); got != 0 {
+		t.Fatalf("ExecutionsDone = %d, want 0", got)
+	}
+}

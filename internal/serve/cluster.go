@@ -199,7 +199,12 @@ func (s *Server) leaseWatchdog(ctx context.Context) {
 // each spec's execution. Direct (non-router) submissions are fenced
 // too: in cluster mode the router is the front door, and a split-brain
 // replica cannot tell who submitted what.
+//
+// The lease generation moves before any job is cancelled, so a running
+// job that reaches its commit point while the loop below has not yet
+// cancelled it still sees the fence (Server.leaseLost).
 func (s *Server) fenceJobs() {
+	s.leaseGen.Add(1)
 	s.metrics.leaseFences.Inc()
 	for _, j := range s.store.List() {
 		s.cancelJob(j, "router lease lost: job fenced")

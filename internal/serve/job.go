@@ -51,6 +51,9 @@ type progressData struct {
 	Cycles    uint64  `json:"cycles,omitempty"`
 	Error     string  `json:"error,omitempty"`
 	WallMS    float64 `json:"wall_ms,omitempty"`
+	// Reused marks a run served from a done job's results instead of
+	// simulated (Server.reuseDone); it carries no wall time.
+	Reused bool `json:"reused,omitempty"`
 }
 
 // TerminalData is the payload of a state event ("queued", "running")
@@ -85,10 +88,12 @@ type Job struct {
 	err         string             //redhip:guardedby mu
 	results     []*sim.Result      //redhip:guardedby mu
 	completed   int                //redhip:guardedby mu // runs finished
+	reused      int                //redhip:guardedby mu // of completed, runs adopted from done jobs
 	total       int                //redhip:guardedby mu // runs planned
 	submissions int                //redhip:guardedby mu // POSTs that resolved to this job (1 = no dedup)
 	submitted   time.Time          //redhip:guardedby mu
 	started     time.Time          //redhip:guardedby mu
+	leaseGen    uint64             //redhip:guardedby mu // the server's lease generation at start
 	finished    time.Time          //redhip:guardedby mu
 	cancel      context.CancelFunc //redhip:guardedby mu // non-nil while running
 	// cancelRequested is set when DELETE races the queued->running
@@ -129,9 +134,10 @@ func (j *Job) publishLocked(typ string, payload any) {
 	j.log.AppendLocked(typ, payload, j.state.Terminal())
 }
 
-// start transitions queued -> running, installing the cancel func.
-// It returns false when the job was cancelled while queued.
-func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
+// start transitions queued -> running, installing the cancel func and
+// stamping the lease generation the job runs under. It returns false
+// when the job was cancelled while queued.
+func (j *Job) start(cancel context.CancelFunc, now time.Time, leaseGen uint64) bool {
 	j.mu.Lock()
 	if j.state != StateQueued || j.cancelRequested {
 		j.mu.Unlock()
@@ -139,6 +145,7 @@ func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
 	}
 	j.state = StateRunning
 	j.started = now
+	j.leaseGen = leaseGen
 	j.cancel = cancel
 	j.mu.Unlock()
 	j.publish("running", TerminalData{State: StateRunning})
@@ -155,6 +162,9 @@ func (j *Job) publishPanic(v any, stack []byte) {
 func (j *Job) progress(p progressData) {
 	j.mu.Lock()
 	j.completed++
+	if p.Reused {
+		j.reused++
+	}
 	p.Completed = j.completed
 	p.Total = j.total
 	j.mu.Unlock()
@@ -215,6 +225,7 @@ type Status struct {
 	Spec        Spec          `json:"spec"`
 	Completed   int           `json:"completed"`
 	Total       int           `json:"total"`
+	ReusedRuns  int           `json:"reused_runs"` // of Completed, runs served from done jobs' results
 	Submissions int           `json:"submissions"`
 	SubmittedAt time.Time     `json:"submitted_at"`
 	StartedAt   *time.Time    `json:"started_at,omitempty"`
@@ -235,6 +246,7 @@ func (j *Job) snapshot(withResults bool) Status {
 		Spec:        j.Spec,
 		Completed:   j.completed,
 		Total:       j.total,
+		ReusedRuns:  j.reused,
 		Submissions: j.submissions,
 		SubmittedAt: j.submitted,
 	}
@@ -250,6 +262,22 @@ func (j *Job) snapshot(withResults bool) Status {
 		st.Results = j.results
 	}
 	return st
+}
+
+// doneResults returns the job's results and whether it finished done.
+// The slice and the results it holds are never written after the
+// terminal transition, so callers may read them without the lock.
+func (j *Job) doneResults() ([]*sim.Result, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.results, j.state == StateDone
+}
+
+// startedUnder returns the lease generation stamped by start.
+func (j *Job) startedUnder() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.leaseGen
 }
 
 // stateNow returns the job's current state.

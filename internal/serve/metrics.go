@@ -39,8 +39,8 @@ type metrics struct {
 	rejectedFull     *Counter // 429s
 	rejectedShutdown *Counter // 503s during drain
 	jobs             Outcomes // jobs reaching done, failed or cancelled
-	runnerStarts     *Counter // experiment.Runner executions launched
-	executionsDone   *Counter // jobs whose sweep completed locally (cluster no-double-execution invariant)
+	runnerStarts     *Counter // experiment.Runner executions launched, a job whose runs were all reused included
+	executionsDone   *Counter // jobs whose sweep completed locally, reused runs or not (cluster no-double-execution invariant)
 	leaseFences      *Counter // router-lease expiries that fenced non-terminal jobs
 	workerPanics     *Counter // panics recovered in the worker stack
 	shedMemory       *Counter // submissions shed by the byte budget

@@ -33,7 +33,7 @@ func startRunningJob(t *testing.T, s *Server, seed uint64, started time.Time) {
 	if !created {
 		t.Fatalf("resolve deduplicated a distinct spec")
 	}
-	if !j.start(nil, started) {
+	if !j.start(nil, started, 0) {
 		t.Fatalf("job did not start")
 	}
 }

@@ -195,8 +195,12 @@ type Server struct {
 	// /readyz; 0 means "no lease held" (never probed, or just fenced).
 	// leaseNanos is the effective lease duration — Options.LeaseTimeout
 	// until the router's registration ack tightens it (auto mode).
+	// leaseGen counts fences: a job records it when it starts, and one
+	// whose generation moved by its commit point must not end done
+	// (leaseLost).
 	lastProbe     atomic.Int64
 	leaseNanos    atomic.Int64
+	leaseGen      atomic.Uint64
 	clusterCancel context.CancelFunc
 	clusterWG     sync.WaitGroup
 
@@ -210,7 +214,8 @@ type Server struct {
 	// tests use it to hold a worker busy deterministically.
 	testHookJobStart func(*Job)
 	// testHookPassWorkers, when non-nil, runs in execute before the
-	// runner starts, with the pass workers the job's pass will run.
+	// runner simulates, with the pass workers the job's widest pass
+	// will run. It does not fire for a job whose every run was reused.
 	testHookPassWorkers func(j *Job, workers int)
 }
 
@@ -332,7 +337,16 @@ func (s *Server) fire(point string) error {
 // hold for non-reusable outcomes), the shed reservation release, and
 // the terminal-state counter. It reports whether this call won the
 // transition.
+//
+// A done transition is the commit point of a run, and it is fenced
+// there: a job that did not hold the router lease for its whole run
+// ends cancelled instead (leaseLost), so a replica resumed from a
+// stop cannot count a job the router has re-homed, even when the job
+// finishes before the first probe or watchdog tick after the resume.
 func (s *Server) finalize(j *Job, state State, errMsg string, results []*sim.Result, now time.Time) bool {
+	if state == StateDone && s.leaseLost(j.startedUnder()) {
+		state, errMsg, results = StateCancelled, "router lease lost: job fenced at commit", nil
+	}
 	finish := func() bool { return j.finish(state, errMsg, results, now) }
 	var won bool
 	if state == StateDone {
@@ -347,12 +361,35 @@ func (s *Server) finalize(j *Job, state State, errMsg string, results []*sim.Res
 			// One completed local execution: the dedup store runs each
 			// key's sweep once, so summing this counter across a cluster's
 			// replicas equals the number of unique specs executed — the
-			// failover drill's no-double-execution invariant. Cancelled
-			// and failed runs do not count: they produced no results.
+			// failover drill's no-double-execution invariant. A job whose
+			// runs were all reused from done jobs counts too: it is one
+			// unique spec answered here. Cancelled and failed runs do not
+			// count: they produced no results.
 			s.metrics.executionsDone.Inc()
 		}
 	}
 	return won
+}
+
+// leaseLost reports whether a job started under lease generation gen
+// may no longer be owned by this replica: a fence ran since it started,
+// or the lease is stale now and no probe or watchdog tick has seen it
+// yet. The stale case fences here, with the watchdog's CompareAndSwap,
+// so one expiry still fences exactly once. A replica that holds no
+// lease (never probed, or no lease configured) loses nothing.
+func (s *Server) leaseLost(gen uint64) bool {
+	if s.leaseGen.Load() != gen {
+		return true
+	}
+	lease := s.leaseNow()
+	last := s.lastProbe.Load()
+	if lease <= 0 || last == 0 || s.now().Sub(time.Unix(0, last)) <= lease {
+		return false
+	}
+	if s.lastProbe.CompareAndSwap(last, 0) {
+		s.fenceJobs()
+	}
+	return true
 }
 
 // Shutdown drains the server: new submissions are rejected, queued
@@ -437,7 +474,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	defer cancel()
-	if !j.start(cancel, s.now()) {
+	if !j.start(cancel, s.now(), s.leaseGen.Load()) {
 		// Cancelled while queued and popped before the DELETE could
 		// remove it from the queue: finish the cancellation here.
 		s.finalize(j, StateCancelled, "cancelled while queued", nil, s.now())
@@ -470,7 +507,10 @@ func (s *Server) runJob(j *Job) {
 
 // execute runs the job's full sweep through one experiment.Runner. The
 // runner's OnRun hook forwards per-run completions to the job's event
-// stream and the latency histograms.
+// stream and the latency histograms. Runs a done job in the table
+// already holds are filed into the runner first (reuseDone), so the
+// sweep simulates only the rest, and a job whose every run hits builds
+// no pass at all.
 func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 	if faultinject.Enabled {
 		if err := s.fire(faultinject.PointServeWorker); err != nil {
@@ -491,9 +531,6 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 	// The count the runner and RunMulti would clamp to anyway, resolved
 	// here so the test hook sees what runs.
 	workers := min(s.opts.IntraParallelism, len(schemes), runtime.GOMAXPROCS(0))
-	if s.testHookPassWorkers != nil {
-		s.testHookPassWorkers(j, workers)
-	}
 	runner, err := experiment.NewRunner(experiment.Options{
 		Base:             base,
 		Seed:             spec.Seed,
@@ -505,14 +542,16 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 		SnapshotCache:    s.snaps,
 		Fault:            s.opts.Fault,
 		OnRun: func(u experiment.RunUpdate) {
-			p := progressData{Workload: u.Workload, Scheme: u.Scheme.String()}
+			p := progressData{Workload: u.Workload, Scheme: u.Scheme.String(), Reused: u.Reused}
 			if u.Err != nil {
 				p.Error = u.Err.Error()
 			} else {
 				p.Refs = u.Result.Refs
 				p.Cycles = u.Result.Cycles
-				p.WallMS = float64(u.Result.Perf.WallNanos) / 1e6
-				s.metrics.observeRun(u.Scheme.String(), float64(u.Result.Perf.WallNanos)/1e9)
+				if !u.Reused {
+					p.WallMS = float64(u.Result.Perf.WallNanos) / 1e6
+					s.metrics.observeRun(u.Scheme.String(), float64(u.Result.Perf.WallNanos)/1e9)
+				}
 			}
 			j.progress(p)
 		},
@@ -521,6 +560,9 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 		return nil, err
 	}
 	s.metrics.runnerStarts.Inc()
+	if widest := s.reuseDone(j, runner, base, schemes); widest > 0 && s.testHookPassWorkers != nil {
+		s.testHookPassWorkers(j, min(workers, widest))
+	}
 
 	results := make([]*sim.Result, 0, spec.runs())
 	for _, wl := range spec.Workloads {
@@ -530,7 +572,66 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 		}
 		results = append(results, res...)
 	}
-	return results, nil
+	// A pass notices cancellation within a refill block; reused runs
+	// never look, so the sweep answers for them here.
+	return results, ctx.Err()
+}
+
+// runKey names one run of a job: its workload and full configuration.
+// With the seed, which reuseDone matches first, it is the runner's memo
+// key, compared as a whole struct.
+type runKey struct {
+	workload string
+	cfg      sim.Config
+}
+
+// reuseDone files into runner every run of j that a done job in the
+// table already holds: same workload, same seed and the same full
+// sim.Config (configForScheme). The simulation is deterministic, so
+// such a run is bit-identical to the one j would execute. Jobs the
+// table has evicted are not consulted, and nothing is copied: j shares
+// the done job's *sim.Result values, which no one writes after their
+// job finished. It returns the widest pass left to simulate: the most
+// schemes any one workload still misses.
+func (s *Server) reuseDone(j *Job, runner *experiment.Runner, base sim.Config, schemes []sim.Scheme) (widest int) {
+	spec := j.Spec
+	want := make(map[runKey]bool, spec.runs())
+	for _, wl := range spec.Workloads {
+		for _, sc := range schemes {
+			want[runKey{wl, base.WithScheme(sc)}] = true
+		}
+	}
+	for _, other := range s.store.List() {
+		if len(want) == 0 {
+			break
+		}
+		if other == j || other.Spec.Seed != spec.Seed {
+			continue
+		}
+		results, done := other.doneResults()
+		if !done || len(results) != other.Spec.runs() {
+			continue
+		}
+		for si, name := range other.Spec.Schemes {
+			cfg, err := other.Spec.configForScheme(name)
+			if err != nil {
+				continue // unreachable: the spec was normalised at admission
+			}
+			for wi, wl := range other.Spec.Workloads {
+				k := runKey{wl, cfg}
+				if want[k] {
+					delete(want, k)
+					runner.Adopt(wl, results[wi*len(other.Spec.Schemes)+si])
+				}
+			}
+		}
+	}
+	missing := make(map[string]int)
+	for k := range want {
+		missing[k.workload]++
+		widest = max(widest, missing[k.workload])
+	}
+	return widest
 }
 
 // --- handlers ------------------------------------------------------------------
