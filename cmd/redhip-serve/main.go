@@ -14,19 +14,17 @@
 // Endpoints:
 //
 //	POST   /v1/jobs                  submit a job (JSON spec) -> 202 + id
-//	GET    /v1/jobs                  list resident jobs
+//	POST   /v1/sweeps                submit a parameter grid as one job -> 202 + id;
+//	                                 its cells run one after another, and it goes
+//	                                 through the same admission (dedup, shedding,
+//	                                 the queue bound and its 429)
+//	GET    /v1/jobs                  list resident jobs, grid jobs included
 //	GET    /v1/jobs/{id}             status + results
 //	DELETE /v1/jobs/{id}             cancel
 //	GET    /v1/jobs/{id}/events      SSE progress stream
-//	POST   /v1/sweeps                submit a parameter grid -> 202 + id; expands
-//	                                 into child jobs through the same admission
-//	                                 path (dedup, shedding and the queue bound apply)
-//	GET    /v1/sweeps                list resident sweeps
-//	GET    /v1/sweeps/{id}           sweep status (+ per-child table; ?children=false)
-//	DELETE /v1/sweeps/{id}           cancel the sweep, fan out to owned children
-//	GET    /v1/sweeps/{id}/events    SSE sweep progress (replay-then-live)
-//	GET    /v1/sweeps/{id}/artifacts aggregated Fig 9/Fig 7 tables, JSON or
-//	                                 ?format=text (409 until the sweep is done)
+//	GET    /v1/jobs/{id}/results     the bare results of a done job
+//	GET    /v1/jobs/{id}/artifacts   a done grid job's Fig 9/Fig 7 tables, JSON or
+//	                                 ?format=text (409 until the job is done)
 //	GET    /metrics                  Prometheus text metrics
 //	GET    /healthz                  liveness JSON {"status","version"} (200 while
 //	                                 the process serves HTTP at all)

@@ -131,6 +131,10 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
+// newTimer makes Run's pacing timer; tests slow it down to widen the
+// window in which a fresh timer fires.
+var newTimer = time.NewTimer
+
 // Run executes a profile open-loop against a server: every scheduled
 // arrival fires at its offset regardless of how previous requests are
 // faring — lagging responses pile up concurrency instead of slowing
@@ -158,7 +162,13 @@ func Run(ctx context.Context, p Profile, opts Options) (*Report, error) {
 	}
 
 	start := time.Now()
-	timer := time.NewTimer(0)
+	timer := newTimer(0)
+	// go.mod's Go version keeps the pre-1.23 timer rules: a fired tick
+	// stays in timer.C across Reset. Drain the zero timer's, or the first
+	// arrival that waits would take it and fire at once.
+	if !timer.Stop() {
+		<-timer.C
+	}
 	defer timer.Stop()
 	var wg sync.WaitGroup
 scheduling:

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunAccounting drives a fast schedule at a scripted server that
@@ -161,5 +162,53 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if rep.WallSeconds > 5 {
 		t.Fatalf("cancelled run took %.1fs", rep.WallSeconds)
+	}
+}
+
+// TestFirstArrivalWaitsForItsOffset: Run's pacing timer starts as a
+// zero timer, and its tick must not stand in for the first arrival's.
+// The test makes Run's timer wait until that tick has fired — the
+// interleaving that made TestRunCancellation flaky — and then checks
+// that a profile whose first arrival is due after 200 ms sends nothing
+// before then.
+func TestFirstArrivalWaitsForItsOffset(t *testing.T) {
+	p := Profile{
+		Seed:    7,
+		Phases:  []Phase{{DurationSeconds: 30, RatePerSec: 1}},
+		Cohorts: oneCohort(),
+	}
+	norm, err := p.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := mustSchedule(t, norm)[0].At; first < 200*time.Millisecond {
+		t.Fatalf("first arrival due at %s, the test needs at least 200ms", first)
+	}
+	t.Cleanup(func() { newTimer = time.NewTimer })
+	newTimer = func(d time.Duration) *time.Timer {
+		timer := time.NewTimer(d)
+		// Under the pre-1.23 timer rules a fired tick sits in the
+		// channel's buffer; wait for it, bounded, since newer rules
+		// never buffer one.
+		for deadline := time.Now().Add(100 * time.Millisecond); len(timer.C) == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return timer
+	}
+
+	var sent atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sent.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	rep, err := Run(ctx, p, Options{BaseURL: srv.URL})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Total.Sent != 0 || sent.Load() != 0 {
+		t.Fatalf("sent %d requests (server saw %d) before the first arrival was due", rep.Total.Sent, sent.Load())
 	}
 }

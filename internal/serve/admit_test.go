@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"strconv"
@@ -9,16 +8,24 @@ import (
 	"time"
 
 	"redhip/internal/faultinject"
+	"redhip/internal/sweep"
 )
 
-// TestAdmitVerdicts pins the one admission classification POST /v1/jobs
-// and the sweep orchestrator share: for each admitSpec outcome, the
-// status and Retry-After the submission answers with, and that
-// admitChild waits and retries exactly when a Retry-After is given.
+// TestAdmitVerdicts pins the one admission classification POST
+// /v1/jobs and POST /v1/sweeps share: for each admit outcome, the
+// status and Retry-After a plain job answers with, and that a grid job
+// whose one cell is the same spec answers alike.
 func TestAdmitVerdicts(t *testing.T) {
 	probe, err := specWithSeed(2).normalize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	probeGrid := sweep.Grid{
+		Workloads:   probe.Workloads,
+		Schemes:     probe.Schemes,
+		Geometries:  []string{probe.Geometry},
+		Seeds:       []uint64{probe.Seed},
+		RefsPerCore: []uint64{probe.RefsPerCore},
 	}
 	est := int64(probe.estimateTraceBytes())
 	// hold occupies the only worker with seed 1 until the test ends.
@@ -84,31 +91,21 @@ func TestAdmitVerdicts(t *testing.T) {
 				tc.setup(t, ts)
 			}
 
-			resp := ts.submitRaw(probe)
-			resp.Body.Close()
-			if resp.StatusCode != tc.code {
-				t.Fatalf("POST /v1/jobs = %d, want %d", resp.StatusCode, tc.code)
-			}
-			ra := resp.Header.Get("Retry-After")
-			if sec, err := strconv.Atoi(ra); tc.retryAfter && (err != nil || sec < 1) {
-				t.Errorf("Retry-After = %q, want an integer >= 1", ra)
-			} else if !tc.retryAfter && ra != "" {
-				t.Errorf("Retry-After = %q on a final verdict, want none", ra)
-			}
-
-			// Every transient wait is at least 20ms, so a shorter deadline
-			// ends admitChild inside its first wait.
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			defer cancel()
-			_, _, err := ts.s.admitChild(ctx, probe)
-			waited := ts.s.metrics.sweepAdmitWaits.Load() > 0
-			switch {
-			case waited != tc.retryAfter:
-				t.Errorf("admitChild waited = %v, want %v (err %v)", waited, tc.retryAfter, err)
-			case tc.retryAfter && !errors.Is(err, context.DeadlineExceeded):
-				t.Errorf("retrying admitChild = %v, want the deadline", err)
-			case !tc.retryAfter && (err == nil || errors.Is(err, context.DeadlineExceeded)):
-				t.Errorf("final admitChild = %v, want the admission error", err)
+			for _, post := range []struct {
+				path string
+				body any
+			}{{"/v1/jobs", probe}, {"/v1/sweeps", probeGrid}} {
+				resp := ts.postRaw(post.path, post.body)
+				resp.Body.Close()
+				if resp.StatusCode != tc.code {
+					t.Fatalf("POST %s = %d, want %d", post.path, resp.StatusCode, tc.code)
+				}
+				ra := resp.Header.Get("Retry-After")
+				if sec, err := strconv.Atoi(ra); tc.retryAfter && (err != nil || sec < 1) {
+					t.Errorf("POST %s: Retry-After = %q, want an integer >= 1", post.path, ra)
+				} else if !tc.retryAfter && ra != "" {
+					t.Errorf("POST %s: Retry-After = %q on a final verdict, want none", post.path, ra)
+				}
 			}
 		})
 	}

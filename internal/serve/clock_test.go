@@ -174,7 +174,7 @@ func TestCommitAfterLeaseGapFences(t *testing.T) {
 // renewed it).
 func TestCommitFencesWhenGenerationMoved(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	j := newJob("job-x", smokeSpec(), ts.s.now())
+	j := newJob("job-x", specWork(smokeSpec()), ts.s.now())
 	if !j.start(func() {}, ts.s.now(), ts.s.leaseGen.Load()) {
 		t.Fatal("start refused a queued job")
 	}

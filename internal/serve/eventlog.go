@@ -10,9 +10,9 @@ import (
 	"sync"
 )
 
-// EventLog is the append-only progress log shared by jobs, sweeps and
-// the cluster router's routed jobs: a monotone event sequence plus live
-// fan-out to subscribers, with replay-then-live semantics (late
+// EventLog is the append-only progress log shared by jobs (plain and
+// grid) and the cluster router's routed jobs: a monotone event sequence
+// plus live fan-out to subscribers, with replay-then-live semantics (late
 // subscribers replay the log from the start, so no event is ever lost
 // to subscription timing). Each log numbers its own events from 1, so
 // the router's client-facing stream keeps counting monotonically across
@@ -105,8 +105,8 @@ func (l *EventLog) Subscribe() (replay []Event, live <-chan Event, unsub func())
 
 // ServeEvents streams log as text/event-stream: the replay first, then
 // live events until the terminal event closes the stream or the client
-// goes away. It is the one handler body behind GET /v1/jobs/{id}/events,
-// GET /v1/sweeps/{id}/events and the router's events endpoint.
+// goes away. It is the one handler body behind GET /v1/jobs/{id}/events
+// and the router's events endpoint.
 func ServeEvents(w http.ResponseWriter, r *http.Request, log *EventLog) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

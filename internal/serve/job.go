@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"redhip/internal/sim"
+	"redhip/internal/sweep"
 )
 
 // State is a job's lifecycle position. Transitions are monotone:
@@ -71,14 +72,49 @@ type panicData struct {
 	Stack string `json:"stack"`
 }
 
+// work is what a job runs, fixed at admission: its dedup key and its
+// cells, the normalised specs it simulates one after another. A plain
+// job (POST /v1/jobs) is its spec's one cell; a grid job (POST
+// /v1/sweeps) runs childSpec of every expanded grid child, in expansion
+// order.
+type work struct {
+	Key   string
+	Spec  *Spec       // a plain job's spec; nil for a grid job
+	Grid  *sweep.Grid // a grid job's normalised grid; nil for a plain job
+	cells []Spec
+}
+
+// specWork is the work of a plain job; norm must be normalised.
+func specWork(norm Spec) work {
+	return work{Key: norm.key(), Spec: &norm, cells: []Spec{norm}}
+}
+
+// runs returns the job's total run count over its cells.
+func (w work) runs() int {
+	n := 0
+	for _, c := range w.cells {
+		n += c.runs()
+	}
+	return n
+}
+
+// estimateTraceBytes is the trace footprint the job reserves at
+// admission: its largest cell's, because cells run one at a time.
+func (w work) estimateTraceBytes() uint64 {
+	var est uint64
+	for _, c := range w.cells {
+		est = max(est, c.estimateTraceBytes())
+	}
+	return est
+}
+
 // Job is one admitted submission and everything it accretes: state,
 // progress counters, the event log, subscribers, and (terminally)
 // results or an error.
 type Job struct {
 	// Immutable after creation.
-	ID   string
-	Key  string
-	Spec Spec
+	ID string
+	work
 	// estBytes is the trace-footprint reservation made at admission;
 	// finalize releases it exactly once on the terminal transition.
 	estBytes uint64
@@ -86,7 +122,7 @@ type Job struct {
 	mu          sync.Mutex
 	state       State              //redhip:guardedby mu
 	err         string             //redhip:guardedby mu
-	results     []*sim.Result      //redhip:guardedby mu
+	results     []*sim.Result      //redhip:guardedby mu // every cell's, in cell order
 	completed   int                //redhip:guardedby mu // runs finished
 	reused      int                //redhip:guardedby mu // of completed, runs adopted from done jobs
 	total       int                //redhip:guardedby mu // runs planned
@@ -104,13 +140,12 @@ type Job struct {
 	log EventLog
 }
 
-func newJob(id string, spec Spec, now time.Time) *Job {
+func newJob(id string, w work, now time.Time) *Job {
 	j := &Job{
 		ID:          id,
-		Key:         spec.key(),
-		Spec:        spec,
+		work:        w,
 		state:       StateQueued,
-		total:       spec.runs(),
+		total:       w.runs(),
 		submissions: 1,
 		submitted:   now,
 	}
@@ -216,13 +251,15 @@ func (j *Job) Attach() {
 	j.mu.Unlock()
 }
 
-// Status is the JSON shape of GET /v1/jobs/{id}.
+// Status is the JSON shape of GET /v1/jobs/{id}. Exactly one of Spec
+// and Grid is set.
 type Status struct {
 	ID          string        `json:"id"`
 	Key         string        `json:"key"`
 	State       State         `json:"state"`
 	Error       string        `json:"error,omitempty"`
-	Spec        Spec          `json:"spec"`
+	Spec        *Spec         `json:"spec,omitempty"`
+	Grid        *sweep.Grid   `json:"grid,omitempty"`
 	Completed   int           `json:"completed"`
 	Total       int           `json:"total"`
 	ReusedRuns  int           `json:"reused_runs"` // of Completed, runs served from done jobs' results
@@ -244,6 +281,7 @@ func (j *Job) snapshot(withResults bool) Status {
 		State:       j.state,
 		Error:       j.err,
 		Spec:        j.Spec,
+		Grid:        j.Grid,
 		Completed:   j.completed,
 		Total:       j.total,
 		ReusedRuns:  j.reused,

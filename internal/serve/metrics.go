@@ -34,21 +34,16 @@ type endpointMetrics struct {
 // stored jobs) are read live from their owners at render time.
 type metrics struct {
 	counters         Counters // every counter below, in exposition order
-	submitted        *Counter // POST /v1/jobs accepted (new or deduped)
+	submitted        *Counter // POST /v1/jobs and /v1/sweeps accepted (new or deduped)
 	deduped          *Counter // submissions attached to an existing job
 	rejectedFull     *Counter // 429s
 	rejectedShutdown *Counter // 503s during drain
 	jobs             Outcomes // jobs reaching done, failed or cancelled
-	runnerStarts     *Counter // experiment.Runner executions launched, a job whose runs were all reused included
+	runnerStarts     *Counter // jobs that started their runners, one per job whatever its cell count, a job whose runs were all reused included
 	executionsDone   *Counter // jobs whose sweep completed locally, reused runs or not (cluster no-double-execution invariant)
 	leaseFences      *Counter // router-lease expiries that fenced non-terminal jobs
 	workerPanics     *Counter // panics recovered in the worker stack
 	shedMemory       *Counter // submissions shed by the byte budget
-	sweepsSubmitted  *Counter // POST /v1/sweeps accepted
-	sweeps           Outcomes // sweeps reaching done, failed or cancelled
-	sweepChildren    *Counter // child jobs submitted by sweep orchestrators
-	sweepChildDedup  *Counter // sweep children resolved by dedup instead of a fresh run
-	sweepAdmitWaits  *Counter // child admissions retried after a transient rejection
 
 	mu   sync.Mutex
 	runs map[string]*Histogram       // per-scheme run wall time
@@ -75,15 +70,6 @@ func newMetrics() *metrics {
 	m.leaseFences = c.New("redhip_serve_lease_fences_total", "Router-lease expiries that fenced (cancelled) this replica's non-terminal jobs.")
 	m.workerPanics = c.New("redhip_serve_worker_panics_total", "Panics recovered in the worker execution stack.")
 	m.shedMemory = c.New("redhip_serve_shed_memory_total", "Submissions shed by the trace-memory byte budget.")
-	m.sweepsSubmitted = c.New("redhip_serve_sweeps_submitted_total", "POST /v1/sweeps accepted.")
-	m.sweeps = Outcomes{
-		Done:      c.New("redhip_serve_sweeps_completed_total", "Sweeps whose every child finished and whose artifacts aggregated."),
-		Failed:    c.New("redhip_serve_sweeps_failed_total", "Sweeps that ended failed."),
-		Cancelled: c.New("redhip_serve_sweeps_cancelled_total", "Sweeps cancelled by DELETE or shutdown."),
-	}
-	m.sweepChildren = c.New("redhip_serve_sweep_children_total", "Child jobs submitted through sweep orchestration.")
-	m.sweepChildDedup = c.New("redhip_serve_sweep_children_deduped_total", "Sweep children resolved by dedup instead of a fresh execution.")
-	m.sweepAdmitWaits = c.New("redhip_serve_sweep_admit_waits_total", "Sweep child admissions retried after a transient rejection (queue full, memory shed).")
 	return m
 }
 
@@ -150,8 +136,6 @@ type gauges struct {
 	QueueDepth     int
 	InFlight       int
 	StoredJobs     int
-	StoredSweeps   int
-	ActiveSweeps   int // sweeps not yet terminal
 	MemoryReserved uint64
 	MemoryBudget   uint64
 	Ready          bool
@@ -167,8 +151,6 @@ func (m *metrics) writeProm(w io.Writer, g gauges, ts tracestore.Stats, tsOK boo
 	p.Gauge("redhip_serve_queue_depth", "Jobs admitted and waiting for a worker.", float64(g.QueueDepth))
 	p.Gauge("redhip_serve_inflight", "Jobs currently executing.", float64(g.InFlight))
 	p.Gauge("redhip_serve_jobs_stored", "Jobs resident in the store (all states).", float64(g.StoredJobs))
-	p.Gauge("redhip_serve_sweeps_stored", "Sweeps resident in the store (all states).", float64(g.StoredSweeps))
-	p.Gauge("redhip_serve_sweeps_active", "Sweeps currently orchestrating children.", float64(g.ActiveSweeps))
 	p.Gauge("redhip_serve_memory_reserved_bytes", "Trace bytes reserved by admitted jobs.", float64(g.MemoryReserved))
 	p.Gauge("redhip_serve_memory_budget_bytes", "Trace-memory admission budget (0 = shedding disabled).", float64(g.MemoryBudget))
 	ready := 0.0

@@ -45,8 +45,7 @@ func TestWritePromGolden(t *testing.T) {
 	m.httpStart("metrics") // a scrape in flight, nothing finished yet
 
 	g := gauges{
-		QueueDepth: 3, InFlight: 2, StoredJobs: 17, StoredSweeps: 4,
-		ActiveSweeps:   1,
+		QueueDepth: 3, InFlight: 2, StoredJobs: 17,
 		MemoryReserved: 1 << 20, MemoryBudget: 1 << 30, Ready: true,
 	}
 	ts := tracestore.Stats{

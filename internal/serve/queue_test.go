@@ -195,9 +195,9 @@ func waitFor(t *testing.T, cond func() bool) {
 // accounting on remove, and close-drains semantics.
 func TestQueueUnit(t *testing.T) {
 	q := newJobQueue(2)
-	a := newJob("a", smokeSpec(), time.Now())
-	b := newJob("b", smokeSpec(), time.Now())
-	c := newJob("c", smokeSpec(), time.Now())
+	a := newJob("a", specWork(smokeSpec()), time.Now())
+	b := newJob("b", specWork(smokeSpec()), time.Now())
+	c := newJob("c", specWork(smokeSpec()), time.Now())
 	if err := q.push(a); err != nil {
 		t.Fatal(err)
 	}

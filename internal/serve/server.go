@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,13 +22,6 @@ import (
 	"redhip/internal/tracestore"
 	"redhip/internal/version"
 )
-
-// maxStoredSweeps bounds resident terminal sweeps.
-const maxStoredSweeps = 64
-
-// maxSweepChildren caps the expanded size of one sweep grid. A grid
-// that expands past it is rejected with 400 at admission.
-const maxSweepChildren = 10_000
 
 // DefaultTraceCacheBytes bounds a replica's trace store when
 // Options.TraceCacheBytes is 0: 64 MiB, a quarter of the batch
@@ -176,7 +170,6 @@ type Server struct {
 	opts     Options
 	queue    *jobQueue
 	store    *Table[*Job]
-	sweeps   *Table[*sweepRun]
 	traces   *tracestore.Store
 	snaps    *simstate.Store // nil when SnapshotCacheBytes == 0
 	metrics  *metrics
@@ -187,7 +180,6 @@ type Server struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 	workerWG sync.WaitGroup
-	sweepWG  sync.WaitGroup
 
 	// Cluster-replica state (inert unless Options.RouterURL is set):
 	// the register/watchdog goroutines and the router-lease clock.
@@ -213,9 +205,9 @@ type Server struct {
 	// after a job transitions to running and before its runner starts —
 	// tests use it to hold a worker busy deterministically.
 	testHookJobStart func(*Job)
-	// testHookPassWorkers, when non-nil, runs in execute before the
-	// runner simulates, with the pass workers the job's widest pass
-	// will run. It does not fire for a job whose every run was reused.
+	// testHookPassWorkers, when non-nil, runs in runCell before the
+	// runner simulates, with the pass workers the cell's widest pass
+	// will run. It does not fire for a cell whose every run was reused.
 	testHookPassWorkers func(j *Job, workers int)
 }
 
@@ -229,7 +221,6 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		queue:    newJobQueue(opts.QueueDepth),
 		store:    NewTable[*Job]("job-%06d", opts.MaxStoredJobs),
-		sweeps:   NewTable[*sweepRun]("sweep-%06d", maxStoredSweeps),
 		traces:   tracestore.New(opts.TraceCacheBytes),
 		metrics:  newMetrics(),
 		mux:      http.NewServeMux(),
@@ -264,12 +255,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("job", s.handleCancel))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("events", s.handleEvents))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/results", s.instrument("results", s.handleResults))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts", s.instrument("artifacts", s.handleArtifacts))
 	s.mux.HandleFunc("POST /v1/sweeps", s.instrument("sweeps", s.handleSweepSubmit))
-	s.mux.HandleFunc("GET /v1/sweeps", s.instrument("sweeps", s.handleSweepList))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.instrument("sweep", s.handleSweepGet))
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.instrument("sweep", s.handleSweepCancel))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.instrument("sweep_events", s.handleSweepEvents))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/artifacts", s.instrument("sweep", s.handleSweepArtifacts))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", HandleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
@@ -405,18 +392,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.clusterCancel()
 		s.clusterWG.Wait()
 	}
-	// Cancel active sweep orchestrators first: their pending submissions
-	// stop, and their already-queued children fall to queue.close below.
-	for _, sw := range s.sweeps.List() {
-		sw.requestCancel()
-	}
 	for _, j := range s.queue.close() {
 		s.finalize(j, StateCancelled, "server shutting down", nil, s.now())
 	}
 	done := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
-		s.sweepWG.Wait()
 		close(done)
 	}()
 	select {
@@ -461,18 +442,19 @@ func (s *Server) safeRunJob(j *Job) {
 	s.runJob(j)
 }
 
-// runJob executes one job end to end: running-state transition, one
-// execution, terminal state via finalize. A panic anywhere below falls
-// to safeRunJob's barrier and fails the job.
+// runJob executes one job end to end: running-state transition, its
+// cells, terminal state via finalize. A panic anywhere below falls to
+// safeRunJob's barrier and fails the job.
 func (s *Server) runJob(j *Job) {
+	// Every cell carries the job's timeout, and each cell runs under it.
 	timeout := s.opts.DefaultTimeout
-	if t := j.Spec.TimeoutSeconds; t > 0 {
+	if t := j.cells[0].TimeoutSeconds; t > 0 {
 		timeout = time.Duration(t * float64(time.Second))
 		if timeout > s.opts.MaxTimeout {
 			timeout = s.opts.MaxTimeout
 		}
 	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !j.start(cancel, s.now(), s.leaseGen.Load()) {
 		// Cancelled while queued and popped before the DELETE could
@@ -482,11 +464,14 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	// The first cell's clock starts with the job, so a worker held
+	// before its runner counts against it.
+	started := time.Now()
 	if s.testHookJobStart != nil {
 		s.testHookJobStart(j)
 	}
 
-	results, err := s.execute(ctx, j)
+	results, err := s.execute(ctx, j, timeout, started)
 	var pe *experiment.PanicError
 	if errors.As(err, &pe) {
 		s.metrics.workerPanics.Inc()
@@ -505,19 +490,37 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// execute runs the job's full sweep through one experiment.Runner. The
-// runner's OnRun hook forwards per-run completions to the job's event
-// stream and the latency histograms. Runs a done job in the table
-// already holds are filed into the runner first (reuseDone), so the
-// sweep simulates only the rest, and a job whose every run hits builds
-// no pass at all.
-func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
+// execute runs the job's cells one after another, each under its own
+// timeout, and returns their results in cell order. started is when the
+// first cell's clock started; each later cell's starts with the cell.
+func (s *Server) execute(ctx context.Context, j *Job, timeout time.Duration, started time.Time) ([]*sim.Result, error) {
 	if faultinject.Enabled {
 		if err := s.fire(faultinject.PointServeWorker); err != nil {
 			return nil, err
 		}
 	}
-	spec := j.Spec
+	s.metrics.runnerStarts.Inc()
+	results := make([]*sim.Result, 0, j.runs())
+	for _, cell := range j.cells {
+		cellCtx, cancel := context.WithDeadline(ctx, started.Add(timeout))
+		res, err := s.runCell(cellCtx, j, cell)
+		cancel()
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, res...)
+		started = time.Now()
+	}
+	return results, nil
+}
+
+// runCell runs one cell of j through one experiment.Runner. The
+// runner's OnRun hook forwards per-run completions to the job's event
+// stream and the latency histograms. Runs a done job in the table
+// already holds are filed into the runner first (reuseDone), so the
+// sweep simulates only the rest, and a cell whose every run hits builds
+// no pass at all.
+func (s *Server) runCell(ctx context.Context, j *Job, spec Spec) ([]*sim.Result, error) {
 	base, err := spec.configForScheme(spec.Schemes[0])
 	if err != nil {
 		return nil, err
@@ -559,8 +562,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.runnerStarts.Inc()
-	if widest := s.reuseDone(j, runner, base, schemes); widest > 0 && s.testHookPassWorkers != nil {
+	if widest := s.reuseDone(j, spec, runner, base, schemes); widest > 0 && s.testHookPassWorkers != nil {
 		s.testHookPassWorkers(j, min(workers, widest))
 	}
 
@@ -573,7 +575,7 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]*sim.Result, error) {
 		results = append(results, res...)
 	}
 	// A pass notices cancellation within a refill block; reused runs
-	// never look, so the sweep answers for them here.
+	// never look, so the cell answers for them here.
 	return results, ctx.Err()
 }
 
@@ -585,43 +587,51 @@ type runKey struct {
 	cfg      sim.Config
 }
 
-// reuseDone files into runner every run of j that a done job in the
-// table already holds: same workload, same seed and the same full
-// sim.Config (configForScheme). The simulation is deterministic, so
-// such a run is bit-identical to the one j would execute. Jobs the
+// reuseDone files into runner every run of spec, a cell of j, that a
+// cell of a done job in the table already holds: same workload, same
+// seed and the same full sim.Config (configForScheme). The simulation
+// is deterministic, so such a run is bit-identical to the one j would
+// execute. Plain and grid jobs are matched alike, cell by cell. Jobs the
 // table has evicted are not consulted, and nothing is copied: j shares
 // the done job's *sim.Result values, which no one writes after their
 // job finished. It returns the widest pass left to simulate: the most
 // schemes any one workload still misses.
-func (s *Server) reuseDone(j *Job, runner *experiment.Runner, base sim.Config, schemes []sim.Scheme) (widest int) {
-	spec := j.Spec
+func (s *Server) reuseDone(j *Job, spec Spec, runner *experiment.Runner, base sim.Config, schemes []sim.Scheme) (widest int) {
 	want := make(map[runKey]bool, spec.runs())
 	for _, wl := range spec.Workloads {
 		for _, sc := range schemes {
 			want[runKey{wl, base.WithScheme(sc)}] = true
 		}
 	}
+	sameSeed := func(c Spec) bool { return c.Seed == spec.Seed }
 	for _, other := range s.store.List() {
 		if len(want) == 0 {
 			break
 		}
-		if other == j || other.Spec.Seed != spec.Seed {
+		if other == j || !slices.ContainsFunc(other.cells, sameSeed) {
 			continue
 		}
 		results, done := other.doneResults()
-		if !done || len(results) != other.Spec.runs() {
+		if !done || len(results) != other.runs() {
 			continue
 		}
-		for si, name := range other.Spec.Schemes {
-			cfg, err := other.Spec.configForScheme(name)
-			if err != nil {
-				continue // unreachable: the spec was normalised at admission
+		for _, cell := range other.cells {
+			held := results[:cell.runs()]
+			results = results[cell.runs():]
+			if !sameSeed(cell) {
+				continue
 			}
-			for wi, wl := range other.Spec.Workloads {
-				k := runKey{wl, cfg}
-				if want[k] {
-					delete(want, k)
-					runner.Adopt(wl, results[wi*len(other.Spec.Schemes)+si])
+			for si, name := range cell.Schemes {
+				cfg, err := cell.configForScheme(name)
+				if err != nil {
+					continue // unreachable: the spec was normalised at admission
+				}
+				for wi, wl := range cell.Workloads {
+					k := runKey{wl, cfg}
+					if want[k] {
+						delete(want, k)
+						runner.Adopt(wl, held[wi*len(cell.Schemes)+si])
+					}
 				}
 			}
 		}
@@ -650,20 +660,20 @@ type SubmitResponse struct {
 }
 
 // admitFault wraps a serve.admit injected fault: a transient admission
-// rejection (503 over HTTP, retried by sweep orchestrators).
+// rejection (503 + Retry-After over HTTP).
 type admitFault struct{ err error }
 
 func (e *admitFault) Error() string { return e.err.Error() }
 
-// admitSpec runs one normalised spec through the full admission path —
+// admit runs one job's work through the full admission path —
 // shutdown gate, injected admission faults, dedup single-flight, the
 // memory-shed verdict, and the bounded queue — and returns the resolved
-// job. It is the single door both POST /v1/jobs and the sweep
-// orchestrator go through, so every control applies to sweep fan-out
-// exactly as it does to direct submissions. Errors are typed:
-// ErrShuttingDown, *admitFault, *shedError and ErrQueueFull; metrics
-// for each verdict are recorded here.
-func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
+// job. It is the single door both POST /v1/jobs and POST /v1/sweeps go
+// through, so every control applies to a grid job exactly as it does to
+// a plain one. Errors are typed: ErrShuttingDown, *admitFault,
+// *shedError and ErrQueueFull; metrics for each verdict are recorded
+// here.
+func (s *Server) admit(w work) (j *Job, created bool, err error) {
 	if s.stopping.Load() {
 		s.metrics.rejectedShutdown.Inc()
 		return nil, false, ErrShuttingDown
@@ -677,10 +687,10 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 	// The shed verdict gates creation only (inside resolve's lock, after
 	// the dedup check): attaching to existing work costs nothing, so it
 	// is never shed.
-	est := norm.estimateTraceBytes()
-	admit := func() error { return s.shed.reserve(est) }
-	j, created, err = s.store.Resolve(norm.key(), admit, func(id string) *Job {
-		j := newJob(id, norm, s.now())
+	est := w.estimateTraceBytes()
+	reserve := func() error { return s.shed.reserve(est) }
+	j, created, err = s.store.Resolve(w.Key, reserve, func(id string) *Job {
+		j := newJob(id, w, s.now())
 		j.estBytes = est // released exactly once, by finalize
 		return j
 	})
@@ -715,18 +725,18 @@ func (s *Server) admitSpec(norm Spec) (j *Job, created bool, err error) {
 	return j, created, nil
 }
 
-// admitVerdict is how a client hears an admitSpec error: an HTTP
-// status and message, and a Retry-After (0 = none). A verdict with a
-// Retry-After is transient — the sweep orchestrator waits it out and
-// retries; any other verdict is final.
+// admitVerdict is how a client hears an admit error: an HTTP status
+// and message, and a Retry-After (0 = none). A verdict with a
+// Retry-After is transient — the client may wait it out and retry; any
+// other verdict is final.
 type admitVerdict struct {
 	code       int
 	msg        string
 	retryAfter time.Duration
 }
 
-// classifyAdmit gives each error admitSpec returns its verdict: POST
-// /v1/jobs answers with it and the sweep orchestrator retries by it.
+// classifyAdmit gives each error admit returns its verdict, the answer
+// of POST /v1/jobs and POST /v1/sweeps alike.
 func (s *Server) classifyAdmit(err error) admitVerdict {
 	var af *admitFault
 	var se *shedError
@@ -750,10 +760,7 @@ func (s *Server) classifyAdmit(err error) admitVerdict {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
+	if !decodeBody(w, r, &spec, "invalid job spec") {
 		return
 	}
 	norm, err := spec.normalize()
@@ -761,8 +768,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.submit(w, specWork(norm))
+}
 
-	j, created, err := s.admitSpec(norm)
+// decodeBody decodes the request's JSON body into v, rejecting unknown
+// fields. On failure it answers 400, prefixed with what, and reports
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		HTTPError(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", what, err))
+		return false
+	}
+	return true
+}
+
+// submit admits wk and answers the submission: 202 with the job's URLs,
+// or the admission verdict with its Retry-After.
+func (s *Server) submit(w http.ResponseWriter, wk work) {
+	j, created, err := s.admit(wk)
 	if err != nil {
 		v := s.classifyAdmit(err)
 		if v.retryAfter > 0 {
@@ -906,19 +931,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reserved, budget := s.shed.usage()
-	sweeps := s.sweeps.List()
-	active := 0
-	for _, sw := range sweeps {
-		if !sw.Terminal() {
-			active++
-		}
-	}
 	g := gauges{
 		QueueDepth:     s.queue.depth(),
 		InFlight:       int(s.inflight.Load()),
 		StoredJobs:     s.store.Len(),
-		StoredSweeps:   len(sweeps),
-		ActiveSweeps:   active,
 		MemoryReserved: reserved,
 		MemoryBudget:   budget,
 		Ready:          s.readiness().Ready,

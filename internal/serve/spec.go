@@ -3,14 +3,17 @@
 // runs them on a bounded worker pool backed by experiment.Runner and a
 // process-wide tracestore (so identical streams materialise once per
 // process), and exposes status polling, Server-Sent-Events progress
-// streaming and a Prometheus-text /metrics endpoint.
+// streaming and a Prometheus-text /metrics endpoint. A job is a list of
+// cells, each a normalised Spec run one after another: a POST /v1/jobs
+// spec is one cell, and a POST /v1/sweeps grid is one cell per grid
+// child (sweeps.go).
 //
 // Production shape (DESIGN.md §11):
 //   - Admission control: a bounded FIFO queue; a full queue rejects
 //     with 429 and a Retry-After estimate instead of buffering without
 //     bound.
 //   - Deduplication: jobs are keyed by a canonical hash of their
-//     normalised spec. A submission whose key matches a queued,
+//     normalised spec or grid. A submission whose key matches a queued,
 //     running or cached-complete job attaches to it (single-flight
 //     onto an LRU-bounded job store) instead of re-running.
 //   - Cancellation: DELETE frees a queued job's slot immediately and
@@ -210,12 +213,19 @@ func (s Spec) estimateTraceBytes() uint64 {
 // TimeoutSeconds zeroed so it does not split otherwise-identical jobs.
 func (s Spec) key() string {
 	s.TimeoutSeconds = 0
-	b, err := json.Marshal(s)
+	return hashKey("", s)
+}
+
+// hashKey is a short hex SHA-256 of prefix followed by v's JSON
+// encoding. A JSON object starts with "{", so a non-empty prefix keeps
+// the key apart from every unprefixed key.
+func hashKey(prefix string, v any) string {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// A Spec is plain data; Marshal cannot fail. Keep the error
-		// path total anyway.
-		panic(fmt.Sprintf("serve: marshal spec: %v", err))
+		// Keys hash plain data; Marshal cannot fail. Keep the error path
+		// total anyway.
+		panic(fmt.Sprintf("serve: marshal key: %v", err))
 	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256(append([]byte(prefix), b...))
 	return hex.EncodeToString(sum[:8])
 }

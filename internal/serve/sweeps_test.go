@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +15,7 @@ import (
 )
 
 // smokeGrid is a small sweep every test can afford: two workloads x
-// two seeds of the smoke geometry under two schemes = 4 children,
-// 8 runs.
+// two seeds of the smoke geometry under two schemes = 4 cells, 8 runs.
 func smokeGrid() sweep.Grid {
 	return sweep.Grid{
 		Workloads:   []string{"mcf", "milc"},
@@ -26,21 +26,29 @@ func smokeGrid() sweep.Grid {
 	}
 }
 
-// submitSweep POSTs a grid and returns the decoded response, failing
-// unless the status matches want.
-func (ts *testServer) submitSweep(g sweep.Grid, want int) sweepSubmitResponse {
+// postRaw POSTs body as JSON to path and returns the raw response
+// (caller closes).
+func (ts *testServer) postRaw(path string, body any) *http.Response {
 	ts.t.Helper()
-	body, _ := json.Marshal(g)
-	resp, err := http.Post(ts.web.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	raw, _ := json.Marshal(body)
+	resp, err := http.Post(ts.web.URL+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
-		ts.t.Fatalf("POST /v1/sweeps: %v", err)
+		ts.t.Fatalf("POST %s: %v", path, err)
 	}
+	return resp
+}
+
+// submitGrid POSTs a grid to /v1/sweeps and returns the decoded
+// response, failing unless the status matches want.
+func (ts *testServer) submitGrid(g any, want int) SubmitResponse {
+	ts.t.Helper()
+	resp := ts.postRaw("/v1/sweeps", g)
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != want {
 		ts.t.Fatalf("POST /v1/sweeps = %d, want %d (body %s)", resp.StatusCode, want, raw)
 	}
-	var out sweepSubmitResponse
+	var out SubmitResponse
 	if want == http.StatusAccepted {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			ts.t.Fatalf("decode sweep response: %v", err)
@@ -49,120 +57,101 @@ func (ts *testServer) submitSweep(g sweep.Grid, want int) sweepSubmitResponse {
 	return out
 }
 
-// sweepStatus GETs a sweep's status.
-func (ts *testServer) sweepStatus(id string) SweepStatus {
+// artifacts GETs a job's artifacts with the given query and returns the
+// status code and body.
+func (ts *testServer) artifacts(id, query string) (int, string) {
 	ts.t.Helper()
-	var st SweepStatus
-	ts.getJSON("/v1/sweeps/"+id, &st)
-	return st
-}
-
-// waitSweep polls until the sweep reaches a terminal state.
-func (ts *testServer) waitSweep(id string, want State) SweepStatus {
-	ts.t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		st := ts.sweepStatus(id)
-		if st.State == want {
-			return st
-		}
-		if st.State.Terminal() {
-			ts.t.Fatalf("sweep %s reached %q (err %q), want %q", id, st.State, st.Error, want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ts.t.Fatalf("sweep %s did not reach %q in time", id, want)
-	return SweepStatus{}
-}
-
-// sweepArtifactsText GETs the rendered artifact block.
-func (ts *testServer) sweepArtifactsText(id string) string {
-	ts.t.Helper()
-	resp, err := http.Get(ts.web.URL + "/v1/sweeps/" + id + "/artifacts?format=text")
+	resp, err := http.Get(ts.web.URL + "/v1/jobs/" + id + "/artifacts" + query)
 	if err != nil {
 		ts.t.Fatalf("GET artifacts: %v", err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		ts.t.Fatalf("GET artifacts = %d (body %s)", resp.StatusCode, raw)
+	return resp.StatusCode, string(raw)
+}
+
+// artifactsText GETs a done grid job's rendered artifact block.
+func (ts *testServer) artifactsText(id string) string {
+	ts.t.Helper()
+	code, body := ts.artifacts(id, "?format=text")
+	if code != http.StatusOK {
+		ts.t.Fatalf("GET artifacts = %d (body %s)", code, body)
 	}
-	return string(raw)
+	return body
+}
+
+// gridArtifactsFresh runs g on a new server that has run nothing else
+// and returns its artifact text.
+func gridArtifactsFresh(t *testing.T, g sweep.Grid) string {
+	t.Helper()
+	ts := newTestServer(t, Options{Workers: 1})
+	sub := ts.submitGrid(g, http.StatusAccepted)
+	ts.waitState(sub.ID, StateDone)
+	return ts.artifactsText(sub.ID)
 }
 
 func TestSweepEndToEnd(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
-	sub := ts.submitSweep(smokeGrid(), http.StatusAccepted)
-	if sub.Children != 4 || sub.Runs != 8 {
-		t.Fatalf("sweep sized %d children / %d runs, want 4 / 8", sub.Children, sub.Runs)
+	sub := ts.submitGrid(smokeGrid(), http.StatusAccepted)
+	if sub.Deduped || !strings.HasPrefix(sub.ID, "job-") || sub.Status != "/v1/jobs/"+sub.ID {
+		t.Fatalf("grid submission answered %+v, want a fresh job", sub)
 	}
 
-	st := ts.waitSweep(sub.ID, StateDone)
-	if st.Counts.Done != 4 || st.Counts.Failed != 0 {
-		t.Fatalf("terminal counts %+v", st.Counts)
+	st := ts.waitState(sub.ID, StateDone)
+	if st.Spec != nil || st.Grid == nil || len(st.Grid.Seeds) != 2 {
+		t.Fatalf("grid job status carries spec %+v, grid %+v", st.Spec, st.Grid)
 	}
-	if !st.ArtifactsReady {
-		t.Fatalf("done sweep has no artifacts")
+	if st.Total != 8 || st.Completed != 8 || len(st.Results) != 8 {
+		t.Fatalf("grid job ran %d of %d runs with %d results, want 8", st.Completed, st.Total, len(st.Results))
 	}
-	if len(st.ChildJobs) != 4 {
-		t.Fatalf("status lists %d children", len(st.ChildJobs))
-	}
-	for _, c := range st.ChildJobs {
-		if c.State != string(StateDone) || c.Job == "" {
-			t.Fatalf("child %+v not done with a job binding", c)
-		}
-		// Children went through the real admission path: their jobs are
-		// first-class, resolvable by ID.
-		if got := ts.status(c.Job); got.State != StateDone {
-			t.Fatalf("child job %s is %q", c.Job, got.State)
-		}
+	// The job is listed beside plain jobs.
+	var list []Status
+	ts.getJSON("/v1/jobs", &list)
+	if len(list) != 1 || list[0].ID != sub.ID {
+		t.Fatalf("job list %+v, want the grid job", list)
 	}
 
 	// Artifact text renders one hit-rate table per scheme plus the
-	// energy table.
-	text := ts.sweepArtifactsText(sub.ID)
+	// energy table, over both workloads.
+	text := ts.artifactsText(sub.ID)
 	for _, want := range []string{
+		"sweep aggregate: 4 children, 8 runs",
 		"Per-level hit rates (base)",
 		"Per-level hit rates (redhip)",
 		"Dynamic energy normalised to base",
 		"mcf", "milc", "average",
 	} {
-		if !bytes.Contains([]byte(text), []byte(want)) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("artifact text missing %q:\n%s", want, text)
 		}
 	}
-
-	// A second identical sweep dedups every child onto the cached jobs
-	// and must render byte-identical artifacts.
-	again := ts.submitSweep(smokeGrid(), http.StatusAccepted)
-	ts.waitSweep(again.ID, StateDone)
-	if text2 := ts.sweepArtifactsText(again.ID); text2 != text {
-		t.Fatalf("re-run artifacts differ:\n--- first\n%s\n--- second\n%s", text, text2)
-	}
-	if v := ts.metricValue("redhip_serve_sweep_children_deduped_total"); v != 4 {
-		t.Fatalf("sweep_children_deduped_total = %g, want 4", v)
-	}
-	if v := ts.metricValue("redhip_serve_sweeps_completed_total"); v != 2 {
-		t.Fatalf("sweeps_completed_total = %g, want 2", v)
-	}
-	if v := ts.metricValue("redhip_serve_sweeps_active"); v != 0 {
-		t.Fatalf("sweeps_active = %g, want 0", v)
+	code, body := ts.artifacts(sub.ID, "")
+	var arts sweep.Artifacts
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &arts) != nil || arts.Text != text {
+		t.Fatalf("JSON artifacts = %d, text matches %v", code, arts.Text == text)
 	}
 
-	// A fresh server instance running the same grid must also agree —
-	// the artifacts derive only from deterministic simulation outputs.
-	ts2 := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
-	sub2 := ts2.submitSweep(smokeGrid(), http.StatusAccepted)
-	ts2.waitSweep(sub2.ID, StateDone)
-	if text3 := ts2.sweepArtifactsText(sub2.ID); text3 != text {
-		t.Fatalf("cross-server artifacts differ:\n--- server1\n%s\n--- server2\n%s", text, text3)
+	// A second identical grid dedups onto the job.
+	again := ts.submitGrid(smokeGrid(), http.StatusAccepted)
+	if !again.Deduped || again.ID != sub.ID {
+		t.Fatalf("resubmitted grid answered %+v, want a dedup onto %s", again, sub.ID)
+	}
+
+	// A fresh server instance running the same grid must agree: the
+	// artifacts derive only from deterministic simulation outputs.
+	if fresh := gridArtifactsFresh(t, smokeGrid()); fresh != text {
+		t.Fatalf("cross-server artifacts differ:\n--- server1\n%s\n--- server2\n%s", text, fresh)
 	}
 }
 
 func TestSweepValidation(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	ts.submitSweep(sweep.Grid{}, http.StatusBadRequest)
-	ts.submitSweep(sweep.Grid{Workloads: []string{"nope"}}, http.StatusBadRequest)
+	ts.submitGrid(sweep.Grid{}, http.StatusBadRequest)
+	ts.submitGrid(sweep.Grid{Workloads: []string{"nope"}}, http.StatusBadRequest)
+	// A cell that is no valid configuration fails at admission.
+	ts.submitGrid(sweep.Grid{Workloads: []string{"mcf"}, Schemes: []string{"cbf"}, Inclusion: "exclusive"}, http.StatusBadRequest)
+	// max_in_flight went with the orchestrator; it is an unknown field now.
+	ts.submitGrid(map[string]any{"workloads": []string{"mcf"}, "max_in_flight": 2}, http.StatusBadRequest)
 	// 2 workloads x 5001 seeds = 10002 children > maxSweepChildren.
 	over := smokeGrid()
 	over.Seeds = nil
@@ -172,15 +161,19 @@ func TestSweepValidation(t *testing.T) {
 	if n := 2 * len(over.Seeds); n <= maxSweepChildren {
 		t.Fatalf("over-cap grid expands to %d children, not past the cap %d", n, maxSweepChildren)
 	}
-	ts.submitSweep(over, http.StatusBadRequest)
-
-	resp, err := http.Get(ts.web.URL + "/v1/sweeps/sweep-000123")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
+	ts.submitGrid(over, http.StatusBadRequest)
+	if v := ts.metricValue("redhip_serve_jobs_submitted_total"); v != 0 {
+		t.Fatalf("invalid grids admitted %g jobs", v)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET unknown sweep = %d, want 404", resp.StatusCode)
+
+	if code, _ := ts.artifacts("job-000123", ""); code != http.StatusNotFound {
+		t.Fatalf("artifacts of an unknown job = %d, want 404", code)
+	}
+	// A plain job has no grid to aggregate over.
+	plain := ts.submit(specWithSeed(1), http.StatusAccepted)
+	ts.waitState(plain.ID, StateDone)
+	if code, _ := ts.artifacts(plain.ID, ""); code != http.StatusNotFound {
+		t.Fatalf("artifacts of a plain job = %d, want 404", code)
 	}
 }
 
@@ -190,20 +183,14 @@ func TestSweepArtifactsUnavailableWhileRunning(t *testing.T) {
 	ts.s.testHookJobStart = func(*Job) { <-release }
 	defer close(release)
 
-	g := smokeGrid()
-	sub := ts.submitSweep(g, http.StatusAccepted)
-	resp, err := http.Get(ts.web.URL + "/v1/sweeps/" + sub.ID + "/artifacts")
-	if err != nil {
-		t.Fatalf("GET artifacts: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("artifacts while running = %d, want 409", resp.StatusCode)
+	sub := ts.submitGrid(smokeGrid(), http.StatusAccepted)
+	if code, body := ts.artifacts(sub.ID, ""); code != http.StatusConflict {
+		t.Fatalf("artifacts while running = %d (%s), want 409", code, body)
 	}
 }
 
-func TestSweepCancelFansOut(t *testing.T) {
-	started := make(chan struct{}, 16)
+func TestSweepCancel(t *testing.T) {
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 16})
 	ts.s.testHookJobStart = func(*Job) {
@@ -211,40 +198,33 @@ func TestSweepCancelFansOut(t *testing.T) {
 		<-release
 	}
 
-	sub := ts.submitSweep(smokeGrid(), http.StatusAccepted)
-	// Wait until the first child is actually executing, so the cancel
-	// exercises both the running-job path and the queued/pending paths.
+	sub := ts.submitGrid(smokeGrid(), http.StatusAccepted)
 	select {
 	case <-started:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("no child started")
+		t.Fatalf("grid job never started")
 	}
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.web.URL+"/v1/sweeps/"+sub.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("DELETE sweep: %v", err)
-	}
-	resp.Body.Close()
+	ts.deleteJob(sub.ID)
 	close(release)
 
-	st := ts.waitSweep(sub.ID, StateCancelled)
-	if st.Counts.Done == len(st.ChildJobs) {
-		t.Fatalf("cancelled sweep completed all children: %+v", st.Counts)
+	st := ts.waitState(sub.ID, StateCancelled)
+	if st.Completed == st.Total {
+		t.Fatalf("cancelled grid job completed all %d runs", st.Total)
 	}
-	if v := ts.metricValue("redhip_serve_sweeps_cancelled_total"); v != 1 {
-		t.Fatalf("sweeps_cancelled_total = %g, want 1", v)
+	if v := ts.metricValue("redhip_serve_jobs_cancelled_total"); v != 1 {
+		t.Fatalf("jobs_cancelled_total = %g, want 1", v)
 	}
 }
 
 // TestSweepSSEFanout is the replay-then-live contract under concurrent
 // fan-out: subscribers attaching at arbitrary points during a running
-// sweep must each observe the complete, gap-free event sequence from
-// ID 1 through the terminal event. Run with -race this also hammers
-// the EventLog's locking discipline from many goroutines.
+// grid job must each observe the complete, gap-free event sequence from
+// ID 1 through the terminal event, and all the same one. Run with
+// -race this also hammers the EventLog's locking discipline from many
+// goroutines.
 func TestSweepSSEFanout(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
-	sub := ts.submitSweep(smokeGrid(), http.StatusAccepted)
+	sub := ts.submitGrid(smokeGrid(), http.StatusAccepted)
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -256,7 +236,7 @@ func TestSweepSSEFanout(t *testing.T) {
 			// Stagger attachment so some readers replay a prefix and
 			// follow live, and late ones replay the whole closed log.
 			time.Sleep(time.Duration(slot) * 20 * time.Millisecond)
-			resp, err := http.Get(ts.web.URL + "/v1/sweeps/" + sub.ID + "/events")
+			resp, err := http.Get(ts.web.URL + "/v1/jobs/" + sub.ID + "/events")
 			if err != nil {
 				t.Errorf("reader %d: %v", slot, err)
 				return
@@ -266,7 +246,7 @@ func TestSweepSSEFanout(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	ts.waitSweep(sub.ID, StateDone)
+	ts.waitState(sub.ID, StateDone)
 
 	for slot, events := range results {
 		if len(events) == 0 {
@@ -277,52 +257,52 @@ func TestSweepSSEFanout(t *testing.T) {
 				t.Fatalf("reader %d event %d has id %d (gap or reorder)", slot, i, ev.ID)
 			}
 		}
-		last := events[len(events)-1]
-		if last.Type != string(StateDone) {
-			t.Fatalf("reader %d ended on %q, want done", slot, last.Type)
+		if first, last := events[0].Type, events[len(events)-1].Type; first != "queued" || last != string(StateDone) {
+			t.Fatalf("reader %d saw %q ... %q, want queued ... done", slot, first, last)
 		}
-		if events[0].Type != "running" {
-			t.Fatalf("reader %d first event %q, want running", slot, events[0].Type)
-		}
-		// Child events carry consistent monotone counts.
-		var done int
+		// Progress events count every run of every cell, in order.
+		completed := 0
 		for _, ev := range events {
-			if ev.Type != "child" {
+			if ev.Type != "progress" {
 				continue
 			}
-			var ce sweepChildEvent
-			if err := json.Unmarshal([]byte(ev.Data), &ce); err != nil {
-				t.Fatalf("reader %d child payload: %v", slot, err)
+			var p progressData
+			if err := json.Unmarshal(ev.Data, &p); err != nil {
+				t.Fatalf("reader %d progress payload: %v", slot, err)
 			}
-			if ce.Counts.Done < done {
-				t.Fatalf("reader %d saw done count regress: %d -> %d", slot, done, ce.Counts.Done)
+			if p.Completed != completed+1 || p.Total != 8 {
+				t.Fatalf("reader %d progress %d/%d after %d", slot, p.Completed, p.Total, completed)
 			}
-			done = ce.Counts.Done
+			completed = p.Completed
 		}
-		if done != 4 {
-			t.Fatalf("reader %d final done count %d, want 4", slot, done)
+		if completed != 8 {
+			t.Fatalf("reader %d saw %d progress events, want 8", slot, completed)
 		}
-	}
-	// All readers observed the same total sequence length.
-	for slot := 1; slot < readers; slot++ {
-		if len(results[slot]) != len(results[0]) {
-			t.Fatalf("reader %d saw %d events, reader 0 saw %d", slot, len(results[slot]), len(results[0]))
+		for i, ev := range events {
+			if want := results[0][i]; ev.Type != want.Type || !bytes.Equal(ev.Data, want.Data) {
+				t.Fatalf("reader %d event %d = %s %s, reader 0 saw %s %s", slot, ev.ID, ev.Type, ev.Data, want.Type, want.Data)
+			}
+		}
+		if len(events) != len(results[0]) {
+			t.Fatalf("reader %d saw %d events, reader 0 saw %d", slot, len(events), len(results[0]))
 		}
 	}
 }
 
-func TestSweepShutdownCancelsOrchestration(t *testing.T) {
+// TestSweepShutdownCancelsQueuedGrid: a grid job queued behind a busy
+// worker is cancelled by Shutdown like any queued job.
+func TestSweepShutdownCancelsQueuedGrid(t *testing.T) {
+	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	var once sync.Once
 	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 16})
-	ts.s.testHookJobStart = func(*Job) { <-release }
-
-	sub := ts.submitSweep(smokeGrid(), http.StatusAccepted)
-	// Let the orchestrator submit at least one child before draining.
-	deadline := time.Now().Add(30 * time.Second)
-	for ts.sweepStatus(sub.ID).Counts.Pending == 4 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	ts.s.testHookJobStart = func(*Job) {
+		entered <- struct{}{}
+		<-release
 	}
+
+	running := ts.submit(specWithSeed(1), http.StatusAccepted)
+	<-entered
+	grid := ts.submitGrid(smokeGrid(), http.StatusAccepted)
 
 	done := make(chan error, 1)
 	go func() {
@@ -330,16 +310,96 @@ func TestSweepShutdownCancelsOrchestration(t *testing.T) {
 		defer cancel()
 		done <- ts.s.Shutdown(ctx)
 	}()
-	once.Do(func() { close(release) })
+	waitFor(t, func() bool { return ts.status(grid.ID).State.Terminal() })
+	close(release)
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("Shutdown: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("Shutdown did not drain sweeps")
+		t.Fatalf("Shutdown did not drain")
 	}
-	if st := ts.sweepStatus(sub.ID); !st.State.Terminal() {
-		t.Fatalf("sweep still %q after shutdown", st.State)
+	if st := ts.status(grid.ID); st.State != StateCancelled || st.Completed != 0 {
+		t.Fatalf("queued grid job ended %q after %d runs, want cancelled before any", st.State, st.Completed)
 	}
+	ts.waitState(running.ID, StateDone)
+}
+
+// TestGridJobReusesDonePlainJobs: a grid job adopts the runs that done
+// plain jobs already hold, cell by cell, and renders artifacts
+// byte-identical to a fresh server's.
+func TestGridJobReusesDonePlainJobs(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	// Seed 1 of both workloads, as one plain two-workload job: half the
+	// grid's runs.
+	held := smokeGrid()
+	ts.runDone(Spec{Workloads: held.Workloads, Schemes: held.Schemes, Geometry: "smoke", RefsPerCore: 2000, Seed: 1})
+
+	sub := ts.submitGrid(smokeGrid(), http.StatusAccepted)
+	st := ts.waitState(sub.ID, StateDone)
+	if st.ReusedRuns != 4 {
+		t.Fatalf("grid job reused %d runs, want the 4 the plain job holds", st.ReusedRuns)
+	}
+	if got, want := ts.artifactsText(sub.ID), gridArtifactsFresh(t, smokeGrid()); got != want {
+		t.Fatalf("artifacts after reuse differ from a fresh server's:\n--- reuse\n%s\n--- fresh\n%s", got, want)
+	}
+}
+
+// TestGridTimeoutBoundsEachCell: timeout_seconds bounds each cell, not
+// the whole grid. Every cell is held for 40% of the timeout, so the
+// grid outlives it while each cell stays inside; a cell held past it
+// fails the job.
+func TestGridTimeoutBoundsEachCell(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	g := smokeGrid()
+	g.TimeoutSeconds = timeout.Seconds()
+
+	ts := newTestServer(t, Options{Workers: 1})
+	ts.s.testHookPassWorkers = func(*Job, int) { time.Sleep(timeout * 2 / 5) }
+	start := time.Now()
+	sub := ts.submitGrid(g, http.StatusAccepted)
+	ts.waitState(sub.ID, StateDone)
+	if took := time.Since(start); took < timeout {
+		t.Fatalf("grid took %s, not past its per-cell timeout %s: the test proves nothing", took, timeout)
+	}
+
+	slow := newTestServer(t, Options{Workers: 1})
+	slow.s.testHookPassWorkers = func(*Job, int) { time.Sleep(timeout * 3 / 2) }
+	sub = slow.submitGrid(g, http.StatusAccepted)
+	if st := slow.waitState(sub.ID, StateFailed); !strings.Contains(st.Error, "timeout") {
+		t.Fatalf("slow cell failed with %q, want a timeout", st.Error)
+	}
+}
+
+// TestGridKeyApartFromSpecKeys: a grid's dedup key never equals a spec
+// key, even for a one-cell grid whose cell is that spec, and a
+// resubmitted grid (timeout aside) dedups onto the job.
+func TestGridKeyApartFromSpecKeys(t *testing.T) {
+	one := sweep.Grid{Workloads: []string{"mcf"}, Schemes: []string{"base"}, Geometries: []string{"smoke"}, RefsPerCore: []uint64{2000}}
+	wk, err := gridWork(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wk.cells) != 1 || wk.Key == wk.cells[0].key() {
+		t.Fatalf("one-cell grid key %s equals its cell's spec key", wk.Key)
+	}
+	// The prefix alone keeps the keys apart: the same value hashed as a
+	// spec would be and as a grid is.
+	if hashKey("", wk.cells[0]) == hashKey("grid", wk.cells[0]) {
+		t.Fatal("the grid prefix does not change the key")
+	}
+
+	ts := newTestServer(t, Options{Workers: 1})
+	plain := ts.submit(wk.cells[0], http.StatusAccepted)
+	grid := ts.submitGrid(one, http.StatusAccepted)
+	if grid.Deduped || grid.ID == plain.ID || grid.Key == plain.Key {
+		t.Fatalf("grid %+v dedups onto plain job %+v", grid, plain)
+	}
+	one.TimeoutSeconds = 60
+	again := ts.submitGrid(one, http.StatusAccepted)
+	if !again.Deduped || again.ID != grid.ID || again.Key != grid.Key {
+		t.Fatalf("resubmitted grid %+v, want a dedup onto %+v", again, grid)
+	}
+	ts.waitState(grid.ID, StateDone)
 }

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// TableEntry is what a Table holds: serve's jobs and sweeps and the
-// cluster router's routed jobs. Both methods are called with the table
-// lock held, so an entry's own lock always nests inside it (lock order
+// TableEntry is what a Table holds: serve's jobs and the cluster
+// router's routed jobs. Both methods are called with the table lock
+// held, so an entry's own lock always nests inside it (lock order
 // table.mu -> entry mutex, everywhere).
 type TableEntry interface {
 	comparable

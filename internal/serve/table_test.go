@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// resolveJob registers spec in a job table the way admitSpec does,
+// resolveJob registers spec in a job table the way admit does,
 // minus admission control, with its submission time pinned to now.
 func resolveJob(t *testing.T, tbl *Table[*Job], spec Spec, now time.Time) (*Job, bool) {
 	t.Helper()
-	j, created, err := tbl.Resolve(spec.key(), nil, func(id string) *Job { return newJob(id, spec, now) })
+	j, created, err := tbl.Resolve(spec.key(), nil, func(id string) *Job { return newJob(id, specWork(spec), now) })
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}

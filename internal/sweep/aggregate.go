@@ -29,7 +29,7 @@ type Artifacts struct {
 }
 
 // Aggregate folds the children's results into Artifacts. results is
-// indexed by Child.Index; each entry holds one sim.Result per grid
+// indexed like children; each entry holds one sim.Result per grid
 // scheme (the child job's single-pass output). The grid must be
 // normalised and every child complete — a sweep with failed children
 // has no artifacts.

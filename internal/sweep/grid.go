@@ -1,15 +1,15 @@
 // Package sweep turns a parameter grid — the cross product of
 // workloads, geometries, core counts, simulation lengths and seeds,
-// evaluated under a shared scheme list — into the deterministic child
-// jobs a sweep orchestrator submits, and aggregates the children's
-// simulation results back into paper-figure artifacts (Fig 9-style
-// per-level hit-rate tables and Fig 7-style normalised energy tables).
+// evaluated under a shared scheme list — into the deterministic cells
+// a grid job runs, and aggregates the cells' simulation results back
+// into paper-figure artifacts (Fig 9-style per-level hit-rate tables
+// and Fig 7-style normalised energy tables).
 //
 // The package is deliberately pure: grid expansion and aggregation
 // read no clocks, spawn no goroutines and iterate no maps, so the
 // same grid always yields the same child order and byte-identical
 // artifacts. The serving side (internal/serve) owns submission,
-// concurrency and progress; redhip-lint's determinism analyzer
+// execution and progress; redhip-lint's determinism analyzer
 // patrols this package like any simulation package.
 package sweep
 
@@ -23,7 +23,7 @@ import (
 // Grid is the request body of POST /v1/sweeps: the axes of a parameter
 // sweep. Schemes are evaluated together within each cell (one engine
 // pass replays one trace under every scheme), so they multiply runs but
-// not child jobs; every other axis multiplies children.
+// not cells; every other axis multiplies children.
 type Grid struct {
 	// Workloads to sweep; required.
 	Workloads []string `json:"workloads"`
@@ -44,20 +44,14 @@ type Grid struct {
 	WarmupRefsPerCore uint64 `json:"warmup_refs_per_core,omitempty"`
 	// Prefetch applies to every cell.
 	Prefetch bool `json:"prefetch,omitempty"`
-	// TimeoutSeconds bounds each child's execution.
+	// TimeoutSeconds bounds each child's execution, not the whole grid.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-	// MaxInFlight bounds how many children the orchestrator keeps
-	// submitted at once; default 4. The ceiling keeps one sweep from
-	// monopolising the admission queue.
-	MaxInFlight int `json:"max_in_flight,omitempty"`
 }
 
 // Child is one cell of the expanded grid: a single workload simulated
 // under the grid's full scheme list at one (geometry, cores, refs,
-// seed) point. Index is the cell's position in expansion order — the
-// aggregation order, and the key the orchestrator files results under.
+// seed) point.
 type Child struct {
-	Index       int    `json:"index"`
 	Workload    string `json:"workload"`
 	Geometry    string `json:"geometry"`
 	Cores       int    `json:"cores"`
@@ -66,10 +60,9 @@ type Child struct {
 }
 
 // Normalize fills defaults, validates every axis and returns the grid
-// in canonical form (duplicates removed, order preserved). Child specs
-// are re-validated by the job layer at admission; validating here too
-// turns an impossible sweep into an immediate 400 instead of a failed
-// child after queueing.
+// in canonical form (duplicates removed, order preserved). The job
+// layer also validates every child's spec at admission, so an
+// impossible sweep is a 400 before it queues.
 func (g Grid) Normalize() (Grid, error) {
 	if len(g.Workloads) == 0 {
 		return Grid{}, fmt.Errorf("sweep: grid requires at least one workload")
@@ -135,12 +128,6 @@ func (g Grid) Normalize() (Grid, error) {
 	if g.TimeoutSeconds < 0 {
 		return Grid{}, fmt.Errorf("sweep: timeout_seconds must be >= 0, got %g", g.TimeoutSeconds)
 	}
-	if g.MaxInFlight < 0 {
-		return Grid{}, fmt.Errorf("sweep: max_in_flight must be >= 0, got %d", g.MaxInFlight)
-	}
-	if g.MaxInFlight == 0 {
-		g.MaxInFlight = 4
-	}
 	return g, nil
 }
 
@@ -150,13 +137,9 @@ func (g Grid) Count() int {
 	return len(g.Workloads) * len(g.Geometries) * len(g.Cores) * len(g.RefsPerCore) * len(g.Seeds)
 }
 
-// Runs returns the total simulation runs the sweep performs:
-// children x schemes.
-func (g Grid) Runs() int { return g.Count() * len(g.Schemes) }
-
 // Expand materialises the grid's cells in canonical order — workload
 // outermost, then geometry, cores, refs, seed — which is both the
-// submission order and the aggregation order. The grid must be
+// order a grid job runs its cells in and the aggregation order. The grid must be
 // normalised.
 func (g Grid) Expand() []Child {
 	children := make([]Child, 0, g.Count())
@@ -166,7 +149,6 @@ func (g Grid) Expand() []Child {
 				for _, refs := range g.RefsPerCore {
 					for _, seed := range g.Seeds {
 						children = append(children, Child{
-							Index:       len(children),
 							Workload:    wl,
 							Geometry:    geo,
 							Cores:       cores,

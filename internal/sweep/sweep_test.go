@@ -29,9 +29,6 @@ func TestGridNormalizeDefaults(t *testing.T) {
 	if !reflect.DeepEqual(g.Cores, []int{0}) || !reflect.DeepEqual(g.RefsPerCore, []uint64{0}) {
 		t.Errorf("defaults: cores=%v refs=%v", g.Cores, g.RefsPerCore)
 	}
-	if g.MaxInFlight != 4 {
-		t.Errorf("default max_in_flight = %d", g.MaxInFlight)
-	}
 }
 
 func TestGridNormalizeErrors(t *testing.T) {
@@ -47,7 +44,6 @@ func TestGridNormalizeErrors(t *testing.T) {
 		{"zero seed", Grid{Workloads: []string{"mcf"}, Seeds: []uint64{0}}},
 		{"negative cores", Grid{Workloads: []string{"mcf"}, Cores: []int{-1}}},
 		{"negative timeout", Grid{Workloads: []string{"mcf"}, TimeoutSeconds: -1}},
-		{"negative in-flight", Grid{Workloads: []string{"mcf"}, MaxInFlight: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,22 +68,22 @@ func TestExpandOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	if g.Count() != 8 || g.Runs() != 16 {
-		t.Fatalf("Count=%d Runs=%d, want 8/16", g.Count(), g.Runs())
+	if g.Count() != 8 {
+		t.Fatalf("Count=%d, want 8", g.Count())
 	}
 	children := g.Expand()
 	if len(children) != 8 {
 		t.Fatalf("expanded to %d children", len(children))
 	}
 	want := []Child{
-		{0, "mcf", "smoke", 0, 1000, 1},
-		{1, "mcf", "smoke", 0, 1000, 2},
-		{2, "mcf", "smoke", 0, 2000, 1},
-		{3, "mcf", "smoke", 0, 2000, 2},
-		{4, "milc", "smoke", 0, 1000, 1},
-		{5, "milc", "smoke", 0, 1000, 2},
-		{6, "milc", "smoke", 0, 2000, 1},
-		{7, "milc", "smoke", 0, 2000, 2},
+		{"mcf", "smoke", 0, 1000, 1},
+		{"mcf", "smoke", 0, 1000, 2},
+		{"mcf", "smoke", 0, 2000, 1},
+		{"mcf", "smoke", 0, 2000, 2},
+		{"milc", "smoke", 0, 1000, 1},
+		{"milc", "smoke", 0, 1000, 2},
+		{"milc", "smoke", 0, 2000, 1},
+		{"milc", "smoke", 0, 2000, 2},
 	}
 	if !reflect.DeepEqual(children, want) {
 		t.Fatalf("expansion order:\n got %v\nwant %v", children, want)
@@ -95,7 +91,7 @@ func TestExpandOrder(t *testing.T) {
 }
 
 // runGrid executes every child of a normalised grid through the real
-// engine, returning results indexed like the orchestrator files them.
+// engine, returning results indexed by child, as a grid job files them.
 func runGrid(t *testing.T, g Grid, children []Child) [][]*sim.Result {
 	t.Helper()
 	schemes := make([]sim.Scheme, len(g.Schemes))
@@ -162,7 +158,7 @@ func TestAggregate(t *testing.T) {
 
 	// Aggregation is a pure fold: the same inputs render the same
 	// bytes, and result order within a child must not matter (the
-	// orchestrator files whatever order the engine returned).
+	// job files whatever order the engine returned).
 	b, err := Aggregate(g, children, results)
 	if err != nil {
 		t.Fatalf("Aggregate (second): %v", err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# loadgen_smoke.sh — end-to-end smoke test of redhip-load + the sweep
-# orchestration API, CI-wired.
+# loadgen_smoke.sh — end-to-end smoke test of redhip-load + grid jobs
+# (POST /v1/sweeps), CI-wired.
 #
 # Proves four things:
 #   1. The arrival schedule is a pure function of (profile, seed): two
@@ -9,10 +9,11 @@
 #   2. A 10s seeded bursty profile against a deliberately tiny server
 #      (1 worker, queue depth 1) produces zero 5xx and nonzero 429s —
 #      backpressure, not failure, under burst.
-#   3. A sweep submitted to that loadgen-warmed server (children dedup
-#      onto the loadgen-created jobs) renders artifacts byte-identical
-#      to the same sweep on a fresh, never-loaded server: artifacts
-#      derive only from deterministic simulation outputs.
+#   3. A grid job submitted to that loadgen-warmed server (its cells
+#      reuse the runs of the load run's done jobs) renders artifacts
+#      byte-identical to the same grid on a fresh, never-loaded server,
+#      and to a rerun there that dedups onto the first grid job:
+#      artifacts derive only from deterministic simulation outputs.
 #   4. /healthz reports JSON with a version, and every CLI answers
 #      -version.
 set -euo pipefail
@@ -135,64 +136,72 @@ echo "loadgen-smoke: report: sent=$SENT 429=$R429 5xx=$R5XX neterr=$NETERR"
 [[ "$NETERR" == 0 ]] || fail "$NETERR requests failed at the network layer"
 [[ "$R429" -gt 0 ]] || fail "no 429s under burst — backpressure untested"
 
-# The same sweep grid on both servers. On server 1 the children dedup
-# onto jobs the load run already created (same specs by construction);
-# server 2 computes everything fresh. The artifacts must not care.
+# The same sweep grid on both servers. On server 1 the grid job's cells
+# reuse the runs of jobs the load run already finished (same specs by
+# construction); server 2 computes everything fresh. The artifacts must
+# not care.
 GRID='{"workloads":["mcf","milc"],"schemes":["base","redhip"],"geometries":["smoke"],"seeds":[1,2],"refs_per_core":[4000000]}'
 
+# run_sweep <base> <artifacts-out> <want-deduped>: submit the grid as a
+# job, poll it to done through /v1/jobs and fetch its artifacts. A 429
+# is waited out by its Retry-After: server 1 runs one worker and one
+# queue slot and may still be busy when the load run ends.
 run_sweep() {
-    local base=$1 out=$2
-    local submit id state
-    submit=$(curl -fsS -X POST "$base/v1/sweeps" \
-        -H 'Content-Type: application/json' -d "$GRID") \
-        || fail "sweep submission rejected at $base"
-    id=$(echo "$submit" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-    [[ -n "$id" ]] || fail "no sweep id in response: $submit"
+    local base=$1 out=$2 want_dedup=$3
+    local code ra id deduped state
+    for _ in $(seq 1 60); do
+        code=$(curl -sS -o "$BIN_DIR/submit.json" -D "$BIN_DIR/submit.hdr" -w '%{http_code}' \
+            -X POST "$base/v1/sweeps" -H 'Content-Type: application/json' -d "$GRID") \
+            || fail "sweep submission to $base failed"
+        [[ "$code" == 429 ]] || break
+        ra=$(sed -n 's/^[Rr]etry-[Aa]fter: *\([0-9][0-9]*\).*/\1/p' "$BIN_DIR/submit.hdr")
+        [[ -n "$ra" ]] || fail "429 from $base without a Retry-After"
+        echo "loadgen-smoke: $base answered 429, retrying after ${ra}s"
+        sleep "$ra"
+    done
+    [[ "$code" == 202 ]] || fail "sweep submission to $base answered $code: $(cat "$BIN_DIR/submit.json")"
+    id=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$BIN_DIR/submit.json")
+    [[ -n "$id" ]] || fail "no job id in response: $(cat "$BIN_DIR/submit.json")"
+    deduped=$(sed -n 's/.*"deduped": *\([a-z]*\).*/\1/p' "$BIN_DIR/submit.json")
+    [[ "$deduped" == "$want_dedup" ]] \
+        || fail "grid job $id at $base answered deduped=$deduped, want $want_dedup"
     state=""
     for _ in $(seq 1 300); do
-        state=$(curl -fsS "$base/v1/sweeps/$id?children=false" \
-            | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+        state=$(curl -fsS "$base/v1/jobs/$id?results=false" \
+            | sed -n 's/^  "state": *"\([^"]*\)".*/\1/p')
         case "$state" in
             done) break ;;
-            failed|cancelled) fail "sweep $id at $base ended $state" ;;
+            failed|cancelled) fail "grid job $id at $base ended $state" ;;
         esac
         sleep 0.2
     done
-    [[ "$state" == "done" ]] || fail "sweep $id at $base did not finish (state: $state)"
-    curl -fsS "$base/v1/sweeps/$id/artifacts?format=text" > "$out" \
+    [[ "$state" == "done" ]] || fail "grid job $id at $base did not finish (state: $state)"
+    curl -fsS "$base/v1/jobs/$id/artifacts?format=text" > "$out" \
         || fail "artifact fetch failed at $base"
     [[ -s "$out" ]] || fail "empty artifacts at $base"
 }
 
-echo "loadgen-smoke: sweep on loadgen-warmed server 1"
-run_sweep "$BASE1" "$BIN_DIR/artifacts-1.txt"
-echo "loadgen-smoke: sweep on fresh server 2"
-run_sweep "$BASE2" "$BIN_DIR/artifacts-2.txt"
+echo "loadgen-smoke: grid job on loadgen-warmed server 1"
+run_sweep "$BASE1" "$BIN_DIR/artifacts-1.txt" false
+echo "loadgen-smoke: grid job on fresh server 2"
+run_sweep "$BASE2" "$BIN_DIR/artifacts-2.txt" false
 
 diff "$BIN_DIR/artifacts-1.txt" "$BIN_DIR/artifacts-2.txt" \
     || fail "sweep artifacts differ between loadgen-warmed and fresh servers"
 echo "loadgen-smoke: artifacts bit-identical across servers"
 
-echo "loadgen-smoke: rerunning the sweep on server 2 (full dedup)"
-run_sweep "$BASE2" "$BIN_DIR/artifacts-3.txt"
+echo "loadgen-smoke: resubmitting the grid on server 2 (dedups onto the done job)"
+run_sweep "$BASE2" "$BIN_DIR/artifacts-3.txt" true
 diff "$BIN_DIR/artifacts-2.txt" "$BIN_DIR/artifacts-3.txt" \
     || fail "sweep artifacts differ across identically-seeded runs"
 
-echo "loadgen-smoke: checking sweep metric families on server 2"
+echo "loadgen-smoke: checking HTTP metric families on server 2"
 METRICS=$(curl -fsS "$BASE2/metrics") || fail "/metrics scrape failed"
 for M in \
-    redhip_serve_sweeps_submitted_total \
-    redhip_serve_sweeps_completed_total \
-    redhip_serve_sweep_children_total \
-    redhip_serve_sweep_children_deduped_total \
     redhip_serve_http_requests_total \
     redhip_serve_http_request_duration_seconds \
     redhip_serve_http_inflight; do
     echo "$METRICS" | grep -q "^# TYPE $M " || fail "metric family $M missing"
 done
-echo "$METRICS" | grep -q '^redhip_serve_sweeps_completed_total 2$' \
-    || fail "sweeps_completed_total != 2 on server 2"
-echo "$METRICS" | grep -Eq '^redhip_serve_sweep_children_deduped_total [1-9]' \
-    || fail "rerun sweep deduped no children"
 
 echo "loadgen-smoke: OK"
