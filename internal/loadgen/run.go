@@ -131,8 +131,8 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// newTimer makes Run's pacing timer; tests slow it down to widen the
-// window in which a fresh timer fires.
+// newTimer makes Run's pacing timer; a test wraps it to hand Run a zero
+// timer whose tick has already fired.
 var newTimer = time.NewTimer
 
 // Run executes a profile open-loop against a server: every scheduled
@@ -164,8 +164,8 @@ func Run(ctx context.Context, p Profile, opts Options) (*Report, error) {
 	start := time.Now()
 	timer := newTimer(0)
 	// go.mod's Go version keeps the pre-1.23 timer rules: a fired tick
-	// stays in timer.C across Reset. Drain the zero timer's, or the first
-	// arrival that waits would take it and fire at once.
+	// stays in timer.C across Reset. Drain the zero timer's tick, or the
+	// first arrival that waits would take it and fire at once.
 	if !timer.Stop() {
 		<-timer.C
 	}

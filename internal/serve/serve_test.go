@@ -46,15 +46,18 @@ func newTestServer(t *testing.T, opts Options) *testServer {
 // test unless the status code matches want.
 func (ts *testServer) submit(spec Spec, want int) SubmitResponse {
 	ts.t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.web.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		ts.t.Fatalf("POST /v1/jobs: %v", err)
-	}
+	return ts.post("/v1/jobs", spec, want)
+}
+
+// post POSTs body as JSON to a submission path and returns the decoded
+// response; it fails the test unless the status code matches want.
+func (ts *testServer) post(path string, body any, want int) SubmitResponse {
+	ts.t.Helper()
+	resp := ts.postRaw(path, body)
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != want {
-		ts.t.Fatalf("POST /v1/jobs = %d, want %d (body %s)", resp.StatusCode, want, raw)
+		ts.t.Fatalf("POST %s = %d, want %d (body %s)", path, resp.StatusCode, want, raw)
 	}
 	var out SubmitResponse
 	if want == http.StatusAccepted {
@@ -68,10 +71,17 @@ func (ts *testServer) submit(spec Spec, want int) SubmitResponse {
 // submitRaw POSTs a spec and returns the raw response (caller closes).
 func (ts *testServer) submitRaw(spec Spec) *http.Response {
 	ts.t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.web.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	return ts.postRaw("/v1/jobs", spec)
+}
+
+// postRaw POSTs body as JSON to path and returns the raw response
+// (caller closes).
+func (ts *testServer) postRaw(path string, body any) *http.Response {
+	ts.t.Helper()
+	raw, _ := json.Marshal(body)
+	resp, err := http.Post(ts.web.URL+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
-		ts.t.Fatalf("POST /v1/jobs: %v", err)
+		ts.t.Fatalf("POST %s: %v", path, err)
 	}
 	return resp
 }

@@ -26,35 +26,10 @@ func smokeGrid() sweep.Grid {
 	}
 }
 
-// postRaw POSTs body as JSON to path and returns the raw response
-// (caller closes).
-func (ts *testServer) postRaw(path string, body any) *http.Response {
-	ts.t.Helper()
-	raw, _ := json.Marshal(body)
-	resp, err := http.Post(ts.web.URL+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		ts.t.Fatalf("POST %s: %v", path, err)
-	}
-	return resp
-}
-
-// submitGrid POSTs a grid to /v1/sweeps and returns the decoded
-// response, failing unless the status matches want.
+// submitGrid POSTs a grid to /v1/sweeps; see post.
 func (ts *testServer) submitGrid(g any, want int) SubmitResponse {
 	ts.t.Helper()
-	resp := ts.postRaw("/v1/sweeps", g)
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != want {
-		ts.t.Fatalf("POST /v1/sweeps = %d, want %d (body %s)", resp.StatusCode, want, raw)
-	}
-	var out SubmitResponse
-	if want == http.StatusAccepted {
-		if err := json.Unmarshal(raw, &out); err != nil {
-			ts.t.Fatalf("decode sweep response: %v", err)
-		}
-	}
-	return out
+	return ts.post("/v1/sweeps", g, want)
 }
 
 // artifacts GETs a job's artifacts with the given query and returns the

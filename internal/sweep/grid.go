@@ -23,7 +23,7 @@ import (
 // Grid is the request body of POST /v1/sweeps: the axes of a parameter
 // sweep. Schemes are evaluated together within each cell (one engine
 // pass replays one trace under every scheme), so they multiply runs but
-// not cells; every other axis multiplies children.
+// not cells; every other axis multiplies cells.
 type Grid struct {
 	// Workloads to sweep; required.
 	Workloads []string `json:"workloads"`
@@ -138,9 +138,9 @@ func (g Grid) Count() int {
 }
 
 // Expand materialises the grid's cells in canonical order — workload
-// outermost, then geometry, cores, refs, seed — which is both the
-// order a grid job runs its cells in and the aggregation order. The grid must be
-// normalised.
+// outermost, then geometry, cores, refs, seed — which is both the order
+// a grid job runs its cells in and the aggregation order. The grid must
+// be normalised.
 func (g Grid) Expand() []Child {
 	children := make([]Child, 0, g.Count())
 	for _, wl := range g.Workloads {
