@@ -125,7 +125,7 @@ func TestSweepValidation(t *testing.T) {
 	ts.submitGrid(sweep.Grid{Workloads: []string{"nope"}}, http.StatusBadRequest)
 	// A cell that is no valid configuration fails at admission.
 	ts.submitGrid(sweep.Grid{Workloads: []string{"mcf"}, Schemes: []string{"cbf"}, Inclusion: "exclusive"}, http.StatusBadRequest)
-	// max_in_flight went with the orchestrator; it is an unknown field now.
+	// max_in_flight is no grid field, and unknown fields are rejected.
 	ts.submitGrid(map[string]any{"workloads": []string{"mcf"}, "max_in_flight": 2}, http.StatusBadRequest)
 	// 2 workloads x 5001 seeds = 10002 children > maxSweepChildren.
 	over := smokeGrid()
