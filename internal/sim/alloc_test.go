@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"redhip/internal/redhipassert"
@@ -26,20 +28,23 @@ func skipUnderAsserts(t *testing.T) {
 // may wrap them) and pins the steady-state contract of the simulation
 // core: once the engine is built and its sources attached, replaying a
 // measurement window — refills and runWindow — performs zero heap
-// allocations. AllocsPerRun warms up with one untimed call, which
-// absorbs any lazy first-use growth; the measured windows must then
-// allocate nothing.
+// allocations. One untimed window runs first, then AllocsPerRun warms
+// up with one more: the prefetched-block filter reaches its high-water
+// size only when the trace replays over the marks the first window
+// left. The measured windows must then allocate nothing.
 func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource) {
 	t.Helper()
 	e := newSoloEngine(t, cfg, srcs)
 	e.quota = unsliced
-	if n := testing.AllocsPerRun(3, func() {
+	window := func() {
 		e.beginWindow(cfg.RefsPerCore)
 		e.runWindow()
 		for _, r := range replays {
 			r.Rewind()
 		}
-	}); n != 0 {
+	}
+	window()
+	if n := testing.AllocsPerRun(3, window); n != 0 {
 		t.Errorf("%s steady-state window allocated %.0f times per run, want 0", cfg.Scheme, n)
 	}
 }
@@ -64,32 +69,68 @@ func captureReplays(t *testing.T, cfg Config, wl string) []*workload.TraceSource
 // replays, so workload generation can neither hide an engine
 // allocation nor contribute one of its own. The eight-core ReDHiP case
 // recalibrates every 2000 L1 misses, so the scheduler rebuild runs many
-// times inside each window.
+// times inside each window. The prefetch cases run lbm's strided
+// streams, so the prefetched-block filter grows; it reaches its
+// high-water size in the untimed warm-up window.
 func TestRunLoopAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	cases := []struct {
-		name   string
-		scheme Scheme
-		cores  int
-		recal  uint64
+		name     string
+		scheme   Scheme
+		incl     InclusionPolicy
+		prefetch bool
+		cores    int
+		recal    uint64
 	}{
-		{"base", Base, 4, 0},
-		{"redhip", ReDHiP, 4, 0},
-		{"cbf", CBF, 4, 0},
-		{"oracle", Oracle, 4, 0},
-		{"redhip/cores=8", ReDHiP, 8, 2000},
+		{"base", Base, Inclusive, false, 4, 0},
+		{"redhip", ReDHiP, Inclusive, false, 4, 0},
+		{"cbf", CBF, Inclusive, false, 4, 0},
+		{"oracle", Oracle, Inclusive, false, 4, 0},
+		{"redhip/cores=8", ReDHiP, Inclusive, false, 8, 2000},
+		{"base+sp/inclusive", Base, Inclusive, true, 4, 0},
+		{"redhip+sp/inclusive", ReDHiP, Inclusive, true, 4, 0},
+		{"base+sp/hybrid", Base, Hybrid, true, 4, 0},
+		{"redhip+sp/hybrid", ReDHiP, Hybrid, true, 4, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, _ := goldenConfig(tc.scheme, Inclusive, false, tc.recal, tc.cores)
+			cfg, _ := goldenConfig(tc.scheme, tc.incl, tc.prefetch, tc.recal, tc.cores)
 			cfg.RefsPerCore = 20_000
-			replays := captureReplays(t, cfg, "mcf")
+			wl := "mcf"
+			if tc.prefetch {
+				wl = "lbm"
+			}
+			replays := captureReplays(t, cfg, wl)
 			srcs := make([]workload.Source, len(replays))
 			for c, r := range replays {
 				srcs[c] = r
 			}
 			assertWindowAllocFree(t, cfg, srcs, replays)
 		})
+	}
+}
+
+// TestPrefetchEngineBuildBytes pins what building a prefetch engine
+// allocates: the prefetched-block filter starts small, so a smoke
+// geometry engine stays under 1 MiB. The dense 2^20-slot filter it
+// replaced was 8 MiB by itself.
+func TestPrefetchEngineBuildBytes(t *testing.T) {
+	cfg, _ := goldenConfig(ReDHiP, Inclusive, true, 0, 0)
+	srcs, err := workload.Sources("lbm", cfg.Cores, cfg.WorkloadScale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	e, err := newMultiEngine(cfg, srcs, nil)
+	metrics.Read(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(e)
+	if n := sample[0].Value.Uint64() - before; n > 1<<20 {
+		t.Errorf("building a prefetch engine allocated %d bytes, want at most 1 MiB", n)
 	}
 }
 

@@ -29,10 +29,6 @@ const (
 	predCBF                    // *predictor.CBF
 )
 
-// pfFilterBits sizes the direct-mapped prefetched-block filter: 2^20
-// slots, the same bound the old map-based tracker capped itself at.
-const pfFilterBits = 20
-
 // batchRefs is the per-core refill block size. One block amortises
 // source dispatch, timing and the Interrupt poll over a few thousand
 // references: 4K records x 24 bytes = 96 KiB per core — small enough
@@ -127,13 +123,13 @@ type engine struct {
 	epochStartMiss uint64
 	epochStartTN   uint64
 	pfBuf          []memaddr.Addr //redhip:transient per-call prefetch scratch buffer
-	// prefetched is a direct-mapped filter over hashed block addresses
-	// (slot holds block+1, 0 = empty). Collisions overwrite the older
-	// mark, so Prefetch.Useful is a slight undercount under pressure —
-	// the same stats-only approximation the previous map-based tracker
-	// made when it cleared itself at 2^20 entries.
-	prefetched []uint64
-	pfMarks    int          // live marks, so markUseful can skip early
+	// prefetched holds one mark per hashed block slot (pfSlot), storing
+	// only occupied slots in a table that grows to its high-water size.
+	// A newer mark overwrites an older one in its slot, so
+	// Prefetch.Useful is a slight undercount under pressure — the same
+	// stats-only approximation the previous map-based tracker made when
+	// it cleared itself at 2^20 entries.
+	prefetched pfFilter
 	fnBlock    memaddr.Addr // first false negative seen, for the error
 	fnSeen     bool
 }
@@ -242,7 +238,7 @@ func (e *engine) build() error {
 			}
 		}
 		e.pfBuf = make([]memaddr.Addr, 0, 8)
-		e.prefetched = make([]uint64, 1<<pfFilterBits)
+		e.prefetched = newPFFilter()
 	}
 	return nil
 }
@@ -701,31 +697,11 @@ func (e *engine) consultLLC(c int, block memaddr.Addr) (skip bool) {
 	return !present
 }
 
-// pfSlot hashes a block address into the prefetched filter. Fibonacci
-// hashing scatters the region-base structure of the synthetic address
-// spaces, which a plain low-bits index would alias heavily.
-func pfSlot(block memaddr.Addr) uint64 {
-	return (uint64(block) * 0x9e3779b97f4a7c15) >> (64 - pfFilterBits)
-}
-
 // markUseful scores a demand hit on a previously prefetched block.
 func (e *engine) markUseful(block memaddr.Addr) {
-	if e.pfMarks == 0 {
-		return
-	}
-	if s := pfSlot(block); e.prefetched[s] == uint64(block)+1 {
-		e.prefetched[s] = 0
-		e.pfMarks--
+	if e.prefetched.live != 0 && e.prefetched.hit(block) {
 		e.res.Prefetch.Useful++
 	}
-}
-
-func (e *engine) notePrefetched(block memaddr.Addr) {
-	s := pfSlot(block)
-	if e.prefetched[s] == 0 {
-		e.pfMarks++
-	}
-	e.prefetched[s] = uint64(block) + 1
 }
 
 // train feeds the prefetcher after a demand L1 miss at pc and the

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"redhip/internal/simstate"
 	"redhip/internal/tracestore"
 	"redhip/internal/workload"
 )
@@ -249,6 +250,23 @@ func TestSnapshotRejections(t *testing.T) {
 		}
 		if _, err := restoreSolo(cb, cbBlob, live, 1); !errors.Is(err, ErrSnapshot) {
 			t.Errorf("restore over live generators error = %v, want ErrSnapshot", err)
+		}
+	})
+	t.Run("prefetch mark outside its slot", func(t *testing.T) {
+		// The filter recomputes a mark's slot from the mark, so a blob
+		// pairing a slot with another slot's mark cannot be restored.
+		pcfg, pwl := snapCfg(ReDHiP, Inclusive, true, 0, 0)
+		_, pblob := captureSolo(t, pcfg, replaySources(t, store, pcfg, pwl))
+		snap, err := simstate.Decode(pblob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.PFFilter) == 0 {
+			t.Fatal("prefetch snapshot holds no marks")
+		}
+		snap.PFFilter[0].Mark = uint64(pfBlock(uint64(snap.PFFilter[0].Slot)^1, 0)) + 1
+		if _, err := restoreSolo(pcfg, simstate.Encode(snap), replaySources(t, store, pcfg, pwl), 1); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("misplaced prefetch mark error = %v, want ErrSnapshot", err)
 		}
 	})
 	t.Run("measure length branches", func(t *testing.T) {

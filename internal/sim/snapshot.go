@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"redhip/internal/cache"
 	"redhip/internal/core"
@@ -136,12 +138,13 @@ func (e *engine) captureSnapshot() *simstate.Snapshot {
 		}
 		s.Prefetchers = append(s.Prefetchers, simstate.PrefetcherState{Entries: out})
 	}
-	for slot, mark := range e.prefetched {
+	for _, mark := range e.prefetched.marks {
 		if mark != 0 {
-			s.PFFilter = append(s.PFFilter, simstate.PFSlot{Slot: uint32(slot), Mark: mark})
+			s.PFFilter = append(s.PFFilter, simstate.PFSlot{Slot: uint32(markSlot(mark)), Mark: mark})
 		}
 	}
-	s.PFMarks = uint64(e.pfMarks)
+	slices.SortFunc(s.PFFilter, func(a, b simstate.PFSlot) int { return cmp.Compare(a.Slot, b.Slot) })
+	s.PFMarks = uint64(e.prefetched.live)
 	s.MissesSinceRecal = e.missesSinceRecal
 	s.Adaptive = simstate.AdaptiveState{
 		On:             e.adaptOn,
@@ -225,7 +228,7 @@ func (e *engine) restoreSnapshot(s *simstate.Snapshot) error {
 			return err
 		}
 	}
-	if e.prefetched == nil && len(s.PFFilter) > 0 {
+	if e.prefetched.marks == nil && len(s.PFFilter) > 0 {
 		return fmt.Errorf("sim: snapshot carries a prefetch filter but prefetching is disabled")
 	}
 	if uint64(len(s.PFFilter)) != s.PFMarks {
@@ -237,16 +240,18 @@ func (e *engine) restoreSnapshot(s *simstate.Snapshot) error {
 		if slot <= prev {
 			return fmt.Errorf("sim: snapshot prefetch filter slots not strictly ascending at %d", slot)
 		}
-		if slot >= len(e.prefetched) {
-			return fmt.Errorf("sim: snapshot prefetch filter slot %d outside %d-slot filter", slot, len(e.prefetched))
+		if slot >= 1<<pfFilterBits {
+			return fmt.Errorf("sim: snapshot prefetch filter slot %d outside %d-slot filter", slot, 1<<pfFilterBits)
 		}
 		if ps.Mark == 0 {
 			return fmt.Errorf("sim: snapshot prefetch filter slot %d holds an empty mark", slot)
 		}
-		e.prefetched[slot] = ps.Mark
+		if markSlot(ps.Mark) != uint64(slot) {
+			return fmt.Errorf("sim: snapshot prefetch filter slot %d holds a mark of slot %d", slot, markSlot(ps.Mark))
+		}
+		e.prefetched.note(memaddr.Addr(ps.Mark - 1))
 		prev = slot
 	}
-	e.pfMarks = int(s.PFMarks)
 	e.missesSinceRecal = s.MissesSinceRecal
 	e.adaptOn = s.Adaptive.On
 	e.adaptStreak = int(s.Adaptive.Streak)
@@ -256,13 +261,7 @@ func (e *engine) restoreSnapshot(s *simstate.Snapshot) error {
 	e.fnSeen = s.FNSeen
 	e.fnBlock = memaddr.Addr(s.FNBlock)
 	if redhipassert.Enabled {
-		live := 0
-		for _, m := range e.prefetched {
-			if m != 0 {
-				live++
-			}
-		}
-		redhipassert.Check(live == e.pfMarks, "sim: restored prefetch-filter mark count diverges from occupancy")
+		redhipassert.Check(uint64(e.prefetched.live) == s.PFMarks, "sim: restored prefetch-filter mark count diverges from occupancy")
 		redhipassert.Check(e.missesSinceRecal == 0 || e.cfg.RecalPeriod == 0 || e.missesSinceRecal < e.cfg.RecalPeriod,
 			"sim: restored recalibration clock at or past its period")
 	}

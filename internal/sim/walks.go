@@ -346,7 +346,7 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 				e.fillL4Incl(block)
 				e.fillL3Incl(c, block)
 				e.fillL2Incl(c, block)
-				e.notePrefetched(block)
+				e.prefetched.note(block)
 				return
 			}
 		}
@@ -360,14 +360,14 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 			// On chip but far away: pull it up to L3/L2.
 			e.fillL3Incl(c, block)
 			e.fillL2Incl(c, block)
-			e.notePrefetched(block)
+			e.prefetched.note(block)
 			return
 		}
 		e.fetchMemoryAsync()
 		e.fillL4Incl(block)
 		e.fillL3Incl(c, block)
 		e.fillL2Incl(c, block)
-		e.notePrefetched(block)
+		e.prefetched.note(block)
 	case Hybrid:
 		if e.kind != predNone {
 			e.meter.AddPT(e.predNJ)
@@ -375,7 +375,7 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 				e.fetchMemoryAsync()
 				e.fillL4Incl(block)
 				e.demoteToL2(c, block)
-				e.notePrefetched(block)
+				e.prefetched.note(block)
 				return
 			}
 		}
@@ -391,7 +391,7 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 		e.fetchMemoryAsync()
 		e.fillL4Incl(block)
 		e.demoteToL2(c, block)
-		e.notePrefetched(block)
+		e.prefetched.note(block)
 	case Exclusive:
 		p2, p3, p4 := true, true, true
 		if e.cfg.Scheme == ReDHiP {
@@ -414,6 +414,6 @@ func (e *engine) issuePrefetch(c int, block memaddr.Addr) {
 		}
 		e.fetchMemoryAsync()
 		e.demoteToL2(c, block) // prefetch lands in L2, not L1
-		e.notePrefetched(block)
+		e.prefetched.note(block)
 	}
 }

@@ -114,8 +114,9 @@ type PrefetcherState struct {
 	Entries []PrefetchEntry
 }
 
-// PFSlot is one occupied slot of the engine's direct-mapped
-// prefetch-usefulness filter, stored sparsely (slot index ascending).
+// PFSlot is one occupied slot of the engine's prefetch-usefulness
+// filter: the slot (the block's hash, one of 2^20) and its mark
+// (block+1). A snapshot lists the occupied slots in ascending order.
 type PFSlot struct {
 	Slot uint32
 	Mark uint64
