@@ -44,8 +44,11 @@ type Event struct {
 
 // progressData is the payload of a "progress" event.
 type progressData struct {
-	Workload  string  `json:"workload"`
-	Scheme    string  `json:"scheme"`
+	Workload string `json:"workload"`
+	Scheme   string `json:"scheme"`
+	// Cell is a grid job's index of the cell the run belongs to, in
+	// expansion order; a plain job's events carry none.
+	Cell      *int    `json:"cell,omitempty"`
 	Completed int     `json:"completed"`
 	Total     int     `json:"total"`
 	Refs      uint64  `json:"refs,omitempty"`

@@ -23,23 +23,33 @@ func (ts *testServer) resultsBytes(id string) []byte {
 	return raw
 }
 
-// runEvents replays a terminal job's progress events, keyed by
-// "workload/scheme".
-func (ts *testServer) runEvents(id string) map[string]progressData {
+// progressEvents replays a terminal job's progress event payloads, in
+// log order.
+func (ts *testServer) progressEvents(id string) []json.RawMessage {
 	ts.t.Helper()
 	resp, err := http.Get(ts.web.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		ts.t.Fatalf("GET events: %v", err)
 	}
 	defer resp.Body.Close()
-	out := map[string]progressData{}
+	var out []json.RawMessage
 	for _, ev := range readSSE(ts.t, resp.Body, 1000) {
-		if ev.Type != "progress" {
-			continue
+		if ev.Type == "progress" {
+			out = append(out, ev.Data)
 		}
+	}
+	return out
+}
+
+// runEvents replays a terminal job's progress events, keyed by
+// "workload/scheme".
+func (ts *testServer) runEvents(id string) map[string]progressData {
+	ts.t.Helper()
+	out := map[string]progressData{}
+	for _, raw := range ts.progressEvents(id) {
 		var p progressData
-		if err := json.Unmarshal(ev.Data, &p); err != nil {
-			ts.t.Fatalf("decode progress %s: %v", ev.Data, err)
+		if err := json.Unmarshal(raw, &p); err != nil {
+			ts.t.Fatalf("decode progress %s: %v", raw, err)
 		}
 		out[p.Workload+"/"+p.Scheme] = p
 	}

@@ -501,9 +501,9 @@ func (s *Server) execute(ctx context.Context, j *Job, timeout time.Duration, sta
 	}
 	s.metrics.runnerStarts.Inc()
 	results := make([]*sim.Result, 0, j.runs())
-	for _, cell := range j.cells {
+	for i, cell := range j.cells {
 		cellCtx, cancel := context.WithDeadline(ctx, started.Add(timeout))
-		res, err := s.runCell(cellCtx, j, cell)
+		res, err := s.runCell(cellCtx, j, i, cell)
 		cancel()
 		if err != nil {
 			return nil, err
@@ -514,13 +514,13 @@ func (s *Server) execute(ctx context.Context, j *Job, timeout time.Duration, sta
 	return results, nil
 }
 
-// runCell runs one cell of j through one experiment.Runner. The
+// runCell runs cell i of j through one experiment.Runner. The
 // runner's OnRun hook forwards per-run completions to the job's event
-// stream and the latency histograms. Runs a done job in the table
-// already holds are filed into the runner first (reuseDone), so the
-// sweep simulates only the rest, and a cell whose every run hits builds
-// no pass at all.
-func (s *Server) runCell(ctx context.Context, j *Job, spec Spec) ([]*sim.Result, error) {
+// stream, naming the cell when j is a grid job, and to the latency
+// histograms. Runs a done job in the table already holds are filed
+// into the runner first (reuseDone), so the sweep simulates only the
+// rest, and a cell whose every run hits builds no pass at all.
+func (s *Server) runCell(ctx context.Context, j *Job, i int, spec Spec) ([]*sim.Result, error) {
 	base, err := spec.configForScheme(spec.Schemes[0])
 	if err != nil {
 		return nil, err
@@ -530,6 +530,10 @@ func (s *Server) runCell(ctx context.Context, j *Job, spec Spec) ([]*sim.Result,
 		if schemes[i], err = sim.ParseScheme(name); err != nil {
 			return nil, err
 		}
+	}
+	var cell *int
+	if j.Grid != nil {
+		cell = &i
 	}
 	// The count the runner and RunMulti would clamp to anyway, resolved
 	// here so the test hook sees what runs.
@@ -545,7 +549,7 @@ func (s *Server) runCell(ctx context.Context, j *Job, spec Spec) ([]*sim.Result,
 		SnapshotCache:    s.snaps,
 		Fault:            s.opts.Fault,
 		OnRun: func(u experiment.RunUpdate) {
-			p := progressData{Workload: u.Workload, Scheme: u.Scheme.String(), Reused: u.Reused}
+			p := progressData{Workload: u.Workload, Scheme: u.Scheme.String(), Cell: cell, Reused: u.Reused}
 			if u.Err != nil {
 				p.Error = u.Err.Error()
 			} else {

@@ -264,6 +264,42 @@ func TestSweepSSEFanout(t *testing.T) {
 	}
 }
 
+// TestGridProgressNamesCell: a grid job's progress events name their
+// cell, cell 0 included, so two cells that differ only in seed can be
+// told apart; a plain job's events carry no cell field.
+func TestGridProgressNamesCell(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	g := sweep.Grid{
+		Workloads:   []string{"mcf"},
+		Schemes:     []string{"base"},
+		Geometries:  []string{"smoke"},
+		Seeds:       []uint64{1, 2},
+		RefsPerCore: []uint64{2000},
+	}
+	sub := ts.submitGrid(g, http.StatusAccepted)
+	ts.waitState(sub.ID, StateDone)
+	events := ts.progressEvents(sub.ID)
+	if len(events) != 2 {
+		t.Fatalf("two-cell grid emitted %d progress events, want 2", len(events))
+	}
+	for i, raw := range events {
+		var p progressData
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatalf("decode progress %s: %v", raw, err)
+		}
+		if p.Cell == nil || *p.Cell != i || p.Workload != "mcf" || p.Scheme != "base" {
+			t.Fatalf("progress event %d = %s, want mcf/base of cell %d", i, raw, i)
+		}
+	}
+
+	st := ts.runDone(Spec{Workloads: []string{"mcf"}, Schemes: []string{"base"}, Geometry: "smoke", RefsPerCore: 2000, Seed: 3})
+	for _, raw := range ts.progressEvents(st.ID) {
+		if bytes.Contains(raw, []byte(`"cell"`)) {
+			t.Fatalf("plain job progress event %s names a cell", raw)
+		}
+	}
+}
+
 // TestSweepShutdownCancelsQueuedGrid: a grid job queued behind a busy
 // worker is cancelled by Shutdown like any queued job.
 func TestSweepShutdownCancelsQueuedGrid(t *testing.T) {
