@@ -82,7 +82,8 @@ func (f *pfFilter) hit(block memaddr.Addr) bool {
 
 // remove empties index i and shifts the rest of its probe run back, so
 // every entry stays reachable from its home without tombstones. At the
-// top size every entry sits at its home and nothing shifts.
+// top size every entry sits at its home, so nothing shifts, and the scan
+// is skipped: a full top-size table has no empty entry to end it.
 func (f *pfFilter) remove(i int) {
 	f.live--
 	mask := uint64(len(f.marks) - 1)
