@@ -28,11 +28,10 @@ func skipUnderAsserts(t *testing.T) {
 // may wrap them) and pins the steady-state contract of the simulation
 // core: once the engine is built and its sources attached, replaying a
 // measurement window — refills and runWindow — performs zero heap
-// allocations. One untimed window runs first, then AllocsPerRun warms
-// up with one more: the prefetched-block filter reaches its high-water
-// size only when the trace replays over the marks the first window
-// left. The measured windows must then allocate nothing.
-func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource) {
+// allocations. warmups untimed windows run first; AllocsPerRun then
+// warms up with one more untimed call, which absorbs any lazy
+// first-use growth. The measured windows must then allocate nothing.
+func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, replays []*workload.TraceSource, warmups int) {
 	t.Helper()
 	e := newSoloEngine(t, cfg, srcs)
 	e.quota = unsliced
@@ -43,7 +42,9 @@ func assertWindowAllocFree(t *testing.T, cfg Config, srcs []workload.Source, rep
 			r.Rewind()
 		}
 	}
-	window()
+	for range warmups {
+		window()
+	}
 	if n := testing.AllocsPerRun(3, window); n != 0 {
 		t.Errorf("%s steady-state window allocated %.0f times per run, want 0", cfg.Scheme, n)
 	}
@@ -70,8 +71,9 @@ func captureReplays(t *testing.T, cfg Config, wl string) []*workload.TraceSource
 // allocation nor contribute one of its own. The eight-core ReDHiP case
 // recalibrates every 2000 L1 misses, so the scheduler rebuild runs many
 // times inside each window. The prefetch cases run lbm's strided
-// streams, so the prefetched-block filter grows; it reaches its
-// high-water size in the untimed warm-up window.
+// streams, so the prefetched-block filter grows: it reaches its
+// high-water size only when the trace replays over the marks the
+// first window left, so these cases run one extra untimed window.
 func TestRunLoopAllocationFree(t *testing.T) {
 	skipUnderAsserts(t)
 	cases := []struct {
@@ -105,7 +107,11 @@ func TestRunLoopAllocationFree(t *testing.T) {
 			for c, r := range replays {
 				srcs[c] = r
 			}
-			assertWindowAllocFree(t, cfg, srcs, replays)
+			warmups := 0
+			if tc.prefetch {
+				warmups = 1
+			}
+			assertWindowAllocFree(t, cfg, srcs, replays, warmups)
 		})
 	}
 }
@@ -161,7 +167,7 @@ func TestBatchRefillAllocationFree(t *testing.T) {
 			for c, r := range replays {
 				srcs[c] = batchOnlySource{r}
 			}
-			assertWindowAllocFree(t, cfg, srcs, replays)
+			assertWindowAllocFree(t, cfg, srcs, replays, 0)
 		})
 	}
 }
@@ -191,7 +197,7 @@ func TestMaterializedReplayAllocationFree(t *testing.T) {
 	for i, s := range srcs {
 		replays[i] = s.(*workload.TraceSource)
 	}
-	assertWindowAllocFree(t, cfg, srcs, replays)
+	assertWindowAllocFree(t, cfg, srcs, replays, 0)
 }
 
 // TestPassReportsAllocations pins the allocation counters of a pass

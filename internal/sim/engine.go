@@ -125,6 +125,7 @@ type engine struct {
 	pfBuf          []memaddr.Addr //redhip:transient per-call prefetch scratch buffer
 	// prefetched holds one mark per hashed block slot (pfSlot), storing
 	// only occupied slots in a table that grows to its high-water size.
+	// The largest table is 8 MiB; growing into it holds 12 MiB at peak.
 	// A newer mark overwrites an older one in its slot, so
 	// Prefetch.Useful is a slight undercount under pressure — the same
 	// stats-only approximation the previous map-based tracker made when
